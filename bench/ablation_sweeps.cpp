@@ -206,9 +206,10 @@ int main() {
   using namespace repro;
   using namespace repro::bench;
   const Stopwatch watch;
-  print_header("Ablations -- sensitivity of the reproduction's conclusions");
-
   const Scenario scenario = ablation_scenario();
+  print_header("Ablations -- sensitivity of the reproduction's conclusions",
+               std::string(to_string(scenario.scale)));
+
   Pipeline pipeline(scenario);
   sweep_xi(pipeline);
   sweep_trim(pipeline);

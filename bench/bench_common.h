@@ -32,24 +32,26 @@
 
 namespace repro::bench {
 
-/// Scenario from the REPRO_SCALE environment variable: any spelling
-/// parse_scale accepts ("tiny", "small", "paper", "10x"); "paper" when
-/// unset or unrecognized.
-inline Scenario scenario_from_env() {
+/// Scale from the REPRO_SCALE environment variable: any spelling
+/// parse_scale accepts ("tiny", "small", "paper", "10x"); paper when unset
+/// or unrecognized.
+inline Scale scale_from_env() {
   const char* scale = std::getenv("REPRO_SCALE");
-  if (scale != nullptr) {
-    if (const auto parsed = parse_scale(scale); parsed.has_value()) {
-      return Scenario::at_scale(*parsed);
-    }
-    std::fprintf(stderr, "unknown REPRO_SCALE '%s', using paper\n", scale);
-  }
-  return Scenario::paper();
+  if (scale == nullptr) return Scale::kPaper;
+  return parse_scale(scale).value_or(Scale::kPaper);
 }
 
-inline const char* scale_name() {
+/// Scenario at scale_from_env(), warning when REPRO_SCALE is unrecognized.
+inline Scenario scenario_from_env() {
   const char* scale = std::getenv("REPRO_SCALE");
-  return scale == nullptr ? "paper" : scale;
+  if (scale != nullptr && !parse_scale(scale).has_value()) {
+    std::fprintf(stderr, "unknown REPRO_SCALE '%s', using paper\n", scale);
+  }
+  return Scenario::at_scale(scale_from_env());
 }
+
+/// The scale a harness runs at, as stamped on its header and BENCH line.
+inline std::string scale_name() { return std::string(to_string(scale_from_env())); }
 
 /// Monotonic stopwatch (steady_clock: immune to NTP steps and wall-clock
 /// adjustments mid-benchmark).
@@ -66,9 +68,11 @@ class Stopwatch {
   std::chrono::steady_clock::time_point start_;
 };
 
-inline void print_header(const char* title) {
+/// `scale` overrides the stamped scale (harnesses that run several).
+inline void print_header(const char* title,
+                         const std::string& scale = scale_name()) {
   std::printf("==============================================================\n");
-  std::printf("%s   [scale: %s]\n", title, scale_name());
+  std::printf("%s   [scale: %s]\n", title, scale.c_str());
   std::printf("==============================================================\n\n");
   obs::sampler().maybe_start_from_env();
 }
@@ -77,7 +81,8 @@ inline void print_header(const char* title) {
 /// non-empty, is spliced verbatim before the closing brace (it must be a
 /// comma-separated list of already-escaped `"key":value` pairs).
 inline std::string bench_json_line(const char* bench, double seconds,
-                                   const std::string& extra_fields = {}) {
+                                   const std::string& extra_fields = {},
+                                   const std::string& scale = scale_name()) {
   const long long unix_ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::system_clock::now().time_since_epoch())
@@ -86,7 +91,7 @@ inline std::string bench_json_line(const char* bench, double seconds,
   std::snprintf(prefix, sizeof(prefix),
                 "{\"bench\":\"%s\",\"scale\":\"%s\",\"seconds\":%.6f,"
                 "\"clock\":\"steady\",\"unix_ms\":%lld",
-                bench, scale_name(), seconds, unix_ms);
+                bench, scale.c_str(), seconds, unix_ms);
   std::string line = prefix;
   if (!extra_fields.empty()) {
     line += ",";
@@ -135,7 +140,8 @@ inline double peak_rss_mb_now() {
 
 inline void print_footer(const char* bench, const Stopwatch& watch,
                          const std::map<std::string, fault::StageHealth>& stages = {},
-                         const std::string& extra_fields = {}) {
+                         const std::string& extra_fields = {},
+                         const std::string& scale = scale_name()) {
   std::printf("\n[completed in %.1f s]\n", watch.seconds());
 
   // Join the sampler before building the line so its final sample counts
@@ -156,7 +162,8 @@ inline void print_footer(const char* bench, const Stopwatch& watch,
   const char* dir = std::getenv("REPRO_BENCH_OUT");
   const std::string out_dir = dir == nullptr ? "bench_output" : dir;
   const std::string path = out_dir + "/BENCH_" + bench + ".json";
-  const std::string line = bench_json_line(bench, watch.seconds(), fields);
+  const std::string line =
+      bench_json_line(bench, watch.seconds(), fields, scale);
   try {
     write_file(path, line);
   } catch (const Error& error) {
@@ -185,11 +192,13 @@ inline void print_footer(const char* bench, const Stopwatch& watch,
 }
 
 /// Footer for a harness built around one Pipeline: surfaces its per-stage
-/// StageHealth verdicts in the BENCH json line.
+/// StageHealth verdicts in the BENCH json line and stamps the scale the
+/// pipeline ran at.
 inline void print_footer(const char* bench, const Stopwatch& watch,
                          const Pipeline& pipeline,
                          const std::string& extra_fields = {}) {
-  print_footer(bench, watch, pipeline.stage_health(), extra_fields);
+  print_footer(bench, watch, pipeline.stage_health(), extra_fields,
+               std::string(to_string(pipeline.scenario().scale)));
 }
 
 inline constexpr double kPaperXis[] = {0.1, 0.9};

@@ -81,8 +81,7 @@ int main() {
     store_config.root = root + "/store";
     config.artifacts = std::make_shared<store::ArtifactStore>(store_config);
   }
-  const Scale scale =
-      parse_scale(bench::scale_name()).value_or(Scale::kTiny);
+  const Scale scale = bench::scale_from_env();
   config.default_scale = scale;
   ReportService service(std::move(config));
 

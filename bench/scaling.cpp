@@ -150,9 +150,15 @@ std::string config_json(const ConfigResult& r) {
 int main() {
   using namespace repro;
   bench::Stopwatch total;
-  bench::print_header("Scaling: wall clock and peak RSS per Scale");
-
   const std::vector<Scale> scales = scales_from_env();
+  // Stamp the scales this run covers, not REPRO_SCALE (which it ignores).
+  std::string ran;
+  for (const Scale scale : scales) {
+    if (!ran.empty()) ran += ",";
+    ran += to_string(scale);
+  }
+  bench::print_header("Scaling: wall clock and peak RSS per Scale", ran);
+
   const char* rows_env = std::getenv("REPRO_SCALING_ROWS");
   const std::size_t block_rows =
       rows_env == nullptr ? 0 : std::strtoul(rows_env, nullptr, 10);
@@ -187,6 +193,6 @@ int main() {
     scales_json += ",\"block_rows\":" + std::to_string(block_rows);
   }
 
-  bench::print_footer("scaling", total, {}, scales_json);
+  bench::print_footer("scaling", total, {}, scales_json, ran);
   return all_ok ? 0 : 1;
 }

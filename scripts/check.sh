@@ -18,7 +18,9 @@
 #                                  service smoke + latency gate (repro-serve
 #                                  cold/warm byte-identity, warm hits > 0,
 #                                  load-bench warm_p99_ms vs the committed
-#                                  baseline), and a perf-regression gate
+#                                  baseline), the perfbench smoke (the
+#                                  benchmark builds and runs every workload
+#                                  at tiny scale), and a perf-regression gate
 #   SKIP_ASAN=1 ./scripts/check.sh  skip the ASan pass
 #   SKIP_TSAN=1 ./scripts/check.sh  skip the TSan pass
 #   SKIP_CHAOS=1 ./scripts/check.sh skip the store-chaos smoke
@@ -28,6 +30,7 @@
 #   SKIP_PERF=1 ./scripts/check.sh  skip the perf-regression gate
 #   SKIP_SHARD=1 ./scripts/check.sh skip the multi-process shard smoke
 #   SKIP_SERVE=1 ./scripts/check.sh skip the report-service smoke + gate
+#   SKIP_BENCH=1 ./scripts/check.sh skip the perfbench smoke
 #
 # Exits nonzero on the first failure.
 set -euo pipefail
@@ -183,6 +186,13 @@ if [[ "${SKIP_SERVE:-0}" != "1" ]]; then
     echo "FAIL: warm service p99 regressed more than 2x vs baseline"
     exit 1
   fi
+fi
+
+if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
+  echo "== perfbench smoke: the benchmark builds and runs (tiny scale) =="
+  # perfbench/ compiles against the pipeline's headers and libraries, so a
+  # refactor that breaks it should fail here, not in the benchmark run.
+  python3 perfbench/test_smoke.py
 fi
 
 if [[ "${SKIP_PERF:-0}" != "1" ]]; then

@@ -22,14 +22,12 @@
 
 namespace repro {
 
-namespace {
-
-/// Cache key for a xi value (xi is a config constant like 0.1/0.9, so a
-/// fixed-point key is exact).
 std::uint64_t xi_key(double xi) {
   require(xi > 0.0 && xi < 1.0, "Pipeline: xi outside (0, 1)");
   return static_cast<std::uint64_t>(std::llround(xi * 1e6));
 }
+
+namespace {
 
 std::string hg_counter_name(std::string_view prefix, Hypergiant hg) {
   return std::string(prefix) + "." + std::string(to_string(hg));
@@ -61,12 +59,18 @@ void note_store_corruption(fault::StageHealth& health, const std::string& detail
   health.reasons.push_back("store: " + detail);
 }
 
-/// The xi batch clusterings() computes together: the paper's two standard
+/// The xi batch clusterings() computes together, decided on the xi key so
+/// every spelling of one xi lands in one batch: the paper's two standard
 /// settings share one OPTICS ordering; an unusual xi is computed alone.
 /// Shard workers and the merge derive the identical batch independently.
 std::vector<double> xi_batch(double xi) {
-  if (xi == 0.1 || xi == 0.9) return {0.1, 0.9};
+  const std::uint64_t key = xi_key(xi);
+  if (key == xi_key(0.1) || key == xi_key(0.9)) return {0.1, 0.9};
   return {xi};
+}
+
+std::string corrupt_matrices_note(std::uint64_t count) {
+  return std::to_string(count) + " corrupt latency matrices recomputed";
 }
 
 /// Counters that must not ride a shard artifact into the parent: store
@@ -143,47 +147,29 @@ Pipeline::Pipeline(Scenario scenario, fault::FaultPlan plan,
     }
   }
 
-  obs::ScopedSpan span("pipeline.generate_internet");
   // Warm topology (ROADMAP: generation dominates a fully warm run): the
   // Internet artifact is keyed by the topology config alone, not the world
   // digest, so scenarios differing only in measurement settings or fault
-  // plans share one persisted topology. Generation is deterministic in that
-  // config, so no health record is embedded -- there is nothing degraded a
-  // warm copy could replay.
-  const store::ArtifactKey topo_key =
-      make_key("internet", store::kInternetSchema,
-               topology_digest(scenario_.topology), {});
-  std::string corruption;
-  bool warm = false;
-  if (artifacts_ != nullptr) {
-    store::LoadResult loaded = artifacts_->load(topo_key);
-    if (loaded.hit()) {
-      try {
-        store::ByteReader reader(loaded.payload);
-        internet_ = store::decode_internet(reader);
-        warm = true;
-        obs::metrics().counter("pipeline.topology_store_hit").add(1);
-      } catch (const Error& error) {
-        corruption = topo_key.filename() + ": " + error.what();
-      }
-    } else if (loaded.corrupt()) {
-      corruption = loaded.detail;
-    }
-  }
-  if (!warm) {
-    InternetGenerator generator(scenario_.topology);
-    internet_ = generator.generate();
-    if (artifacts_ != nullptr) {
-      store::ByteWriter writer;
-      store::encode(writer, internet_);
-      artifacts_->save(topo_key, writer.bytes());
-    }
-  }
-  if (!corruption.empty()) {
-    fault::StageHealth health;
-    note_store_corruption(health, corruption);
-    record_health("topology", health);
-  }
+  // plans share one persisted topology.
+  internet_ = std::move(
+      persisted_stage(
+          "topology", "pipeline.generate_internet",
+          {make_key("internet", store::kInternetSchema,
+                    topology_digest(scenario_.topology), {})},
+          store::encode,
+          +[](store::ByteReader& in) {
+            Internet internet = store::decode_internet(in);
+            obs::metrics().counter("pipeline.topology_store_hit").add(1);
+            return internet;
+          },
+          [&] {
+            StageOutput<Internet> out;
+            InternetGenerator generator(scenario_.topology);
+            out.values.push_back(generator.generate());
+            return out;
+          },
+          /*embeds_health=*/false)
+          .front());
   obs::metrics().gauge("topology.metros").set(
       static_cast<double>(internet_.metros.size()));
   obs::metrics().gauge("topology.facilities").set(
@@ -215,6 +201,76 @@ void Pipeline::record_health(const std::string& stage,
       "fault", fault::fault_section_json(plan_.to_json(), health_));
 }
 
+/// Consult every key; if all hit and decode, replay the embedded health.
+/// Otherwise compute, publish, then note the store's failures.
+template <class T, class Compute>
+std::vector<T> Pipeline::persisted_stage(
+    const char* stage, const char* span_name,
+    const std::vector<store::ArtifactKey>& keys,
+    void (*encode)(store::ByteWriter&, const T&),
+    T (*decode)(store::ByteReader&), Compute&& compute,
+    bool embeds_health) const {
+  obs::ScopedSpan span(span_name);
+  std::string corruption;
+  if (artifacts_ != nullptr) {
+    // Every key is consulted (and a corrupt one quarantined) even after a
+    // miss; the batch is all-or-nothing, so any miss recomputes it whole.
+    std::vector<store::LoadResult> loads;
+    bool all_hit = true;
+    for (const store::ArtifactKey& key : keys) {
+      loads.push_back(artifacts_->load(key));
+      all_hit = all_hit && loads.back().hit();
+      if (loads.back().corrupt() && corruption.empty()) {
+        corruption = loads.back().detail;
+      }
+    }
+    if (all_hit) {
+      std::size_t x = 0;
+      try {
+        // Every artifact of a batch embeds the same stage health; replay
+        // the first.
+        fault::StageHealth health;
+        std::vector<T> values;
+        for (; x < keys.size(); ++x) {
+          store::ByteReader reader(loads[x].payload);
+          if (embeds_health) {
+            fault::StageHealth h = store::decode_stage_health(reader);
+            if (x == 0) health = std::move(h);
+          }
+          values.push_back(decode(reader));
+        }
+        if (embeds_health) record_health(stage, std::move(health));
+        return values;
+      } catch (const Error& error) {
+        corruption = keys[x].filename() + ": " + error.what();
+      }
+    }
+  }
+
+  StageOutput<T> out = compute();
+  // Publish before folding in any store note: the replacement artifact must
+  // carry the health a clean cold run earns, not this run's stigma. A
+  // failed stage publishes nothing, so the next run retries it.
+  if (artifacts_ != nullptr &&
+      out.health.status != fault::StageStatus::kFailed) {
+    for (std::size_t x = 0; x < keys.size(); ++x) {
+      store::ByteWriter writer;
+      if (embeds_health) store::encode(writer, out.health);
+      encode(writer, out.values[x]);
+      artifacts_->save(keys[x], writer.bytes());
+    }
+  }
+  if (!out.store_note.empty()) {
+    note_store_corruption(out.health, out.store_note);
+  }
+  if (!corruption.empty()) note_store_corruption(out.health, corruption);
+  // A stage whose artifact embeds no health has a verdict only on failure.
+  if (embeds_health || out.health.status != fault::StageStatus::kOk) {
+    record_health(stage, std::move(out.health));
+  }
+  return std::move(out.values);
+}
+
 const OffnetRegistry& Pipeline::registry(Snapshot snapshot) const {
   std::lock_guard<std::recursive_mutex> lock(stage_mutex_);
   const auto it = registries_.find(snapshot);
@@ -236,65 +292,42 @@ const CertStore& Pipeline::population(Snapshot snapshot) const {
     return it->second;
   }
 
-  obs::ScopedSpan span("pipeline.tls_population");
-  const store::ArtifactKey key =
-      make_key("population", store::kPopulationSchema, world_digest_,
-               {static_cast<std::uint64_t>(snapshot)});
-  std::string corruption;
-  if (artifacts_ != nullptr) {
-    store::LoadResult loaded = artifacts_->load(key);
-    if (loaded.hit()) {
-      try {
-        store::ByteReader reader(loaded.payload);
-        fault::StageHealth health = store::decode_stage_health(reader);
-        CertStore population = store::decode_population(reader);
-        record_health("tls_population", std::move(health));
-        return populations_.emplace(snapshot, std::move(population))
-            .first->second;
-      } catch (const Error& error) {
-        corruption = key.filename() + ": " + error.what();
-      }
-    } else if (loaded.corrupt()) {
-      corruption = loaded.detail;
-    }
-  }
-
-  fault::StageHealth health;
-  CertStore store;
-  try {
-    store = build_tls_population(internet_, registry(snapshot), snapshot,
-                                 scenario_.population);
-    health.total = store.size();
-    if (plan_.active()) {
-      fault::CertFaultOutcome outcome;
-      fault::inject_cert_faults(store, plan_, &outcome);
-      obs::metrics().counter("fault.cert_churned").add(outcome.churned);
-      obs::metrics().counter("fault.cert_garbled").add(outcome.garbled);
-      health.dropped = outcome.garbled;
-      if (outcome.churned + outcome.garbled > 0) {
-        health.status = fault::StageStatus::kDegraded;
-        health.reasons.push_back(count_reason("certs garbled", outcome.garbled,
-                                              health.total));
-        health.reasons.push_back(count_reason("certs churned", outcome.churned,
-                                              health.total));
-      }
-    }
-  } catch (const Error& error) {
-    health.status = fault::StageStatus::kFailed;
-    health.reasons.push_back(std::string("tls_population: ") + error.what());
-    store = CertStore();
-  }
-  // Publish before folding in any corruption note: the replacement artifact
-  // must carry the health a clean cold run earns, not this run's stigma.
-  if (artifacts_ != nullptr && health.status != fault::StageStatus::kFailed) {
-    store::ByteWriter writer;
-    store::encode(writer, health);
-    store::encode(writer, store);
-    artifacts_->save(key, writer.bytes());
-  }
-  if (!corruption.empty()) note_store_corruption(health, corruption);
-  record_health("tls_population", health);
-  return populations_.emplace(snapshot, std::move(store)).first->second;
+  std::vector<CertStore> computed = persisted_stage(
+      "tls_population", "pipeline.tls_population",
+      {make_key("population", store::kPopulationSchema, world_digest_,
+                {static_cast<std::uint64_t>(snapshot)})},
+      store::encode, store::decode_population, [&] {
+        StageOutput<CertStore> out;
+        fault::StageHealth& health = out.health;
+        CertStore& store = out.values.emplace_back();
+        try {
+          store = build_tls_population(internet_, registry(snapshot), snapshot,
+                                       scenario_.population);
+          health.total = store.size();
+          if (plan_.active()) {
+            fault::CertFaultOutcome outcome;
+            fault::inject_cert_faults(store, plan_, &outcome);
+            obs::metrics().counter("fault.cert_churned").add(outcome.churned);
+            obs::metrics().counter("fault.cert_garbled").add(outcome.garbled);
+            health.dropped = outcome.garbled;
+            if (outcome.churned + outcome.garbled > 0) {
+              health.status = fault::StageStatus::kDegraded;
+              health.reasons.push_back(count_reason(
+                  "certs garbled", outcome.garbled, health.total));
+              health.reasons.push_back(count_reason(
+                  "certs churned", outcome.churned, health.total));
+            }
+          }
+        } catch (const Error& error) {
+          health.status = fault::StageStatus::kFailed;
+          health.reasons.push_back(std::string("tls_population: ") +
+                                   error.what());
+          store = CertStore();
+        }
+        return out;
+      });
+  return populations_.emplace(snapshot, std::move(computed.front()))
+      .first->second;
 }
 
 const std::vector<ScanRecord>& Pipeline::scan_records(Snapshot snapshot) const {
@@ -306,64 +339,46 @@ const std::vector<ScanRecord>& Pipeline::scan_records(Snapshot snapshot) const {
     return it->second;
   }
 
-  obs::ScopedSpan span("pipeline.scan");
-  const store::ArtifactKey key =
-      make_key("scan", store::kScanRecordsSchema, world_digest_,
-               {static_cast<std::uint64_t>(snapshot)});
-  std::string corruption;
-  if (artifacts_ != nullptr) {
-    store::LoadResult loaded = artifacts_->load(key);
-    if (loaded.hit()) {
-      try {
-        store::ByteReader reader(loaded.payload);
-        fault::StageHealth health = store::decode_stage_health(reader);
-        std::vector<ScanRecord> records = store::decode_scan_records(reader);
-        record_health("scan", std::move(health));
-        return scans_.emplace(snapshot, std::move(records)).first->second;
-      } catch (const Error& error) {
-        corruption = key.filename() + ": " + error.what();
-      }
-    } else if (loaded.corrupt()) {
-      corruption = loaded.detail;
-    }
-  }
-
-  fault::StageHealth health;
-  std::vector<ScanRecord> records;
-  try {
-    const CertStore& store = population(snapshot);
-    health.total = store.size();
-    const Scanner scanner(scenario_.scanner);
-    records = scanner.scan(store);
-    if (plan_.active()) {
-      fault::ScanFaultOutcome outcome;
-      records = fault::inject_scan_faults(std::move(records), plan_, &outcome);
-      obs::metrics().counter("fault.scan_truncated").add(outcome.truncated);
-      obs::metrics().counter("fault.scan_burst_missed").add(outcome.burst_missed);
-      health.dropped = outcome.dropped();
-      if (outcome.dropped() > 0) {
-        health.status = fault::StageStatus::kDegraded;
-        health.reasons.push_back(count_reason(
-            "records lost to shard truncation", outcome.truncated, health.total));
-        health.reasons.push_back(count_reason(
-            "records lost to miss bursts", outcome.burst_missed, health.total));
-      }
-    }
-  } catch (const Error& error) {
-    health.status = fault::StageStatus::kFailed;
-    health.reasons.push_back(std::string("scan: ") + error.what());
-    records.clear();
-  }
-  // Publish before folding in any corruption note (see population()).
-  if (artifacts_ != nullptr && health.status != fault::StageStatus::kFailed) {
-    store::ByteWriter writer;
-    store::encode(writer, health);
-    store::encode(writer, records);
-    artifacts_->save(key, writer.bytes());
-  }
-  if (!corruption.empty()) note_store_corruption(health, corruption);
-  record_health("scan", health);
-  return scans_.emplace(snapshot, std::move(records)).first->second;
+  std::vector<std::vector<ScanRecord>> computed = persisted_stage(
+      "scan", "pipeline.scan",
+      {make_key("scan", store::kScanRecordsSchema, world_digest_,
+                {static_cast<std::uint64_t>(snapshot)})},
+      store::encode, store::decode_scan_records, [&] {
+        StageOutput<std::vector<ScanRecord>> out;
+        fault::StageHealth& health = out.health;
+        std::vector<ScanRecord>& records = out.values.emplace_back();
+        try {
+          const CertStore& store = population(snapshot);
+          health.total = store.size();
+          const Scanner scanner(scenario_.scanner);
+          records = scanner.scan(store);
+          if (plan_.active()) {
+            fault::ScanFaultOutcome outcome;
+            records =
+                fault::inject_scan_faults(std::move(records), plan_, &outcome);
+            obs::metrics().counter("fault.scan_truncated")
+                .add(outcome.truncated);
+            obs::metrics().counter("fault.scan_burst_missed")
+                .add(outcome.burst_missed);
+            health.dropped = outcome.dropped();
+            if (outcome.dropped() > 0) {
+              health.status = fault::StageStatus::kDegraded;
+              health.reasons.push_back(
+                  count_reason("records lost to shard truncation",
+                               outcome.truncated, health.total));
+              health.reasons.push_back(
+                  count_reason("records lost to miss bursts",
+                               outcome.burst_missed, health.total));
+            }
+          }
+        } catch (const Error& error) {
+          health.status = fault::StageStatus::kFailed;
+          health.reasons.push_back(std::string("scan: ") + error.what());
+          records.clear();
+        }
+        return out;
+      });
+  return scans_.emplace(snapshot, std::move(computed.front())).first->second;
 }
 
 const DiscoveryReport& Pipeline::discovery(Snapshot snapshot,
@@ -462,65 +477,38 @@ std::vector<AsIndex> Pipeline::hosting_isps_2023() const {
 }
 
 const std::vector<IspClustering>& Pipeline::clusterings(double xi) const {
+  return clustering_stage(xi, [this](const std::vector<AsIndex>& isps,
+                                     std::span<const double> xis) {
+    return cluster_isps(isps, xis);
+  });
+}
+
+template <class Fanout>
+const std::vector<IspClustering>& Pipeline::clustering_stage(
+    double xi, Fanout&& fanout) const {
   std::lock_guard<std::recursive_mutex> lock(stage_mutex_);
   const std::uint64_t key = xi_key(xi);
   const auto it = clusterings_.find(key);
   if (it != clusterings_.end()) return it->second;
 
-  obs::ScopedSpan span("pipeline.clustering");
-
+  // One OPTICS ordering serves every xi, so the batch is all-or-nothing.
   const std::vector<double> xis = xi_batch(xi);
-
-  // Warm path: the whole xi batch must hit, else recompute everything (one
-  // OPTICS ordering serves every xi, so partial reuse saves nothing).
-  std::string corruption;
-  if (artifacts_ != nullptr) {
-    std::vector<store::LoadResult> loads;
-    bool all_hit = true;
-    for (const double x : xis) {
-      loads.push_back(artifacts_->load(
-          make_key("clustering", store::kClusteringSchema, world_digest_,
-                   {xi_key(x)})));
-      if (!loads.back().hit()) all_hit = false;
-      if (loads.back().corrupt() && corruption.empty()) {
-        corruption = loads.back().detail;
-      }
-    }
-    if (all_hit) {
-      try {
-        fault::StageHealth health;
-        std::vector<std::vector<IspClustering>> decoded;
-        for (std::size_t x = 0; x < xis.size(); ++x) {
-          store::ByteReader reader(loads[x].payload);
-          // Every xi artifact of the batch embeds the same stage health;
-          // record it once.
-          fault::StageHealth h = store::decode_stage_health(reader);
-          if (x == 0) health = std::move(h);
-          decoded.push_back(store::decode_clusterings(reader));
-        }
-        record_health("clustering", std::move(health));
-        for (std::size_t x = 0; x < xis.size(); ++x) {
-          // The merge below stores clusterings in hosting-ISP order, so the
-          // ISP -> position index rebuilds exactly from the decoded order.
-          std::map<AsIndex, std::size_t> index;
-          for (std::size_t i = 0; i < decoded[x].size(); ++i) {
-            index.emplace(decoded[x][i].isp, i);
-          }
-          cluster_index_[xi_key(xis[x])] = std::move(index);
-          clusterings_[xi_key(xis[x])] = std::move(decoded[x]);
-        }
-        return clusterings_.at(key);
-      } catch (const Error& error) {
-        if (corruption.empty()) {
-          corruption = std::string("clustering artifact: ") + error.what();
-        }
-      }
-    }
+  std::vector<store::ArtifactKey> keys;
+  for (const double x : xis) {
+    keys.push_back(make_key("clustering", store::kClusteringSchema,
+                            world_digest_, {xi_key(x)}));
   }
-
-  const std::vector<AsIndex> isps = hosting_isps_2023();
-  ClusterFanout fanout = cluster_isps(isps, xis);
-  return merge_isp_outcomes(isps, xis, std::move(fanout), corruption, key);
+  std::vector<std::vector<IspClustering>> batch = persisted_stage(
+      "clustering", "pipeline.clustering", keys, store::encode,
+      store::decode_clusterings, [&] {
+        const std::vector<AsIndex> isps = hosting_isps_2023();
+        return merge_isp_outcomes(isps, xis, fanout(isps, xis));
+      });
+  for (std::size_t x = 0; x < xis.size(); ++x) {
+    // Never replace a cached xi: callers hold references into it.
+    clusterings_.try_emplace(xi_key(xis[x]), std::move(batch[x]));
+  }
+  return clusterings_.at(key);
 }
 
 LatencyMatrix Pipeline::fetch_isp_matrix(
@@ -567,8 +555,7 @@ LatencyMatrix Pipeline::isp_latency_matrix(AsIndex isp) const {
     // Same degraded-run note the fan-out merge would make: the matrix is
     // recomputed and correct, but persistence failed this run.
     fault::StageHealth health;
-    note_store_corruption(health, std::to_string(corrupt.load()) +
-                                      " corrupt latency matrices recomputed");
+    note_store_corruption(health, corrupt_matrices_note(corrupt.load()));
     record_health("clustering", health);
   }
   return matrix;
@@ -692,21 +679,20 @@ Pipeline::ClusterFanout Pipeline::cluster_isps(
   return fanout;
 }
 
-const std::vector<IspClustering>& Pipeline::merge_isp_outcomes(
+Pipeline::StageOutput<std::vector<IspClustering>> Pipeline::merge_isp_outcomes(
     const std::vector<AsIndex>& isps, std::span<const double> xis,
-    ClusterFanout fanout, const std::string& corruption,
-    std::uint64_t key) const {
+    ClusterFanout fanout) const {
   std::vector<IspOutcome>& outcomes = fanout.outcomes;
   require(outcomes.size() == isps.size(),
           "merge_isp_outcomes: outcome count mismatch");
 
   // Deterministic, ISP-ordered merge on the calling thread.
-  fault::StageHealth health;
+  StageOutput<std::vector<IspClustering>> merged;
+  fault::StageHealth& health = merged.health;
+  std::vector<std::vector<IspClustering>>& results = merged.values;
+  results.resize(xis.size());
   std::uint64_t failed_isps = 0;
-  std::vector<std::vector<IspClustering>> results(xis.size());
-  std::map<AsIndex, std::size_t> index;
   for (std::size_t i = 0; i < isps.size(); ++i) {
-    index.emplace(isps[i], results.front().size());
     ++health.total;
     IspOutcome& out = outcomes[i];
     if (out.failed) {
@@ -732,31 +718,10 @@ const std::vector<IspClustering>& Pipeline::merge_isp_outcomes(
           "ISPs below the usable-sites filter", health.dropped, health.total));
     }
   }
-  // Publish each xi's artifact before folding in corruption notes (the
-  // recomputed outputs are correct; only this run is flagged degraded).
-  if (artifacts_ != nullptr && health.status != fault::StageStatus::kFailed) {
-    for (std::size_t x = 0; x < xis.size(); ++x) {
-      store::ByteWriter writer;
-      store::encode(writer, health);
-      store::encode(writer, results[x]);
-      artifacts_->save(make_key("clustering", store::kClusteringSchema,
-                                world_digest_, {xi_key(xis[x])}),
-                       writer.bytes());
-    }
-  }
   if (fanout.corrupt_matrices > 0) {
-    note_store_corruption(health,
-                          std::to_string(fanout.corrupt_matrices) +
-                              " corrupt latency matrices recomputed");
+    merged.store_note = corrupt_matrices_note(fanout.corrupt_matrices);
   }
-  if (!corruption.empty()) note_store_corruption(health, corruption);
-  record_health("clustering", health);
-
-  for (std::size_t x = 0; x < xis.size(); ++x) {
-    cluster_index_[xi_key(xis[x])] = index;
-    clusterings_[xi_key(xis[x])] = std::move(results[x]);
-  }
-  return clusterings_.at(key);
+  return merged;
 }
 
 std::size_t Pipeline::shard_of(std::uint64_t measurement_digest, AsIndex isp,
@@ -856,117 +821,120 @@ void Pipeline::merge_clustering_shards(std::size_t shard_count,
   std::lock_guard<std::recursive_mutex> lock(stage_mutex_);
   obs::ScopedSpan span("pipeline.clustering_merge");
 
-  const std::vector<double> xis = xi_batch(xi);
-  const std::uint64_t partition_digest = measurement_digest(scenario_);
-
   // The parent owns the stage health and counters of every non-clustering
-  // stage, exactly like a single-process run: force them before merging.
-  const std::vector<AsIndex> isps = hosting_isps_2023();
+  // stage, exactly like a single-process run, warm clustering or not.
+  hosting_isps_2023();
   registry(Snapshot::k2023);
   vantage_points();
   ping_mesh();
 
-  // Each shard's slots into the global hosting-ISP order (the shard
-  // artifact lists its ISPs in the same filtered sub-order).
-  std::vector<std::vector<std::size_t>> shard_slots(shard_count);
-  for (std::size_t i = 0; i < isps.size(); ++i) {
-    shard_slots[shard_of(partition_digest, isps[i], shard_count)].push_back(i);
-  }
+  // The shard transport is the stage's fan-out: every shard's outcomes and
+  // counter deltas, a missing or corrupt shard recomputed in-process.
+  clustering_stage(xi, [&](const std::vector<AsIndex>& isps,
+                           std::span<const double> xis) {
+    const std::uint64_t partition_digest = measurement_digest(scenario_);
 
-  ClusterFanout merged;
-  merged.outcomes.resize(isps.size());
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    bool replayed = false;
-    const store::LoadResult loaded =
-        artifacts_->load(make_key("clustershard", store::kClusterShardSchema,
-                                  world_digest_, {s, shard_count, xi_key(xi)}));
-    if (loaded.hit()) {
-      try {
-        store::ByteReader reader(loaded.payload);
-        const std::uint64_t got_shard = reader.u64();
-        const std::uint64_t got_count = reader.u64();
-        const std::uint64_t got_xis = reader.u64();
-        bool consistent = got_shard == s && got_count == shard_count &&
-                          got_xis == xis.size();
-        for (std::uint64_t x = 0; x < got_xis; ++x) {
-          const std::uint64_t got_key = reader.u64();
-          consistent = consistent && x < xis.size() &&
-                       got_key == xi_key(xis[static_cast<std::size_t>(x)]);
-        }
-        if (!consistent) throw store::SerdeError("clustershard layout drift");
-        const std::uint64_t shard_corrupt = reader.u64();
-        const std::uint64_t count = reader.u64();
-        if (count != shard_slots[s].size()) {
-          throw store::SerdeError("clustershard ISP count drift");
-        }
-        std::vector<IspOutcome> outcomes(static_cast<std::size_t>(count));
-        for (std::uint64_t i = 0; i < count; ++i) {
-          IspOutcome& out = outcomes[static_cast<std::size_t>(i)];
-          const AsIndex isp = static_cast<AsIndex>(reader.u64());
-          if (isp != isps[shard_slots[s][static_cast<std::size_t>(i)]]) {
-            throw store::SerdeError("clustershard ISP order drift");
+    // Each shard's slots into the global hosting-ISP order (the shard
+    // artifact lists its ISPs in the same filtered sub-order).
+    std::vector<std::vector<std::size_t>> shard_slots(shard_count);
+    for (std::size_t i = 0; i < isps.size(); ++i) {
+      const auto shard = shard_of(partition_digest, isps[i], shard_count);
+      shard_slots[shard].push_back(i);
+    }
+
+    ClusterFanout merged;
+    merged.outcomes.resize(isps.size());
+    for (std::size_t s = 0; s < shard_count; ++s) {
+      bool replayed = false;
+      const store::LoadResult loaded = artifacts_->load(
+          make_key("clustershard", store::kClusterShardSchema, world_digest_,
+                   {s, shard_count, xi_key(xi)}));
+      if (loaded.hit()) {
+        try {
+          store::ByteReader reader(loaded.payload);
+          const std::uint64_t got_shard = reader.u64();
+          const std::uint64_t got_count = reader.u64();
+          const std::uint64_t got_xis = reader.u64();
+          bool consistent = got_shard == s && got_count == shard_count &&
+                            got_xis == xis.size();
+          for (std::uint64_t x = 0; x < got_xis; ++x) {
+            const std::uint64_t got_key = reader.u64();
+            consistent = consistent && x < xis.size() &&
+                         got_key == xi_key(xis[static_cast<std::size_t>(x)]);
           }
-          out.failed = reader.u8() != 0;
-          out.error = reader.str();
-          out.per_xi = store::decode_clusterings(reader);
-          if (out.per_xi.size() != xis.size()) {
-            throw store::SerdeError("clustershard xi count drift");
+          if (!consistent) throw store::SerdeError("clustershard layout drift");
+          const std::uint64_t shard_corrupt = reader.u64();
+          const std::uint64_t count = reader.u64();
+          if (count != shard_slots[s].size()) {
+            throw store::SerdeError("clustershard ISP count drift");
           }
+          std::vector<IspOutcome> outcomes(static_cast<std::size_t>(count));
+          for (std::uint64_t i = 0; i < count; ++i) {
+            IspOutcome& out = outcomes[static_cast<std::size_t>(i)];
+            const AsIndex isp = static_cast<AsIndex>(reader.u64());
+            if (isp != isps[shard_slots[s][static_cast<std::size_t>(i)]]) {
+              throw store::SerdeError("clustershard ISP order drift");
+            }
+            out.failed = reader.u8() != 0;
+            out.error = reader.str();
+            out.per_xi = store::decode_clusterings(reader);
+            if (out.per_xi.size() != xis.size()) {
+              throw store::SerdeError("clustershard xi count drift");
+            }
+          }
+          const std::uint64_t delta_count = reader.u64();
+          std::vector<std::pair<std::string, std::uint64_t>> deltas;
+          deltas.reserve(static_cast<std::size_t>(delta_count));
+          for (std::uint64_t i = 0; i < delta_count; ++i) {
+            std::string name = reader.str();
+            const std::uint64_t value = reader.u64();
+            deltas.emplace_back(std::move(name), value);
+          }
+          // Fully decoded: commit. Replaying the worker's domain-counter
+          // deltas makes the merged registry match a single-process cold
+          // run's counters exactly (the worker bracketed only the fan-out).
+          for (std::size_t i = 0; i < outcomes.size(); ++i) {
+            merged.outcomes[shard_slots[s][i]] = std::move(outcomes[i]);
+          }
+          for (const auto& [name, value] : deltas) {
+            obs::metrics().counter(name).add(value);
+          }
+          merged.corrupt_matrices += shard_corrupt;
+          replayed = true;
+        } catch (const Error&) {
+          replayed = false;
         }
-        const std::uint64_t delta_count = reader.u64();
-        std::vector<std::pair<std::string, std::uint64_t>> deltas;
-        deltas.reserve(static_cast<std::size_t>(delta_count));
-        for (std::uint64_t i = 0; i < delta_count; ++i) {
-          std::string name = reader.str();
-          const std::uint64_t value = reader.u64();
-          deltas.emplace_back(std::move(name), value);
+      }
+      if (!replayed) {
+        // Missing, corrupt, or drifted shard artifact: recompute its ISPs in
+        // this process. The outputs are bit-identical (that is the whole
+        // bit-identity contract); only store.* bookkeeping shifts, which the
+        // shard tests already exclude. Not a health event -- the transport
+        // cache missed, nothing degraded.
+        obs::metrics().counter("store.shard_fallback").add(1);
+        std::vector<AsIndex> mine;
+        mine.reserve(shard_slots[s].size());
+        for (const std::size_t slot : shard_slots[s]) {
+          mine.push_back(isps[slot]);
         }
-        // Fully decoded: commit. Replaying the worker's domain-counter
-        // deltas makes the merged registry match a single-process cold
-        // run's counters exactly (the worker bracketed only the fan-out).
-        for (std::size_t i = 0; i < outcomes.size(); ++i) {
-          merged.outcomes[shard_slots[s][i]] = std::move(outcomes[i]);
+        ClusterFanout fanout = cluster_isps(mine, xis);
+        for (std::size_t i = 0; i < mine.size(); ++i) {
+          merged.outcomes[shard_slots[s][i]] = std::move(fanout.outcomes[i]);
         }
-        for (const auto& [name, value] : deltas) {
-          obs::metrics().counter(name).add(value);
-        }
-        merged.corrupt_matrices += shard_corrupt;
-        replayed = true;
-      } catch (const Error&) {
-        replayed = false;
+        merged.corrupt_matrices += fanout.corrupt_matrices;
       }
     }
-    if (!replayed) {
-      // Missing, corrupt, or drifted shard artifact: recompute its ISPs in
-      // this process. The outputs are bit-identical (that is the whole
-      // bit-identity contract); only store.* bookkeeping shifts, which the
-      // shard tests already exclude. Not a health event -- the transport
-      // cache missed, nothing degraded.
-      obs::metrics().counter("store.shard_fallback").add(1);
-      std::vector<AsIndex> mine;
-      mine.reserve(shard_slots[s].size());
-      for (const std::size_t slot : shard_slots[s]) {
-        mine.push_back(isps[slot]);
-      }
-      ClusterFanout fanout = cluster_isps(mine, xis);
-      for (std::size_t i = 0; i < mine.size(); ++i) {
-        merged.outcomes[shard_slots[s][i]] = std::move(fanout.outcomes[i]);
-      }
-      merged.corrupt_matrices += fanout.corrupt_matrices;
-    }
-  }
 
-  merge_isp_outcomes(isps, xis, std::move(merged), std::string(),
-                     xi_key(xi));
+    return merged;
+  });
 }
 
 const IspClustering* Pipeline::clustering_of(double xi, AsIndex isp) const {
-  std::lock_guard<std::recursive_mutex> lock(stage_mutex_);
-  const auto& all = clusterings(xi);
-  const auto& index = cluster_index_.at(xi_key(xi));
-  const auto it = index.find(isp);
-  if (it == index.end()) return nullptr;
-  return &all[it->second];
+  // Clusterings sit in hosting-ISP order, which is ascending, and a cached
+  // batch is never replaced.
+  const std::vector<IspClustering>& all = clusterings(xi);
+  const auto it = std::ranges::lower_bound(all, isp, {}, &IspClustering::isp);
+  return it != all.end() && it->isp == isp ? &*it : nullptr;
 }
 
 const RoutingEngine& Pipeline::routing() const {

@@ -12,15 +12,17 @@
 // plan every stage output is bit-identical to a Pipeline built without one.
 //
 // Warm starts: with an artifact store attached (REPRO_STORE=/path, or the
-// explicit constructor), the heavy stages -- TLS population, scan records,
-// per-ISP latency matrices, clusterings -- consult the store before
-// computing and publish after. Artifacts are keyed by a digest over the
-// measurement-relevant scenario config, the fault plan, and the per-stage
-// parameters, so a warm hit is bit-identical to the cold compute (enforced
-// by tests/test_store.cpp). A corrupt or stale artifact falls back to
-// recompute and records a degraded StageHealth instead of throwing. With no
-// store attached (the default) behaviour is bit-identical to before the
-// store existed. See docs/PERSISTENCE.md.
+// explicit constructor), the heavy stages -- topology, TLS population, scan
+// records, per-ISP latency matrices, clusterings -- consult the store before
+// computing and publish after. Topology, population, scan and clustering
+// share one private stage primitive (persisted_stage) for that sequence.
+// Artifacts are keyed by a digest over the measurement-relevant scenario
+// config, the fault plan, and the per-stage parameters, so a warm hit is
+// bit-identical to the cold compute (enforced by tests/test_store.cpp). A
+// corrupt or stale artifact falls back to recompute and records a degraded
+// StageHealth instead of throwing. With no store attached (the default)
+// behaviour is bit-identical to before the store existed. See
+// docs/PERSISTENCE.md.
 //
 // Thread safety: every lazy accessor serializes stage computation behind one
 // recursive mutex, so a Pipeline can sit resident inside the report service
@@ -65,9 +67,16 @@
 
 namespace repro::store {
 class ArtifactStore;
+class ByteReader;
+class ByteWriter;
+struct ArtifactKey;
 }  // namespace repro::store
 
 namespace repro {
+
+/// Identity of a xi in (0, 1) for the clustering caches, their artifacts and
+/// the service's render cache: micro-units, exact for config xis like 0.1.
+std::uint64_t xi_key(double xi);
 
 class Pipeline {
  public:
@@ -98,8 +107,8 @@ class Pipeline {
   std::uint64_t world_digest() const noexcept { return world_digest_; }
 
   /// Health of every stage executed so far, keyed by stage name
-  /// ("tls_population", "scan", "discovery", "ping_mesh", "clustering",
-  /// "rdns", "peering").
+  /// ("topology" -- only when its artifact was corrupt -- "tls_population",
+  /// "scan", "discovery", "ping_mesh", "clustering", "rdns", "peering").
   const std::map<std::string, fault::StageHealth>& stage_health() const noexcept {
     return health_;
   }
@@ -186,13 +195,33 @@ class Pipeline {
   void compute_clustering_shard(std::size_t shard, std::size_t shard_count,
                                 double xi = 0.1) const;
 
-  /// Parent half: loads every shard's artifact (recomputing a missing or
-  /// corrupt shard in-process), replays the per-shard counter deltas, and
-  /// runs the canonical ISP-ordered merge. Afterwards clusterings(xi) for
-  /// the batch's xis answers from the in-process cache.
+  /// Parent half: clusterings(xi) with the shards as its fan-out -- loads
+  /// every shard's artifact (recomputing a missing or corrupt one), replays
+  /// the counter deltas and runs the canonical ISP-ordered merge, unless the
+  /// batch is cached or warm. clusterings(xi) then answers from the cache.
   void merge_clustering_shards(std::size_t shard_count, double xi = 0.1) const;
 
  private:
+  /// A persisted stage's compute result: one value per artifact key, its
+  /// health, and a store note (corruption the compute recovered from).
+  template <class T>
+  struct StageOutput {
+    std::vector<T> values;
+    fault::StageHealth health;
+    std::string store_note;
+  };
+
+  /// The one persisted-stage primitive behind topology, population, scan
+  /// and clustering (pipeline.cpp; docs/PERSISTENCE.md). An artifact holds
+  /// the stage's StageHealth, unless !embeds_health, then the value.
+  template <class T, class Compute>
+  std::vector<T> persisted_stage(const char* stage, const char* span_name,
+                                 const std::vector<store::ArtifactKey>& keys,
+                                 void (*encode)(store::ByteWriter&, const T&),
+                                 T (*decode)(store::ByteReader&),
+                                 Compute&& compute,
+                                 bool embeds_health = true) const;
+
   /// Outcome slot of one ISP's clustering fan-out task.
   struct IspOutcome {
     std::vector<IspClustering> per_xi;
@@ -207,9 +236,16 @@ class Pipeline {
     std::uint64_t corrupt_matrices = 0;
   };
 
+  /// clusterings(xi) through persisted_stage, with `fanout(isps, xis)` --
+  /// the in-process fan-out or the shard merge's replay -- producing the
+  /// outcomes; caches each xi of the batch that is not cached yet.
+  template <class Fanout>
+  const std::vector<IspClustering>& clustering_stage(double xi,
+                                                     Fanout&& fanout) const;
+
   /// Runs the per-ISP clustering fan-out over the thread pool. Pure with
   /// respect to pipeline state other than lazily forcing the mesh/registry
-  /// stages; records no health (the merge does).
+  /// stages; records no health (the stage primitive does).
   ClusterFanout cluster_isps(const std::vector<AsIndex>& isps,
                              std::span<const double> xis) const;
 
@@ -221,14 +257,11 @@ class Pipeline {
                                  const PingMesh& mesh, AsIndex isp,
                                  std::atomic<std::uint64_t>& corrupt) const;
 
-  /// Deterministic ISP-ordered merge of fan-out outcomes: aggregates the
-  /// clustering StageHealth, publishes the per-xi clustering artifacts,
-  /// folds in corruption notes, and fills the in-process caches. Returns
-  /// the clusterings for `key`.
-  const std::vector<IspClustering>& merge_isp_outcomes(
+  /// Deterministic ISP-ordered merge of fan-out outcomes into the per-xi
+  /// clusterings, their StageHealth and the corrupt-matrix store note.
+  StageOutput<std::vector<IspClustering>> merge_isp_outcomes(
       const std::vector<AsIndex>& isps, std::span<const double> xis,
-      ClusterFanout fanout, const std::string& corruption,
-      std::uint64_t key) const;
+      ClusterFanout fanout) const;
 
   /// Spill-file path for one ISP's streamed latency matrix (.mmx).
   std::string stream_spill_path(AsIndex isp) const;
@@ -266,7 +299,6 @@ class Pipeline {
   mutable std::unique_ptr<VantagePointSet> vps_;
   mutable std::unique_ptr<PingMesh> mesh_;
   mutable std::map<std::uint64_t, std::vector<IspClustering>> clusterings_;
-  mutable std::map<std::uint64_t, std::map<AsIndex, std::size_t>> cluster_index_;
   mutable std::unique_ptr<RoutingEngine> routing_;
   mutable std::unique_ptr<DemandModel> demand_;
   mutable std::unique_ptr<CapacityModel> capacity_;

@@ -10,7 +10,10 @@ namespace repro::serve {
 ArtifactResolver::ArtifactResolver(
     std::shared_ptr<store::ArtifactStore> artifacts, std::size_t max_resident)
     : artifacts_(std::move(artifacts)),
-      max_resident_(std::max<std::size_t>(max_resident, 1)) {}
+      pipelines_(std::max<std::size_t>(max_resident, 1),
+                 {.hit = "serve.pipeline_hit",
+                  .evicted = "serve.pipeline_evicted",
+                  .resident = "serve.pipelines_resident"}) {}
 
 std::uint64_t ArtifactResolver::world_key(const Scenario& scenario,
                                           const fault::FaultPlan& plan) {
@@ -22,56 +25,13 @@ std::uint64_t ArtifactResolver::world_key(const Scenario& scenario,
 
 std::shared_ptr<Pipeline> ArtifactResolver::pipeline(
     const Scenario& scenario, const fault::FaultPlan& plan) {
-  const std::uint64_t key = world_key(scenario, plan);
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-      const auto it = index_.find(key);
-      if (it != index_.end()) {
-        recency_.splice(recency_.begin(), recency_, it->second);
-        obs::metrics().counter("serve.pipeline_hit").add(1);
-        return it->second->second;
-      }
-      if (!inflight_.contains(key)) break;
-      // Another thread is constructing this world; park until it publishes
-      // (or gives up -- then the loop re-checks and this thread builds).
-      cv_.wait(lock);
-    }
-    inflight_.insert(key);
-  }
-
-  // Construct outside the lock: a cold world can take seconds, and other
-  // worlds' queries must keep flowing meanwhile.
-  std::shared_ptr<Pipeline> built;
-  try {
-    built = std::make_shared<Pipeline>(scenario, plan, artifacts_);
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    inflight_.erase(key);
-    cv_.notify_all();
-    throw;
-  }
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  inflight_.erase(key);
-  recency_.emplace_front(key, built);
-  index_[key] = recency_.begin();
-  obs::metrics().counter("serve.pipeline_built").add(1);
-  while (recency_.size() > max_resident_) {
-    // In-use pipelines survive eviction via their callers' shared_ptrs.
-    index_.erase(recency_.back().first);
-    recency_.pop_back();
-    obs::metrics().counter("serve.pipeline_evicted").add(1);
-  }
-  obs::metrics().gauge("serve.pipelines_resident")
-      .set(static_cast<double>(recency_.size()));
-  cv_.notify_all();
-  return built;
-}
-
-std::size_t ArtifactResolver::resident_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return recency_.size();
+  // Built outside the cache lock: a cold world takes seconds, and other
+  // worlds' queries keep flowing. Eviction spares in-use pipelines.
+  return pipelines_.get(world_key(scenario, plan), [&] {
+    auto built = std::make_shared<Pipeline>(scenario, plan, artifacts_);
+    obs::metrics().counter("serve.pipeline_built").add(1);
+    return built;
+  });
 }
 
 }  // namespace repro::serve

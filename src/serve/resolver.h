@@ -24,15 +24,10 @@
 #pragma once
 
 #include <cstdint>
-#include <condition_variable>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
 
 #include "core/pipeline.h"
+#include "serve/single_flight_lru.h"
 
 namespace repro::serve {
 
@@ -58,7 +53,7 @@ class ArtifactResolver {
   std::shared_ptr<Pipeline> pipeline(const Scenario& scenario,
                                      const fault::FaultPlan& plan);
 
-  std::size_t resident_count() const;
+  std::size_t resident_count() const { return pipelines_.size(); }
   store::ArtifactStore* artifact_store() const noexcept {
     return artifacts_.get();
   }
@@ -68,14 +63,7 @@ class ArtifactResolver {
 
  private:
   std::shared_ptr<store::ArtifactStore> artifacts_;
-  std::size_t max_resident_;
-
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  /// Front = most recently used.
-  std::list<std::pair<std::uint64_t, std::shared_ptr<Pipeline>>> recency_;
-  std::unordered_map<std::uint64_t, decltype(recency_)::iterator> index_;
-  std::unordered_set<std::uint64_t> inflight_;
+  SingleFlightLru<std::shared_ptr<Pipeline>> pipelines_;
 };
 
 }  // namespace repro::serve

@@ -40,12 +40,6 @@ bool takes_xis(std::string_view name) {
   return name == "table2" || name == "figure2";
 }
 
-/// Same fixed-point identity Pipeline uses: xi is a config constant, so a
-/// micro-unit key is exact and two spellings of 0.1 collide correctly.
-std::uint64_t xi_cache_key(double xi) {
-  return static_cast<std::uint64_t>(std::llround(xi * 1e6));
-}
-
 double finite_number(const obs::JsonValue& value, const char* field) {
   if (!value.is_number()) {
     throw Error(std::string(field) + " must be a number");
@@ -184,14 +178,18 @@ std::string histogram_json(const obs::Histogram& h) {
 
 ReportService::ReportService(ServiceConfig config)
     : config_(std::move(config)),
-      resolver_(config_.artifacts, config_.max_resident_pipelines) {}
+      resolver_(config_.artifacts, config_.max_resident_pipelines),
+      renders_(config_.max_cached_renders,
+               {.hit = "serve.hit",
+                .inflight_wait = "serve.inflight_waits",
+                .evicted = "serve.render_evicted"}) {}
 
 std::uint64_t ReportService::render_key(const QueryRequest& request) {
   store::Fnv1a h;
   h.mix(measurement_digest(Scenario::at_scale(request.scale)))
       .mix(request.plan.to_json())
       .mix(std::string_view(request.query));
-  for (const double xi : request.xis) h.mix(xi_cache_key(xi));
+  for (const double xi : request.xis) h.mix(xi_key(xi));
   return h.digest();
 }
 
@@ -215,55 +213,6 @@ std::string ReportService::compute_render(const QueryRequest& request) {
   throw Error("unknown query '" + request.query + "'");  // unreachable
 }
 
-std::string ReportService::fetch_render(const QueryRequest& request,
-                                        bool& cached) {
-  const std::uint64_t key = render_key(request);
-  {
-    std::unique_lock<std::mutex> lock(render_mutex_);
-    for (;;) {
-      const auto it = render_index_.find(key);
-      if (it != render_index_.end()) {
-        render_lru_.splice(render_lru_.begin(), render_lru_, it->second);
-        obs::metrics().counter("serve.hit").add(1);
-        cached = true;
-        return *it->second->second;
-      }
-      if (!render_inflight_.contains(key)) break;
-      // Another thread is rendering this exact query: park until it
-      // publishes, then re-check. A waiter paid (most of) the compute
-      // latency, so its response reports cached=false.
-      obs::metrics().counter("serve.inflight_waits").add(1);
-      render_cv_.wait(lock);
-    }
-    render_inflight_.insert(key);
-  }
-
-  obs::metrics().counter("serve.miss").add(1);
-  cached = false;
-  std::string rendered;
-  try {
-    rendered = compute_render(request);
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(render_mutex_);
-    render_inflight_.erase(key);
-    render_cv_.notify_all();
-    throw;
-  }
-
-  std::lock_guard<std::mutex> lock(render_mutex_);
-  render_inflight_.erase(key);
-  render_lru_.emplace_front(key,
-                            std::make_shared<const std::string>(rendered));
-  render_index_[key] = render_lru_.begin();
-  while (render_lru_.size() > config_.max_cached_renders) {
-    render_index_.erase(render_lru_.back().first);
-    render_lru_.pop_back();
-    obs::metrics().counter("serve.render_evicted").add(1);
-  }
-  render_cv_.notify_all();
-  return rendered;
-}
-
 std::string ReportService::stats_json() const {
   std::string out = "\"serve\":{";
   const auto c = [](const char* name) {
@@ -275,10 +224,7 @@ std::string ReportService::stats_json() const {
          ",\"errors\":" + c("serve.errors") +
          ",\"pipeline_hit\":" + c("serve.pipeline_hit") +
          ",\"pipeline_built\":" + c("serve.pipeline_built");
-  {
-    std::lock_guard<std::mutex> lock(render_mutex_);
-    out += ",\"renders_cached\":" + std::to_string(render_lru_.size());
-  }
+  out += ",\"renders_cached\":" + std::to_string(renders_.size());
   out += ",\"pipelines_resident\":" +
          std::to_string(resolver_.resident_count());
   out += ",\"query_ms\":" +
@@ -331,7 +277,14 @@ QueryResponse ReportService::execute(const QueryRequest& request) {
       finish_line("," + stats_json());
       return response;
     }
-    response.render = fetch_render(request, response.cached);
+    // A thread parked on another's render of this query wakes to a hit.
+    response.render = *renders_.get(
+        render_key(request),
+        [&] {
+          obs::metrics().counter("serve.miss").add(1);
+          return std::make_shared<const std::string>(compute_render(request));
+        },
+        &response.cached);
     const double ms = elapsed_ms();
     response.ms = ms;
     obs::metrics().histogram("serve.query_ms").record(ms);

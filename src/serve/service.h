@@ -31,20 +31,15 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <iosfwd>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "serve/resolver.h"
+#include "serve/single_flight_lru.h"
 
 namespace repro::serve {
 
@@ -125,24 +120,15 @@ class ReportService {
   static std::uint64_t render_key(const QueryRequest& request);
   /// Computes the render text for a report query (the cache-miss path).
   std::string compute_render(const QueryRequest& request);
-  /// Single-flight cached render lookup; sets `cached`.
-  std::string fetch_render(const QueryRequest& request, bool& cached);
   /// The "stats" admin payload (store occupancy + serve counters).
   std::string stats_json() const;
 
   ServiceConfig config_;
   ArtifactResolver resolver_;
   std::atomic<bool> shutdown_{false};
-
-  mutable std::mutex render_mutex_;
-  std::condition_variable render_cv_;
-  /// Front = most recently used. Values are shared so eviction cannot
-  /// invalidate a response being copied out.
-  std::list<std::pair<std::uint64_t, std::shared_ptr<const std::string>>>
-      render_lru_;
-  std::unordered_map<std::uint64_t, decltype(render_lru_)::iterator>
-      render_index_;
-  std::unordered_set<std::uint64_t> render_inflight_;
+  /// Values are shared so eviction cannot invalidate a response being
+  /// copied out.
+  SingleFlightLru<std::shared_ptr<const std::string>> renders_;
 };
 
 }  // namespace repro::serve

@@ -867,6 +867,27 @@ TEST_F(ObsTest, AppendFileCappedKeepsNewestLines) {
   std::filesystem::remove(path);
 }
 
+TEST_F(ObsTest, BenchLineStampsTheScaleThatRan) {
+  const char* saved = std::getenv("REPRO_SCALE");
+  const std::string saved_value = saved == nullptr ? "" : saved;
+  const auto stamped = [](const std::string& line) {
+    return parse_json(line).at("scale").str();
+  };
+
+  // An unrecognized REPRO_SCALE runs paper, so the line must say paper.
+  ::setenv("REPRO_SCALE", "bogus", 1);
+  EXPECT_EQ(stamped(bench::bench_json_line("smoke", 1.0)), "paper");
+  ::setenv("REPRO_SCALE", "tiny", 1);
+  EXPECT_EQ(stamped(bench::bench_json_line("smoke", 1.0)), "tiny");
+  ::unsetenv("REPRO_SCALE");
+  EXPECT_EQ(stamped(bench::bench_json_line("smoke", 1.0)), "paper");
+  // A harness that runs several scales (bench/scaling) stamps them all.
+  EXPECT_EQ(stamped(bench::bench_json_line("smoke", 1.0, {}, "tiny,small")),
+            "tiny,small");
+
+  if (saved != nullptr) ::setenv("REPRO_SCALE", saved_value.c_str(), 1);
+}
+
 TEST_F(ObsTest, HistoryMaxLinesFromEnvParsing) {
   const char* saved = std::getenv("REPRO_HISTORY_MAX_LINES");
   const std::string saved_value = saved == nullptr ? "" : saved;

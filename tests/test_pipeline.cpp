@@ -80,6 +80,17 @@ TEST_F(PipelineTest, ClusteringLookupByIsp) {
   }
 }
 
+TEST(PipelineXiTest, SpellingsOfOneXiShareOneCachedBatch) {
+  // 0.1 + 1e-9 keys like 0.1, so it must land in the standard {0.1, 0.9}
+  // batch; a later 0.9 request then answers from the cache instead of
+  // recomputing the batch over the vector the first caller still holds.
+  EXPECT_EQ(xi_key(0.1 + 1e-9), xi_key(0.1));
+  Pipeline pipeline(Scenario::tiny(), fault::FaultPlan::none(), nullptr);
+  const IspClustering* first = &pipeline.clusterings(0.1 + 1e-9).front();
+  pipeline.clusterings(0.9);
+  EXPECT_EQ(&pipeline.clusterings(0.1).front(), first);
+}
+
 TEST_F(PipelineTest, TrafficModelsAvailable) {
   const AsIndex isp = pipeline_->hosting_isps_2023().front();
   EXPECT_GT(pipeline_->demand().isp_peak_demand_gbps(isp), 0.0);

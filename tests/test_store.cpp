@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
@@ -46,11 +47,12 @@ class StoreTest : public ::testing::Test {
   void SetUp() override {
     // The PID keeps concurrent runs of this binary (e.g. a sanitizer build
     // alongside the plain one) from sharing roots and racing remove_all.
+    // Parameterized names ("Name/family") flatten to one directory level.
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
     root_ = fs::temp_directory_path() /
-            ("repro-store-test-" + std::to_string(::getpid()) + "-" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name()));
+            ("repro-store-test-" + std::to_string(::getpid()) + "-" + name);
     fs::remove_all(root_);
   }
   void TearDown() override {
@@ -742,53 +744,114 @@ TEST_F(StoreTest, DifferentFaultPlansNeverShareArtifacts) {
   (void)clean_cold;
 }
 
-TEST_F(StoreTest, CorruptArtifactRecomputedWithDegradedHealth) {
+/// One persisted artifact family and the stage whose health owns it.
+struct PersistedFamily {
+  const char* prefix;  // artifact filename prefix, "<type>-v"
+  const char* stage;   // StageHealth entry of the owning stage
+};
+
+/// Names the family ("scan") in test listings; gtest would otherwise print
+/// the struct's bytes, which hold pointers and differ from run to run.
+void PrintTo(const PersistedFamily& family, std::ostream* os) {
+  const std::string_view prefix = family.prefix;
+  *os << prefix.substr(0, prefix.find('-'));
+}
+
+/// Every family the stage primitive persists, and what run_every_family
+/// reads of it: the topology, the TLS population, the scan and the
+/// clustering batch.
+struct FamilyOutputs {
+  std::vector<std::uint8_t> internet;    // encoded, so one compare covers
+  std::vector<std::uint8_t> population;  // every field
+  PipelineOutputs stages;
+};
+
+FamilyOutputs run_every_family(const fault::FaultPlan& plan,
+                               std::shared_ptr<store::ArtifactStore> artifacts) {
+  Pipeline pipeline(Scenario::tiny(), plan, std::move(artifacts));
+  FamilyOutputs out;
+  store::ByteWriter internet;
+  store::encode(internet, pipeline.internet());
+  out.internet = internet.bytes();
+  // Read explicitly: a warm scan never forces its population.
+  store::ByteWriter population;
+  store::encode(population, pipeline.population(Snapshot::k2023));
+  out.population = population.bytes();
+  out.stages.scan = pipeline.scan_records(Snapshot::k2023);
+  out.stages.xi01 = pipeline.clusterings(0.1);
+  out.stages.xi09 = pipeline.clusterings(0.9);
+  out.stages.health = pipeline.stage_health();
+  return out;
+}
+
+void expect_identical_families(const FamilyOutputs& reference,
+                               const FamilyOutputs& run,
+                               const std::string& context) {
+  EXPECT_EQ(run.internet, reference.internet) << context;
+  EXPECT_EQ(run.population, reference.population) << context;
+  expect_identical_outputs(reference.stages, run.stages, context);
+}
+
+class StoreCorruptionTest
+    : public StoreTest,
+      public ::testing::WithParamInterface<PersistedFamily> {};
+
+TEST_P(StoreCorruptionTest, CorruptArtifactRecomputedWithDegradedHealth) {
+  const PersistedFamily family = GetParam();
   obs::metrics().reset();
   const fault::FaultPlan plan = fault::FaultPlan::none();
-  const PipelineOutputs reference = run_pipeline(plan, nullptr);
+  const FamilyOutputs reference = run_every_family(plan, nullptr);
   {
     auto artifacts = std::make_shared<store::ArtifactStore>(config());
-    run_pipeline(plan, artifacts);
+    run_every_family(plan, artifacts);
   }
 
-  // Flip one byte in the scan artifact's payload region.
+  // Flip one byte in the payload region of one artifact of the family.
   bool corrupted = false;
   for (const auto& entry : fs::directory_iterator(root_)) {
     const std::string name = entry.path().filename().string();
-    if (name.starts_with("scan-v1-")) {
+    if (!corrupted && name.starts_with(family.prefix)) {
       corrupt_file(entry.path(), fs::file_size(entry.path()) / 2, 0x80);
       corrupted = true;
     }
   }
-  ASSERT_TRUE(corrupted) << "no scan artifact found to corrupt";
+  ASSERT_TRUE(corrupted) << "no " << family.prefix << " artifact to corrupt";
 
   auto warm_store = std::make_shared<store::ArtifactStore>(config());
-  Pipeline pipeline(Scenario::tiny(), plan, warm_store);
-  PipelineOutputs warm;
-  warm.scan = pipeline.scan_records(Snapshot::k2023);
-  warm.xi01 = pipeline.clusterings(0.1);
-  warm.xi09 = pipeline.clusterings(0.9);
-  warm.health = pipeline.stage_health();
+  const FamilyOutputs warm = run_every_family(plan, warm_store);
 
   // The output is recomputed and correct...
-  expect_identical_outputs(reference, warm, "recompute after corruption");
+  expect_identical_families(reference, warm, "recompute after corruption");
   EXPECT_EQ(warm_store->stats().corrupt, 1u);
-  // ...but the run is flagged degraded, with the store named as the cause.
-  EXPECT_EQ(pipeline.overall_status(), fault::StageStatus::kDegraded);
-  ASSERT_TRUE(warm.health.count("scan"));
+  // ...but the owning stage is flagged degraded, with the store named as
+  // the cause.
+  EXPECT_EQ(fault::overall_status(warm.stages.health),
+            fault::StageStatus::kDegraded);
+  ASSERT_TRUE(warm.stages.health.count(family.stage));
+  const fault::StageHealth& owner = warm.stages.health.at(family.stage);
+  EXPECT_EQ(owner.status, fault::StageStatus::kDegraded);
   bool noted = false;
-  for (const std::string& reason : warm.health.at("scan").reasons) {
-    if (reason.find("store:") != std::string::npos) noted = true;
+  for (const std::string& reason : owner.reasons) {
+    if (reason.starts_with("store: ")) noted = true;
   }
   EXPECT_TRUE(noted) << "degraded reason must name the store";
 
-  // The corrupt file was quarantined and republished: a third run hits.
+  // The corrupt file was quarantined and republished: a third run hits
+  // every artifact it reads.
   auto healed_store = std::make_shared<store::ArtifactStore>(config());
-  const PipelineOutputs healed = run_pipeline(plan, healed_store);
-  expect_identical_outputs(reference, healed, "healed store");
+  const FamilyOutputs healed = run_every_family(plan, healed_store);
+  expect_identical_families(reference, healed, "healed store");
   EXPECT_EQ(healed_store->stats().corrupt, 0u);
+  EXPECT_EQ(healed_store->stats().misses, 0u);
   EXPECT_GT(healed_store->stats().hits, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    PersistedFamilies, StoreCorruptionTest,
+    ::testing::Values(PersistedFamily{"internet-v", "topology"},
+                      PersistedFamily{"population-v", "tls_population"},
+                      PersistedFamily{"scan-v", "scan"},
+                      PersistedFamily{"clustering-v", "clustering"}));
 
 TEST_F(StoreTest, CorruptMatrixArtifactDegradesClusteringOnly) {
   const fault::FaultPlan plan = fault::FaultPlan::none();
