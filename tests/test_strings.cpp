@@ -2,8 +2,39 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+#include <string>
+#include <string_view>
+
 namespace repro {
 namespace {
+
+// gtest prints a struct parameter as its raw bytes -- here string addresses,
+// which move with every run -- and ctest names each case after that print.
+// The glob and TLS cases print as their two strings instead, spelled so the
+// name stays plain: "*.x.com" vs ".x.com" prints as Star_x_com_vs__x_com.
+std::string case_name(std::string_view pattern, std::string_view text) {
+  std::string out;
+  const auto append = [&out](std::string_view s) {
+    if (s.empty()) out += "empty";
+    for (const char ch : s) {
+      if (std::isalnum(static_cast<unsigned char>(ch))) {
+        out += ch;
+      } else if (ch == '*') {
+        out += "Star";
+      } else if (ch == '?') {
+        out += "Any";
+      } else {
+        out += '_';
+      }
+    }
+  };
+  append(pattern);
+  out += "_vs_";
+  append(text);
+  return out;
+}
 
 TEST(ToLower, Ascii) {
   EXPECT_EQ(to_lower("FbCdN.NeT"), "fbcdn.net");
@@ -45,6 +76,10 @@ struct GlobCase {
   bool expected;
 };
 
+void PrintTo(const GlobCase& c, std::ostream* os) {
+  *os << case_name(c.pattern, c.text);
+}
+
 class GlobMatchTest : public ::testing::TestWithParam<GlobCase> {};
 
 TEST_P(GlobMatchTest, Matches) {
@@ -77,6 +112,10 @@ struct TlsNameCase {
   const char* name;
   bool expected;
 };
+
+void PrintTo(const TlsNameCase& c, std::ostream* os) {
+  *os << case_name(c.pattern, c.name);
+}
 
 class TlsNameMatchTest : public ::testing::TestWithParam<TlsNameCase> {};
 
