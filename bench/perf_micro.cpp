@@ -227,9 +227,7 @@ int main(int argc, char** argv) {
         speedup_meaningful && parallel > 0.0 ? serial / parallel : 0.0;
     // Per-phase cost of the SIMD kernel at the paper's vector length (163
     // vantage points, 20% trim): |a-b| fill vs select vs ascending-sum
-    // reduce, ns per pair at the dispatched level. Both select strategies
-    // (rank-select program, flat Batcher network) are timed each run so the
-    // line names the measured winner alongside the active strategy.
+    // reduce, ns per pair at the dispatched level.
     const KernelPhaseProfile phases = profile_kernel_phases(cols, 0.2, 2000);
     // Cost of one xi re-extraction sweep over a warm 256-point ordering:
     // the resident report service re-extracts per (ISP, xi) query, so this
@@ -265,11 +263,9 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "kernel phases (simd %s, cols %zu): diff %.1f ns/pair, select %.1f "
-        "ns/pair [%s; ranksel %.1f, network %.1f], sum %.1f ns/pair\n",
+        "ns/pair, sum %.1f ns/pair\n",
         phases.simd_level.c_str(), cols, phases.diff_ns_op,
-        phases.select_ns_op, phases.select_strategy.c_str(),
-        phases.select_ranksel_ns_op, phases.select_network_ns_op,
-        phases.sum_ns_op);
+        phases.select_ns_op, phases.sum_ns_op);
     std::printf("optics xi extraction (n 256): %.0f ns/extract\n",
                 optics_extract_ns);
     char fields[768];
@@ -285,18 +281,13 @@ int main(int argc, char** argv) {
                   "%s"
                   "\"hardware_threads\":%zu,"
                   "\"simd_level\":\"%s\","
-                  "\"kernel_select_strategy\":\"%s\","
                   "\"kernel_diff_ns_op\":%.1f,"
                   "\"kernel_select_ns_op\":%.1f,"
-                  "\"kernel_select_ranksel_ns_op\":%.1f,"
-                  "\"kernel_select_network_ns_op\":%.1f,"
                   "\"kernel_sum_ns_op\":%.1f,"
                   "\"optics_extract_ns_op\":%.0f",
                   serial, speedup_fields, hardware_thread_count(),
-                  phases.simd_level.c_str(), phases.select_strategy.c_str(),
-                  phases.diff_ns_op, phases.select_ns_op,
-                  phases.select_ranksel_ns_op, phases.select_network_ns_op,
-                  phases.sum_ns_op, optics_extract_ns);
+                  phases.simd_level.c_str(), phases.diff_ns_op,
+                  phases.select_ns_op, phases.sum_ns_op, optics_extract_ns);
     bench::print_footer("perf_micro", total, {}, fields);
   }
 

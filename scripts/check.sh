@@ -10,7 +10,8 @@
 #                                  `serve` labels, a TSan build of the
 #                                  `parallel`, `obs`, `fault`, `store` and
 #                                  `serve` labels, a UBSan build of the
-#                                  `perf` label (the SIMD kernels), a TSan
+#                                  `perf` and `obs` labels (the SIMD
+#                                  kernels and the obs layer), a TSan
 #                                  store-chaos smoke (live corruption under
 #                                  concurrent warm readers), the warm-start
 #                                  smoke, an ASan multi-process shard smoke
@@ -86,10 +87,10 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
 fi
 
 if [[ "${SKIP_UBSAN:-0}" != "1" ]]; then
-  echo "== ubsan: perf tests (SIMD kernels) =="
+  echo "== ubsan: perf + obs tests (SIMD kernels, obs layer) =="
   cmake -B build-ubsan -S . -DREPRO_SANITIZE=undefined >/dev/null
-  cmake --build build-ubsan -j"$(nproc)" --target test_perf_kernel
-  (cd build-ubsan && ctest -L 'perf' --output-on-failure -j"$(nproc)")
+  cmake --build build-ubsan -j"$(nproc)" --target test_perf_kernel test_obs
+  (cd build-ubsan && ctest -L 'perf|obs' --output-on-failure -j"$(nproc)")
 fi
 
 if [[ "${SKIP_WARM:-0}" != "1" ]]; then

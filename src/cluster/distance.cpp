@@ -6,7 +6,6 @@
 
 #include "cluster/distance_kernel.h"
 #include "cluster/select_program.h"
-#include "cluster/sort_network.h"
 #include "obs/trace.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -16,29 +15,6 @@ namespace repro {
 
 namespace {
 
-/// Shared kernel of both trimmed_manhattan variants. `diffs` is the caller's
-/// scratch buffer; the two entry points only differ in who owns it, so the
-/// allocating and scratch variants are bit-identical by construction.
-/// partial_sort leaves the kept prefix in ascending order, so the sequential
-/// sum below is the canonical ascending-order sum (bit-identical to the full
-/// std::sort of the oracle: the sorted value sequence is unique, ties carry
-/// identical bit patterns).
-double trimmed_manhattan_kernel(const double* a, const double* b,
-                                std::size_t n, double trim_fraction,
-                                std::vector<double>& diffs) {
-  diffs.resize(n);
-  double* d = diffs.data();
-  for (std::size_t i = 0; i < n; ++i) d[i] = std::fabs(a[i] - b[i]);
-
-  const std::size_t keep = trim_keep_count(n, trim_fraction);
-  std::partial_sort(diffs.begin(),
-                    diffs.begin() + static_cast<std::ptrdiff_t>(keep),
-                    diffs.end());
-  double total = 0.0;
-  for (std::size_t i = 0; i < keep; ++i) total += d[i];
-  return total / static_cast<double>(keep);
-}
-
 void check_trimmed_manhattan_args(std::span<const double> a,
                                   std::span<const double> b,
                                   double trim_fraction) {
@@ -47,36 +23,6 @@ void check_trimmed_manhattan_args(std::span<const double> a,
   require(trim_fraction >= 0.0 && trim_fraction < 1.0,
           "trimmed_manhattan: trim_fraction outside [0, 1)");
 }
-
-/// The select phase resolved once per matrix: either the rank-select
-/// program (default) or the flat Batcher network (REPRO_SELECT=network).
-/// Both are cached for the process lifetime and bit-identical, so workers
-/// share the resolved plan read-only.
-struct SelectPlan {
-  const std::uint32_t* data;
-  std::size_t len;  // code length (ranksel) or comparator count (network)
-  bool ranksel;
-
-  static SelectPlan resolve(std::size_t cols, std::size_t keep,
-                            std::size_t lanes) {
-    if (cluster::select_strategy() == cluster::SelectStrategy::kRankSelect) {
-      const cluster::SelectProgram& program =
-          cluster::select_program_for(cols, keep, lanes);
-      return {program.code.data(), program.code.size(), true};
-    }
-    const cluster::SortNetwork& net =
-        cluster::sort_network_for(cols, keep, lanes);
-    return {net.byte_offsets.data(), net.comparators, false};
-  }
-
-  void run(const cluster::KernelOps& ops, double* scratch) const {
-    if (ranksel) {
-      ops.run_select(scratch, data, len);
-    } else {
-      ops.run_network(scratch, data, len);
-    }
-  }
-};
 
 }  // namespace
 
@@ -88,15 +34,22 @@ std::size_t trim_keep_count(std::size_t n, double trim_fraction) noexcept {
 
 double trimmed_manhattan(std::span<const double> a, std::span<const double> b,
                          double trim_fraction) {
-  std::vector<double> diffs;
-  return trimmed_manhattan(a, b, trim_fraction, diffs);
-}
-
-double trimmed_manhattan(std::span<const double> a, std::span<const double> b,
-                         double trim_fraction, std::vector<double>& scratch) {
   check_trimmed_manhattan_args(a, b, trim_fraction);
-  return trimmed_manhattan_kernel(a.data(), b.data(), a.size(), trim_fraction,
-                                  scratch);
+  std::vector<double> diffs(a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    diffs[i] = std::fabs(a[i] - b[i]);
+  }
+  // partial_sort leaves the kept prefix in ascending order, so the
+  // sequential sum below is the canonical ascending-order sum (bit-identical
+  // to the full std::sort of the oracle: the sorted value sequence is
+  // unique, ties carry identical bit patterns).
+  const std::size_t keep = trim_keep_count(a.size(), trim_fraction);
+  std::partial_sort(diffs.begin(),
+                    diffs.begin() + static_cast<std::ptrdiff_t>(keep),
+                    diffs.end());
+  double total = 0.0;
+  for (std::size_t i = 0; i < keep; ++i) total += diffs[i];
+  return total / static_cast<double>(keep);
 }
 
 double trimmed_manhattan_oracle(std::span<const double> a,
@@ -194,11 +147,12 @@ DistanceMatrix pairwise_distances(std::span<const double> table,
   obs::ScopedSpan span("cluster.pairwise_distances");
 
   // Everything loop-invariant is resolved here, once: kernel level, lane
-  // count, trim boundary, and the select plan for (cols, keep, lanes).
+  // count, trim boundary, and the select program for (cols, keep, lanes).
   const cluster::KernelOps& ops = cluster::kernel_ops(simd::active_level());
   const std::size_t lanes = ops.lanes;
   const std::size_t keep = trim_keep_count(cols, trim_fraction);
-  const SelectPlan plan = SelectPlan::resolve(cols, keep, lanes);
+  const cluster::SelectProgram& program =
+      cluster::select_program_for(cols, keep, lanes);
   const double* data = table.data();
 
   // Row-block sharding: a worker owning rows [begin, end) computes every
@@ -211,8 +165,8 @@ DistanceMatrix pairwise_distances(std::span<const double> table,
   const std::size_t block = std::max<std::size_t>(1, rows / (threads * 8));
   parallel_for_blocks(
       rows, block,
-      [&matrix, &ops, &plan, data, rows, cols, keep, lanes](std::size_t begin,
-                                                            std::size_t end) {
+      [&matrix, &ops, &program, data, rows, cols, keep,
+       lanes](std::size_t begin, std::size_t end) {
         // One aligned scratch per worker thread for the whole shard.
         thread_local cluster::AlignedScratch scratch_owner;
         double* scratch =
@@ -232,7 +186,7 @@ DistanceMatrix pairwise_distances(std::span<const double> table,
               batch[l] = data + j * cols;
             }
             ops.fill_diffs(row_i, batch, cols, scratch);
-            plan.run(ops, scratch);
+            ops.run_select(scratch, program.code.data(), program.code.size());
             ops.reduce_mean(scratch, keep, results);
             for (std::size_t l = 0; l < live; ++l) {
               out_row[jb + l] = results[l];
@@ -260,7 +214,8 @@ DistanceMatrix pairwise_distances_streamed(const RowFiller& fill_row,
   const cluster::KernelOps& ops = cluster::kernel_ops(simd::active_level());
   const std::size_t lanes = ops.lanes;
   const std::size_t keep = trim_keep_count(cols, trim_fraction);
-  const SelectPlan plan = SelectPlan::resolve(cols, keep, lanes);
+  const cluster::SelectProgram& program =
+      cluster::select_program_for(cols, keep, lanes);
 
   const std::size_t block =
       block_rows == 0 ? rows : std::min(block_rows, rows);
@@ -326,7 +281,7 @@ DistanceMatrix pairwise_distances_streamed(const RowFiller& fill_row,
                 batch[l] = rows_j + (j - rows_j_base) * cols;
               }
               ops.fill_diffs(row_i, batch, cols, scratch);
-              plan.run(ops, scratch);
+              ops.run_select(scratch, program.code.data(), program.code.size());
               ops.reduce_mean(scratch, keep, results);
               for (std::size_t l = 0; l < live; ++l) {
                 // Cell (i, lo + jb + l) belongs to exactly this block pair,
@@ -353,7 +308,6 @@ KernelPhaseProfile profile_kernel_phases(std::size_t n, double trim_fraction,
   const std::size_t keep = trim_keep_count(n, trim_fraction);
   const cluster::SelectProgram& program =
       cluster::select_program_for(n, keep, lanes);
-  const cluster::SortNetwork& net = cluster::sort_network_for(n, keep, lanes);
 
   Rng rng(0x9d15);
   std::vector<double> a(n);
@@ -383,23 +337,12 @@ KernelPhaseProfile profile_kernel_phases(std::size_t n, double trim_fraction,
   profile.simd_level = std::string(simd::to_string(ops.level));
   profile.diff_ns_op =
       time_phase([&] { ops.fill_diffs(a.data(), batch, n, scratch); });
-  // Both select strategies are data-independent compare-exchange
-  // sequences, so re-running them on the already sorted scratch exercises
-  // the exact same instruction stream; timing each keeps the A/B honest
-  // and lets the bench line name the measured winner.
-  profile.select_ranksel_ns_op = time_phase([&] {
+  // The select program is a data-independent compare-exchange sequence,
+  // so re-running it on the already sorted scratch exercises the exact same
+  // instruction stream.
+  profile.select_ns_op = time_phase([&] {
     ops.run_select(scratch, program.code.data(), program.code.size());
   });
-  profile.select_network_ns_op = time_phase([&] {
-    ops.run_network(scratch, net.byte_offsets.data(), net.comparators);
-  });
-  const bool ranksel_active =
-      cluster::select_strategy() == cluster::SelectStrategy::kRankSelect;
-  profile.select_strategy =
-      cluster::to_string(ranksel_active ? cluster::SelectStrategy::kRankSelect
-                                        : cluster::SelectStrategy::kNetwork);
-  profile.select_ns_op = ranksel_active ? profile.select_ranksel_ns_op
-                                        : profile.select_network_ns_op;
   profile.sum_ns_op =
       time_phase([&] { ops.reduce_mean(scratch, keep, results); });
   return profile;

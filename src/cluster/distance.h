@@ -33,13 +33,6 @@ std::size_t trim_keep_count(std::size_t n, double trim_fraction) noexcept;
 double trimmed_manhattan(std::span<const double> a, std::span<const double> b,
                          double trim_fraction = 0.2);
 
-/// Scratch-buffer variant for hot loops: identical result bit-for-bit, but
-/// the per-pair difference buffer lives in `scratch` (resized as needed), so
-/// a caller that reuses one scratch vector per thread pays no allocation per
-/// pair.
-double trimmed_manhattan(std::span<const double> a, std::span<const double> b,
-                         double trim_fraction, std::vector<double>& scratch);
-
 /// Deliberately naive reference for the canonical contract: |a_i - b_i|
 /// into a fresh buffer, full std::sort ascending, sequential sum of the
 /// first keep values, divide by keep. The fast kernels must match this
@@ -119,7 +112,7 @@ using RowFiller = std::function<void(std::size_t row, double* out)>;
 /// one-shot function. Peak staging memory is 2 * block_rows * cols doubles
 /// per worker regardless of `rows`.
 ///
-/// Bit-identity: every (i, j) pair flows through fill_diffs/run_network/
+/// Bit-identity: every (i, j) pair flows through fill_diffs/run_select/
 /// reduce_mean in its own lane, and lanes never interact, so cell values do
 /// not depend on how pairs are grouped into batches or blocks -- the result
 /// matches pairwise_distances bit-for-bit for every block size, SIMD level
@@ -132,18 +125,13 @@ DistanceMatrix pairwise_distances_streamed(const RowFiller& fill_row,
 
 /// Per-phase kernel timings for bench/perf_micro: median-free best-of-run
 /// ns per pair for the |a-b| fill, the select phase, and the ascending-sum
-/// reduce, at the active SIMD level. Both select strategies are timed each
-/// run: select_ns_op is the strategy actually in effect (REPRO_SELECT,
-/// default ranksel) and select_strategy names it; the per-strategy fields
-/// let the bench line name the measured winner.
+/// reduce, at the active SIMD level. The select phase is the rank-select
+/// program (cluster/select_program.h).
 struct KernelPhaseProfile {
   std::string simd_level;
-  std::string select_strategy;
   double diff_ns_op = 0.0;
   double select_ns_op = 0.0;
   double sum_ns_op = 0.0;
-  double select_ranksel_ns_op = 0.0;
-  double select_network_ns_op = 0.0;
 };
 
 /// Times each kernel phase over `iterations` batched invocations on a

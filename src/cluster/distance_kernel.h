@@ -6,9 +6,8 @@
 // matching the bench's per-phase timings:
 //
 //   fill_diffs   scratch[d][l] = |a[d] - bs[l][d]|
-//   run_select   rank-select program pass (select_program.h) or, under
-//                REPRO_SELECT=network, the flat Batcher network pass
-//                (sort_network.h): each lane's kept prefix ends ascending
+//   run_select   rank-select program pass (select_program.h): each lane's
+//                kept prefix ends ascending
 //   reduce_mean  per lane, sequential sum of rows [0, keep) ascending,
 //                divided by keep
 //
@@ -16,8 +15,8 @@
 // select_program.h): one pad row per 4 KiB alias period keeps comparators
 // a power-of-two stride apart from ever being exactly one page apart,
 // which otherwise serializes the select phase on false store-forwarding
-// conflicts. fill_diffs, both select variants and reduce_mean all address
-// rows through the same mapping; callers size the scratch with
+// conflicts. fill_diffs, run_select and reduce_mean all address rows
+// through the same mapping; callers size the scratch with
 // kernel_scratch_doubles. Pad rows are never read or written.
 //
 // Every instruction-set level implements the same three phases and is
@@ -52,13 +51,9 @@ struct KernelOps {
   /// the last row to pad a tail batch).
   void (*fill_diffs)(const double* a, const double* const* bs, std::size_t n,
                      double* scratch);
-  /// byte_offsets: 2*comparators offsets into scratch, pre-scaled and
-  /// pad-mapped for this lane count (from sort_network_for(n, keep,
-  /// lanes)). Fallback select strategy.
-  void (*run_network)(double* scratch, const std::uint32_t* byte_offsets,
-                      std::size_t comparators);
   /// Runs a rank-select program stream (select_program_for(n, keep,
-  /// lanes).code). Default select strategy; bit-identical to run_network.
+  /// lanes).code); its byte offsets are pre-scaled and pad-mapped for this
+  /// lane count.
   void (*run_select)(double* scratch, const std::uint32_t* code,
                      std::size_t code_len);
   /// Writes `lanes` means to out.

@@ -18,34 +18,19 @@ void fill_diffs(const double* a, const double* const* bs, std::size_t n,
   }
 }
 
-void run_network(double* scratch, const std::uint32_t* byte_offsets,
-                 std::size_t comparators) {
-  char* base = reinterpret_cast<char*>(scratch);
-  for (std::size_t c = 0; c < comparators; ++c) {
-    double* lo = reinterpret_cast<double*>(base + byte_offsets[2 * c]);
-    double* hi = reinterpret_cast<double*>(base + byte_offsets[2 * c + 1]);
-    const double x = *lo;
-    const double y = *hi;
-    // min to the low slot, max to the high slot; ties keep identical bits
-    // either way, matching the vector min/max semantics exactly.
-    *lo = y < x ? y : x;
-    *hi = y < x ? x : y;
-  }
-}
-
-#define REPRO_SELECT_VEC double
-#define REPRO_SELECT_LOAD(p) (*(p))
-#define REPRO_SELECT_STORE(p, v) (void)(*(p) = (v))
-#define REPRO_SELECT_MIN(x, y) ((y) < (x) ? (y) : (x))
-#define REPRO_SELECT_MAX(x, y) ((y) < (x) ? (x) : (y))
-#define REPRO_SELECT_INF (std::numeric_limits<double>::infinity())
+#define REPRO_LANE_VEC double
+#define REPRO_LANE_LOAD(p) (*(p))
+#define REPRO_LANE_STORE(p, v) (void)(*(p) = (v))
+#define REPRO_LANE_MIN(x, y) ((y) < (x) ? (y) : (x))
+#define REPRO_LANE_MAX(x, y) ((y) < (x) ? (x) : (y))
+#define REPRO_LANE_INF (std::numeric_limits<double>::infinity())
 #include "cluster/kernel_select.inl"
-#undef REPRO_SELECT_VEC
-#undef REPRO_SELECT_LOAD
-#undef REPRO_SELECT_STORE
-#undef REPRO_SELECT_MIN
-#undef REPRO_SELECT_MAX
-#undef REPRO_SELECT_INF
+#undef REPRO_LANE_VEC
+#undef REPRO_LANE_LOAD
+#undef REPRO_LANE_STORE
+#undef REPRO_LANE_MIN
+#undef REPRO_LANE_MAX
+#undef REPRO_LANE_INF
 
 void reduce_mean(const double* scratch, std::size_t keep, double* out) {
   double total = 0.0;
@@ -55,8 +40,8 @@ void reduce_mean(const double* scratch, std::size_t keep, double* out) {
   out[0] = total / static_cast<double>(keep);
 }
 
-const KernelOps kOps{simd::SimdLevel::kScalar, 1,           &fill_diffs,
-                     &run_network,             &run_select, &reduce_mean};
+const KernelOps kOps{simd::SimdLevel::kScalar, 1, &fill_diffs, &run_select,
+                     &reduce_mean};
 
 }  // namespace
 

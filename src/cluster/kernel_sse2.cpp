@@ -26,33 +26,20 @@ void fill_diffs(const double* a, const double* const* bs, std::size_t n,
   }
 }
 
-void run_network(double* scratch, const std::uint32_t* byte_offsets,
-                 std::size_t comparators) {
-  char* base = reinterpret_cast<char*>(scratch);
-  for (std::size_t c = 0; c < comparators; ++c) {
-    double* lo = reinterpret_cast<double*>(base + byte_offsets[2 * c]);
-    double* hi = reinterpret_cast<double*>(base + byte_offsets[2 * c + 1]);
-    const __m128d x = _mm_load_pd(lo);
-    const __m128d y = _mm_load_pd(hi);
-    _mm_store_pd(lo, _mm_min_pd(x, y));
-    _mm_store_pd(hi, _mm_max_pd(x, y));
-  }
-}
-
-#define REPRO_SELECT_VEC __m128d
-#define REPRO_SELECT_LOAD(p) _mm_load_pd(p)
-#define REPRO_SELECT_STORE(p, v) _mm_store_pd((p), (v))
-#define REPRO_SELECT_MIN(x, y) _mm_min_pd((x), (y))
-#define REPRO_SELECT_MAX(x, y) _mm_max_pd((x), (y))
-#define REPRO_SELECT_INF \
+#define REPRO_LANE_VEC __m128d
+#define REPRO_LANE_LOAD(p) _mm_load_pd(p)
+#define REPRO_LANE_STORE(p, v) _mm_store_pd((p), (v))
+#define REPRO_LANE_MIN(x, y) _mm_min_pd((x), (y))
+#define REPRO_LANE_MAX(x, y) _mm_max_pd((x), (y))
+#define REPRO_LANE_INF \
   _mm_set1_pd(std::numeric_limits<double>::infinity())
 #include "cluster/kernel_select.inl"
-#undef REPRO_SELECT_VEC
-#undef REPRO_SELECT_LOAD
-#undef REPRO_SELECT_STORE
-#undef REPRO_SELECT_MIN
-#undef REPRO_SELECT_MAX
-#undef REPRO_SELECT_INF
+#undef REPRO_LANE_VEC
+#undef REPRO_LANE_LOAD
+#undef REPRO_LANE_STORE
+#undef REPRO_LANE_MIN
+#undef REPRO_LANE_MAX
+#undef REPRO_LANE_INF
 
 void reduce_mean(const double* scratch, std::size_t keep, double* out) {
   __m128d acc = _mm_setzero_pd();
@@ -63,8 +50,8 @@ void reduce_mean(const double* scratch, std::size_t keep, double* out) {
   _mm_storeu_pd(out, acc);
 }
 
-const KernelOps kOps{simd::SimdLevel::kSse2, 2,           &fill_diffs,
-                     &run_network,           &run_select, &reduce_mean};
+const KernelOps kOps{simd::SimdLevel::kSse2, 2, &fill_diffs, &run_select,
+                     &reduce_mean};
 
 }  // namespace
 

@@ -56,9 +56,8 @@ XiScratch& xi_scratch() {
 /// points, tolerating at most min_pts consecutive non-steep points, and ends
 /// at the last steep point seen.
 template <typename SteepFn, typename MonoFn>
-std::size_t extend_region(const std::vector<double>& r, std::size_t start,
-                          std::size_t last, std::size_t min_pts, SteepFn steep,
-                          MonoFn mono) {
+std::size_t extend_region(std::size_t start, std::size_t last,
+                          std::size_t min_pts, SteepFn steep, MonoFn mono) {
   std::size_t non_steep = 0;
   std::size_t end = start;
   for (std::size_t index = start; index < last; ++index) {
@@ -227,14 +226,15 @@ std::vector<std::pair<std::size_t, std::size_t>> extract_xi_clusters(
       update_filter_sdas(sdas, mib, xi_complement, r);
       const std::size_t d_start = index;
       const std::size_t d_end =
-          extend_region(r, d_start, last, min_pts, steep_down, down);
+          extend_region(d_start, last, min_pts, steep_down, down);
       sdas.push_back(SteepDownArea{d_start, d_end, 0.0});
       index = d_end + 1;
       mib = index <= last ? r[index] : 0.0;
     } else if (steep_up(index)) {
       update_filter_sdas(sdas, mib, xi_complement, r);
       const std::size_t u_start = index;
-      const std::size_t u_end = extend_region(r, u_start, last, min_pts, steep_up, up);
+      const std::size_t u_end =
+          extend_region(u_start, last, min_pts, steep_up, up);
       index = u_end + 1;
       mib = index <= last ? r[index] : 0.0;
 

@@ -1,46 +1,17 @@
 #include "cluster/select_program.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <tuple>
+#include <utility>
 
 #include "util/error.h"
 
 namespace repro::cluster {
 
 namespace {
-
-using Comparator = std::pair<std::uint32_t, std::uint32_t>;
-
-/// Batcher's odd-even merge of the chain lo, lo+r, lo+2r, ... within
-/// [lo, lo+m): both sorted halves interleave, then adjacent odd pairs are
-/// fixed up (Knuth 5.2.2M).
-void odd_even_merge(std::vector<Comparator>& out, std::uint32_t lo,
-                    std::uint32_t m, std::uint32_t r) {
-  const std::uint32_t step = r * 2;
-  if (step < m) {
-    odd_even_merge(out, lo, m, step);
-    odd_even_merge(out, lo + r, m, step);
-    for (std::uint32_t i = lo + r; i + r < lo + m; i += step) {
-      out.emplace_back(i, i + r);
-    }
-  } else {
-    out.emplace_back(lo, lo + r);
-  }
-}
-
-void odd_even_sort(std::vector<Comparator>& out, std::uint32_t lo,
-                   std::uint32_t m) {
-  if (m <= 1) return;
-  const std::uint32_t half = m / 2;
-  odd_even_sort(out, lo, half);
-  odd_even_sort(out, lo + half, half);
-  odd_even_merge(out, lo, m, 1);
-}
 
 /// One structural item of the program before encoding: either a single
 /// compare-exchange or a 16-row register tile.
@@ -51,12 +22,14 @@ struct Item {
   std::uint32_t b;  // flat: high row. sort16: live rows. merge16: stride.
 };
 
-/// Re-derives the Batcher recursion, but peels register-sized subproblems:
-/// a sort of exactly 16 rows becomes one kSort16 tile, a merge whose chain
-/// is exactly 16 in-range rows becomes one kMerge16 tile. Everything else
-/// recurses down to flat compare-exchanges, clamped to n exactly like
-/// batcher_comparators (a comparator whose high row holds a virtual +inf
-/// is an identity and is dropped).
+/// Batcher's odd-even merge sort (Knuth 5.2.2M) over the next power of two
+/// >= n, peeling register-sized subproblems: a sort of exactly 16 rows
+/// becomes one kSort16 tile, a merge whose chain is exactly 16 in-range rows
+/// becomes one kMerge16 tile. Everything else recurses down to flat
+/// compare-exchanges, clamped to n: rows >= n hold a virtual +inf, and a
+/// compare-exchange writes min low and max high, so +inf never leaves a
+/// high row and real values never enter one -- a comparator touching such
+/// a row is an identity and is dropped.
 struct TiledBuilder {
   std::uint32_t n;
   std::vector<Item>& out;
@@ -142,9 +115,10 @@ std::vector<Item> prune_items(std::vector<Item> items, std::uint32_t n,
 
 /// Reorders each maximal stretch of consecutive flat comparators by
 /// dependency depth (stable), so dependent accesses to the same scratch row
-/// sit a whole layer apart in program order -- the same store-to-load
-/// spacing argument as the flat network's layering, applied locally so
-/// tile boundaries (real dependencies) are never crossed.
+/// sit a whole layer apart in program order (otherwise the store-to-load
+/// forwarding chains between adjacent comparators dominate the select
+/// phase). Applied per stretch so tile boundaries (real dependencies) are
+/// never crossed.
 void layer_flat_stretches(std::vector<Item>& items, std::uint32_t n) {
   std::vector<std::uint32_t> depth(n, 0);
   std::size_t i = 0;
@@ -192,53 +166,7 @@ struct CacheKey {
   }
 };
 
-SelectStrategy env_strategy() noexcept {
-  const char* value = std::getenv("REPRO_SELECT");
-  if (value != nullptr && std::strcmp(value, "network") == 0) {
-    return SelectStrategy::kNetwork;
-  }
-  return SelectStrategy::kRankSelect;
-}
-
-std::optional<SelectStrategy>& strategy_override() noexcept {
-  static std::optional<SelectStrategy> forced;
-  return forced;
-}
-
 }  // namespace
-
-const char* to_string(SelectStrategy strategy) noexcept {
-  return strategy == SelectStrategy::kNetwork ? "network" : "ranksel";
-}
-
-SelectStrategy select_strategy() noexcept {
-  if (strategy_override().has_value()) return *strategy_override();
-  static const SelectStrategy from_env = env_strategy();
-  return from_env;
-}
-
-void set_select_strategy_override(std::optional<SelectStrategy> strategy) {
-  strategy_override() = strategy;
-}
-
-std::vector<Comparator> batcher_comparators(std::size_t n) {
-  require(n >= 1 && n <= 0xffffffffu / 2, "select_program: bad size");
-  if (n == 1) return {};
-  std::uint32_t pow2 = 1;
-  while (pow2 < n) pow2 <<= 1;
-  std::vector<Comparator> full;
-  odd_even_sort(full, 0, pow2);
-  // Clamp to n: positions >= n hold a virtual +inf. A compare-exchange
-  // writes min to the low index and max to the high index, so +inf can
-  // never leave a high slot and real values never enter one -- comparators
-  // touching those slots are identity operations.
-  std::vector<Comparator> clamped;
-  clamped.reserve(full.size());
-  for (const auto& [i, j] : full) {
-    if (i < n && j < n) clamped.emplace_back(i, j);
-  }
-  return clamped;
-}
 
 SelectProgram build_select_program(std::size_t n, std::size_t keep,
                                    std::size_t lanes) {

@@ -2,10 +2,9 @@
 //
 // The kernel only needs the k smallest |a-b| values per lane, in ascending
 // order, so their sequential IEEE sum is canonical (k = the trim keep
-// count). The original select phase ran a flat keep-pruned Batcher network
-// (sort_network.h). A SelectProgram computes the exact same kept prefix --
-// bit-identical, still fully data-independent -- but restructures the work
-// around what actually costs time on real cores:
+// count). A SelectProgram is a keep-pruned Batcher odd-even network --
+// fully data-independent, so every lane runs the same instruction stream --
+// structured around what actually costs time on real cores:
 //
 //   * rank pruning with one-sided comparators: per-wire liveness is
 //     tracked backward from the keep boundary. A comparator whose high
@@ -27,35 +26,15 @@
 //     irreducible cross-chain fixups remain flat compare-exchanges.
 //
 // The program is encoded as a run-length opcode stream so the interpreter
-// dispatches once per run, not once per comparator. The flat Batcher
-// network remains available as the fallback strategy (REPRO_SELECT=network)
-// for A/B measurement; see docs/PERFORMANCE.md for the full argument and
-// the measured crossover.
+// dispatches once per run, not once per comparator. See docs/PERFORMANCE.md
+// for the full argument and the measurements behind each choice.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <utility>
 #include <vector>
 
 namespace repro::cluster {
-
-/// Which implementation the select phase runs. Both produce bit-identical
-/// kept prefixes; kRankSelect is the default, kNetwork the flat Batcher
-/// fallback. Overridden by REPRO_SELECT=ranksel|network.
-enum class SelectStrategy { kRankSelect, kNetwork };
-
-const char* to_string(SelectStrategy strategy) noexcept;
-
-/// Strategy in effect: the test override if set, else REPRO_SELECT from the
-/// environment (read once), else kRankSelect.
-SelectStrategy select_strategy() noexcept;
-
-/// Test hook mirroring simd::set_level_override: forces the strategy (or
-/// clears the force with nullopt). Not thread-safe against concurrent
-/// pairwise calls; tests serialize.
-void set_select_strategy_override(std::optional<SelectStrategy> strategy);
 
 /// Opcodes of the run-length-encoded select program stream. Layout:
 ///   kFlat      count, then count (lo, hi) byte-offset pairs
@@ -77,8 +56,7 @@ struct SelectProgram {
   std::size_t n = 0;
   std::size_t keep = 0;
   std::size_t lanes = 0;
-  /// Compare-exchange counts by kind, for the structure tests and the
-  /// bench's strategy line.
+  /// Compare-exchange counts by kind, for the structure tests.
   std::size_t full_comparators = 0;
   std::size_t min_only_comparators = 0;
   std::size_t max_only_comparators = 0;
@@ -103,13 +81,6 @@ constexpr std::size_t kernel_scratch_doubles(std::size_t n,
                                              std::size_t lanes) noexcept {
   return n == 0 ? 0 : (padded_row_index(n - 1, lanes) + 1) * lanes;
 }
-
-/// Clamped Batcher odd-even comparator list for n inputs (no pruning, no
-/// reordering): the next-power-of-two network with comparators touching
-/// virtual rows >= n dropped. Shared by the program builder, the flat
-/// fallback and the property tests.
-std::vector<std::pair<std::uint32_t, std::uint32_t>> batcher_comparators(
-    std::size_t n);
 
 /// Builds the rank-select program for (n, keep); offsets scaled and padded
 /// for `lanes`. Exposed for the structure tests; hot paths use the cache.

@@ -662,8 +662,7 @@ Section422Study section422_study(const Pipeline& pipeline) {
   Section422Study study;
   for (const Hypergiant hg : all_hypergiants()) {
     study.per_hg.push_back(pni_utilization(
-        pipeline.internet(), pipeline.registry(Snapshot::k2023),
-        pipeline.demand(), pipeline.capacity(), hg));
+        pipeline.internet(), pipeline.demand(), pipeline.capacity(), hg));
   }
   return study;
 }

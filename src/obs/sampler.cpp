@@ -64,7 +64,9 @@ ResourceSampler& ResourceSampler::instance() {
 
 void ResourceSampler::start(double hz) {
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  if (impl_->running) return;
+  // !(hz > 0) also rejects NaN, which std::clamp would pass through as a
+  // NaN period: a wait_for that never waits.
+  if (impl_->running || !(hz > 0.0)) return;
   const double clamped = std::clamp(hz, 0.1, 1000.0);
   const auto period = std::chrono::duration<double>(1.0 / clamped);
   impl_->running = true;
@@ -112,7 +114,7 @@ bool ResourceSampler::maybe_start_from_env(double default_hz) {
   if (value != nullptr && *value != '\0') {
     char* end = nullptr;
     hz = std::strtod(value, &end);
-    if (end == value || hz <= 0.0) return false;  // "0" or junk: disabled
+    if (end == value || !(hz > 0.0)) return false;  // "0", NaN, junk: off
   } else if (tracing_enabled()) {
     hz = default_hz;
   } else {

@@ -4,11 +4,11 @@
 // timeline. The Perfetto exporter turns the series into counter tracks and
 // maybe_write_run_report() embeds it as the "sampler" report section.
 //
-// Configuration: REPRO_SAMPLE_HZ sets the sampling rate; "0" disables the
-// sampler entirely. When the variable is unset, maybe_start_from_env()
-// starts the sampler at a default rate only when tracing is enabled, so
-// REPRO_TRACE=1 runs always carry resource counter tracks while untraced
-// runs pay nothing.
+// Configuration: REPRO_SAMPLE_HZ sets the sampling rate; "0" (or any value
+// that is not a positive number, NaN included) disables the sampler. When
+// the variable is unset, maybe_start_from_env() starts the sampler at a
+// default rate only when tracing is enabled, so REPRO_TRACE=1 runs always
+// carry resource counter tracks while untraced runs pay nothing.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +34,9 @@ class ResourceSampler {
   static ResourceSampler& instance();
 
   /// Starts the background thread at `hz` samples per second (clamped to
-  /// [0.1, 1000]). No-op when already running. Takes one sample
-  /// immediately so even a very short run has a first point.
+  /// [0.1, 1000]). No-op when already running or when `hz` is not positive
+  /// (NaN included). Takes one sample immediately so even a very short run
+  /// has a first point.
   void start(double hz);
 
   /// Stops and joins the thread, taking one final sample first so the
@@ -44,9 +45,9 @@ class ResourceSampler {
 
   bool running() const noexcept;
 
-  /// REPRO_SAMPLE_HZ when set ("0" disables); otherwise `default_hz`, but
-  /// only when tracing is enabled. Returns true when the sampler ends up
-  /// running.
+  /// REPRO_SAMPLE_HZ when set ("0", "nan" and junk disable); otherwise
+  /// `default_hz`, but only when tracing is enabled. Returns true when the
+  /// sampler ends up running.
   bool maybe_start_from_env(double default_hz = 10.0);
 
   /// Copy of all samples recorded since the last reset.

@@ -90,7 +90,8 @@ Traceroute TracerouteEngine::trace(AsIndex src, Ipv4 destination,
       // Skip the source AS's ingress (the probe starts inside it) and give
       // each position a stable interface slot.
       if (i == 0 && k == 0) continue;
-      push_router(as, router_ip(as, mix64(as * 131ULL + k ^ mix64(flow)) % 199));
+      push_router(as,
+                  router_ip(as, mix64((as * 131ULL + k) ^ mix64(flow)) % 199));
     }
 
     if (i + 1 >= as_path.size()) break;
@@ -167,7 +168,8 @@ Traceroute TracerouteEngine::trace_flapped(AsIndex src, Ipv4 destination,
     for (std::uint64_t k = 0; k < intra; ++k) {
       if (visited == 0 && k == 0) continue;
       push_router(current,
-                  router_ip(current, mix64(current * 131ULL + k ^ mix64(flow)) % 199));
+                  router_ip(current,
+                            mix64((current * 131ULL + k) ^ mix64(flow)) % 199));
     }
 
     if (current == table.destination()) {

@@ -82,7 +82,6 @@ std::vector<DiurnalPoint> diurnal_study(const DiurnalStudyConfig& config) {
 // ------------------------------------------------------ PNI utilization ---
 
 PniUtilizationStats pni_utilization(const Internet& internet,
-                                    const OffnetRegistry& registry,
                                     const DemandModel& demand,
                                     const CapacityModel& capacity,
                                     Hypergiant hg) {

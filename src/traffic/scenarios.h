@@ -82,7 +82,6 @@ struct PniUtilizationStats {
 /// Evaluates every ISP with a PNI to `hg`: interdomain demand at local peak
 /// (what remains after offnet serving) vs the PNI's provisioned capacity.
 PniUtilizationStats pni_utilization(const Internet& internet,
-                                    const OffnetRegistry& registry,
                                     const DemandModel& demand,
                                     const CapacityModel& capacity,
                                     Hypergiant hg);

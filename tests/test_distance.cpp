@@ -91,25 +91,6 @@ TEST(TrimmedManhattan, RandomizedProperties) {
   }
 }
 
-TEST(TrimmedManhattan, ScratchVariantBitIdenticalToAllocating) {
-  Rng rng(4242);
-  std::vector<double> scratch;  // reused across calls, like the hot path
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t n = 1 + static_cast<std::size_t>(rng.next() % 96);
-    std::vector<double> a(n);
-    std::vector<double> b(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      a[i] = rng.uniform(0.0, 300.0);
-      b[i] = rng.uniform(0.0, 300.0);
-    }
-    const double trim = rng.uniform(0.0, 0.9);
-    // Exact equality, not near: the allocating overload is specified to be
-    // bit-identical to the scratch one (it delegates to the same kernel).
-    EXPECT_EQ(trimmed_manhattan(a, b, trim),
-              trimmed_manhattan(a, b, trim, scratch));
-  }
-}
-
 TEST(DistanceMatrix, SymmetricStorage) {
   DistanceMatrix matrix(4);
   matrix.set(1, 3, 2.5);

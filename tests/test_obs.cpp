@@ -888,6 +888,24 @@ TEST_F(ObsTest, BenchLineStampsTheScaleThatRan) {
   if (saved != nullptr) ::setenv("REPRO_SCALE", saved_value.c_str(), 1);
 }
 
+TEST_F(ObsTest, SampleHzNanKeepsSamplerOff) {
+  // strtod parses "nan". It must disable the sampler like "0" does: a NaN
+  // rate would become a NaN wait period, and the thread would spin.
+  const char* saved = std::getenv("REPRO_SAMPLE_HZ");
+  const std::string saved_value = saved == nullptr ? "" : saved;
+
+  ::setenv("REPRO_SAMPLE_HZ", "nan", 1);
+  EXPECT_FALSE(sampler().maybe_start_from_env());
+  EXPECT_FALSE(sampler().running());
+  sampler().stop();
+
+  if (saved == nullptr) {
+    ::unsetenv("REPRO_SAMPLE_HZ");
+  } else {
+    ::setenv("REPRO_SAMPLE_HZ", saved_value.c_str(), 1);
+  }
+}
+
 TEST_F(ObsTest, HistoryMaxLinesFromEnvParsing) {
   const char* saved = std::getenv("REPRO_HISTORY_MAX_LINES");
   const std::string saved_value = saved == nullptr ? "" : saved;

@@ -1,16 +1,14 @@
 // Contract tests for the single-core hot path (ISSUE 5): the fast
 // lane-parallel distance kernel must match the sorted-sum oracle
-// bit-for-bit at every SIMD dispatch level -- under both select strategies
-// (the default rank-select program and the flat Batcher network fallback)
-// and across an adversarial tie/denormal corpus -- the sorting networks
-// must sort, the select programs must decode and execute correctly, and
-// the DistanceMatrix packed layout must agree with its row accessors.
+// bit-for-bit at every SIMD dispatch level and across an adversarial
+// tie/denormal corpus, the select programs must decode and execute
+// correctly, and the DistanceMatrix packed layout must agree with its row
+// accessors.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -18,7 +16,6 @@
 #include "cluster/distance.h"
 #include "cluster/distance_kernel.h"
 #include "cluster/select_program.h"
-#include "cluster/sort_network.h"
 #include "util/rng.h"
 #include "util/simd.h"
 
@@ -50,14 +47,6 @@ struct LevelGuard {
   ~LevelGuard() { simd::clear_level_override(); }
 };
 
-/// Same for the select strategy (rank-select program vs Batcher fallback).
-struct StrategyGuard {
-  explicit StrategyGuard(cluster::SelectStrategy strategy) {
-    cluster::set_select_strategy_override(strategy);
-  }
-  ~StrategyGuard() { cluster::set_select_strategy_override(std::nullopt); }
-};
-
 std::vector<double> random_table(Rng& rng, std::size_t rows, std::size_t cols,
                                  bool tie_heavy) {
   std::vector<double> table(rows * cols);
@@ -77,98 +66,6 @@ TEST(TrimKeepCount, MatchesDefinition) {
   EXPECT_EQ(trim_keep_count(163, 0.2), 131u);
   EXPECT_EQ(trim_keep_count(5, 0.99), 1u);   // floor(4.95) = 4 -> keep 1
   EXPECT_EQ(trim_keep_count(2, 0.9), 1u);    // clamped to >= 1
-}
-
-TEST(SortNetwork, SortsRandomAndTieHeavyInputs) {
-  Rng rng(0x5e71);
-  for (const std::size_t n : {1u, 2u, 3u, 5u, 8u, 13u, 40u, 163u}) {
-    for (const std::size_t keep : {std::size_t{1}, (n + 1) / 2, n}) {
-      const auto pairs = cluster::sort_network_pairs(n, keep);
-      for (int trial = 0; trial < 40; ++trial) {
-        std::vector<double> values(n);
-        const bool tie_heavy = trial % 2 == 1;
-        for (double& v : values) {
-          v = tie_heavy ? static_cast<double>(rng.uniform_int(0, 3))
-                        : rng.uniform(0.0, 1.0);
-        }
-        std::vector<double> expected(values);
-        std::sort(expected.begin(), expected.end());
-        for (const auto& [i, j] : pairs) {
-          if (values[j] < values[i]) std::swap(values[i], values[j]);
-        }
-        // Only the kept prefix is contractually sorted; the rest is
-        // whatever the pruned comparators left behind.
-        for (std::size_t k = 0; k < keep; ++k) {
-          ASSERT_EQ(values[k], expected[k])
-              << "n=" << n << " keep=" << keep << " k=" << k;
-        }
-      }
-    }
-  }
-}
-
-TEST(SortNetwork, LayersNeverReuseAPositionWithinALayer) {
-  // The layering contract: comparators are grouped so that within one
-  // dependency layer no scratch row appears twice -- that is what makes the
-  // reorder legal (independent compare-exchanges commute).
-  const auto pairs = cluster::sort_network_pairs(163, 131);
-  std::vector<std::uint32_t> depth(163, 0);
-  std::uint32_t current_layer = 0;
-  std::vector<char> used(163, 0);
-  for (const auto& [i, j] : pairs) {
-    const std::uint32_t d = std::max(depth[i], depth[j]) + 1;
-    if (d > current_layer) {
-      std::fill(used.begin(), used.end(), 0);
-      current_layer = d;
-    }
-    ASSERT_GE(d, current_layer) << "comparator out of layer order";
-    ASSERT_FALSE(used[i]) << "row " << i << " reused within layer " << d;
-    ASSERT_FALSE(used[j]) << "row " << j << " reused within layer " << d;
-    used[i] = used[j] = 1;
-    depth[i] = depth[j] = d;
-  }
-}
-
-TEST(SortNetworkCache, ScalesOffsetsByLaneCount) {
-  // Below the first 4 KiB alias period (63 rows at 8 lanes) the padded row
-  // mapping is the identity, so offsets scale linearly with the lane count.
-  const auto& net1 = cluster::sort_network_for(40, 32, 1);
-  const auto& net8 = cluster::sort_network_for(40, 32, 8);
-  ASSERT_EQ(net1.comparators, net8.comparators);
-  for (std::size_t k = 0; k < net1.byte_offsets.size(); ++k) {
-    EXPECT_EQ(net8.byte_offsets[k], net1.byte_offsets[k] * 8);
-  }
-  // Cached: same reference back.
-  EXPECT_EQ(&cluster::sort_network_for(40, 32, 8), &net8);
-}
-
-TEST(SortNetworkCache, PaddedOffsetsNeverAliasAcrossAPage) {
-  // The whole point of the padded row mapping: at the paper shape no
-  // comparator's two rows may sit exactly one 4 KiB page apart (the false
-  // store-forwarding alias the flat network otherwise trips over), and
-  // every offset must land on a real (non-pad) row inside the sized
-  // scratch.
-  for (const std::size_t lanes : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{4}, std::size_t{8}}) {
-    const std::size_t row_bytes = lanes * sizeof(double);
-    const std::size_t period = 4096 / row_bytes;
-    const auto& net = cluster::sort_network_for(163, 131, lanes);
-    const std::size_t scratch_bytes =
-        cluster::kernel_scratch_doubles(163, lanes) * sizeof(double);
-    for (std::size_t k = 0; k + 1 < net.byte_offsets.size(); k += 2) {
-      const std::uint32_t lo = net.byte_offsets[k];
-      const std::uint32_t hi = net.byte_offsets[k + 1];
-      ASSERT_NE(hi - lo, 4096u) << "lanes=" << lanes << " comparator " << k / 2;
-      for (const std::uint32_t off : {lo, hi}) {
-        ASSERT_EQ(off % row_bytes, 0u);
-        ASSERT_LT(off, scratch_bytes);
-        // Pad rows sit at padded index period-1 (mod period) and must never
-        // be addressed.
-        ASSERT_NE((off / row_bytes) % period, period - 1)
-            << "lanes=" << lanes << " offset " << off << " hits a pad row";
-      }
-    }
-  }
 }
 
 TEST(TrimmedManhattan, MatchesOracleBitForBit) {
@@ -379,28 +276,12 @@ TEST(SimdDispatch, OverrideClampsAndParses) {
   EXPECT_LE(simd::active_level(), simd::highest_supported());
 }
 
-TEST(KernelPhaseProfile, ReportsActiveLevelStrategyAndPositiveTimings) {
+TEST(KernelPhaseProfile, ReportsActiveLevelAndPositiveTimings) {
   const KernelPhaseProfile profile = profile_kernel_phases(163, 0.2, 50);
   EXPECT_EQ(profile.simd_level, simd::to_string(simd::active_level()));
-  EXPECT_EQ(profile.select_strategy,
-            cluster::to_string(cluster::select_strategy()));
   EXPECT_GT(profile.diff_ns_op, 0.0);
   EXPECT_GT(profile.select_ns_op, 0.0);
   EXPECT_GT(profile.sum_ns_op, 0.0);
-  // Both strategies are timed each run so the bench can name the winner;
-  // select_ns_op mirrors whichever one is active.
-  EXPECT_GT(profile.select_ranksel_ns_op, 0.0);
-  EXPECT_GT(profile.select_network_ns_op, 0.0);
-  EXPECT_EQ(profile.select_ns_op,
-            cluster::select_strategy() == cluster::SelectStrategy::kRankSelect
-                ? profile.select_ranksel_ns_op
-                : profile.select_network_ns_op);
-  {
-    StrategyGuard guard(cluster::SelectStrategy::kNetwork);
-    const KernelPhaseProfile fallback = profile_kernel_phases(163, 0.2, 10);
-    EXPECT_EQ(fallback.select_strategy, "network");
-    EXPECT_EQ(fallback.select_ns_op, fallback.select_network_ns_op);
-  }
 }
 
 TEST(SelectProgram, StreamDecodesCleanlyAndStaysOnRealRows) {
@@ -493,8 +374,8 @@ TEST(SelectProgram, StreamDecodesCleanlyAndStaysOnRealRows) {
   EXPECT_EQ(&cluster::select_program_for(163, 131, 8), &paper);
 }
 
-TEST(SelectProgramExec, KeptPrefixMatchesSortBothStrategiesEveryLevel) {
-  // Direct execution of run_select / run_network on a hand-filled padded
+TEST(SelectProgramExec, KeptPrefixMatchesSortEveryLevel) {
+  // Direct execution of run_select on a hand-filled padded
   // scratch: for every reachable level and every (n, keep) shape, the kept
   // prefix must equal the per-lane ascending sort of the inputs,
   // bit-for-bit, for random, tie-heavy, and denormal lane columns.
@@ -512,8 +393,6 @@ TEST(SelectProgramExec, KeptPrefixMatchesSortBothStrategiesEveryLevel) {
       for (const std::size_t keep : {std::size_t{1}, (n + 1) / 2, n}) {
         const cluster::SelectProgram& program =
             cluster::select_program_for(n, keep, lanes);
-        const cluster::SortNetwork& network =
-            cluster::sort_network_for(n, keep, lanes);
         double* scratch =
             scratch_buf.ensure(cluster::kernel_scratch_doubles(n, lanes));
         for (int trial = 0; trial < 6; ++trial) {
@@ -523,14 +402,12 @@ TEST(SelectProgramExec, KeptPrefixMatchesSortBothStrategiesEveryLevel) {
                 : trial % 3 == 1 ? static_cast<double>(rng.uniform_int(0, 3))
                                  : denormals[rng.uniform_int(0, 4)];
           }
-          const auto fill = [&] {
-            for (std::size_t d = 0; d < n; ++d) {
-              for (std::size_t l = 0; l < lanes; ++l) {
-                scratch[cluster::padded_row_index(d, lanes) * lanes + l] =
-                    values[d * lanes + l];
-              }
+          for (std::size_t d = 0; d < n; ++d) {
+            for (std::size_t l = 0; l < lanes; ++l) {
+              scratch[cluster::padded_row_index(d, lanes) * lanes + l] =
+                  values[d * lanes + l];
             }
-          };
+          }
           std::vector<double> expected(values);
           for (std::size_t l = 0; l < lanes; ++l) {
             std::vector<double> column(n);
@@ -538,29 +415,14 @@ TEST(SelectProgramExec, KeptPrefixMatchesSortBothStrategiesEveryLevel) {
             std::sort(column.begin(), column.end());
             for (std::size_t d = 0; d < n; ++d) expected[d * lanes + l] = column[d];
           }
-          fill();
           ops.run_select(scratch, program.code.data(), program.code.size());
           for (std::size_t k = 0; k < keep; ++k) {
             for (std::size_t l = 0; l < lanes; ++l) {
               ASSERT_EQ(
                   scratch[cluster::padded_row_index(k, lanes) * lanes + l],
                   expected[k * lanes + l])
-                  << simd::to_string(level) << " ranksel n=" << n
-                  << " keep=" << keep << " trial=" << trial << " k=" << k
-                  << " lane=" << l;
-            }
-          }
-          fill();
-          ops.run_network(scratch, network.byte_offsets.data(),
-                          network.comparators);
-          for (std::size_t k = 0; k < keep; ++k) {
-            for (std::size_t l = 0; l < lanes; ++l) {
-              ASSERT_EQ(
-                  scratch[cluster::padded_row_index(k, lanes) * lanes + l],
-                  expected[k * lanes + l])
-                  << simd::to_string(level) << " network n=" << n
-                  << " keep=" << keep << " trial=" << trial << " k=" << k
-                  << " lane=" << l;
+                  << simd::to_string(level) << " n=" << n << " keep=" << keep
+                  << " trial=" << trial << " k=" << k << " lane=" << l;
             }
           }
         }
@@ -620,49 +482,30 @@ void adversarial_pair(int kind, std::size_t n, Rng& rng,
   }
 }
 
-TEST(RankSelectCorpus, AdversarialPairsMatchOracleEveryLevelAndStrategy) {
+TEST(RankSelectCorpus, AdversarialPairsMatchOracleEveryLevel) {
   Rng rng(0xc0a5);
   for (const simd::SimdLevel level : reachable_levels()) {
     LevelGuard level_guard(level);
-    for (const cluster::SelectStrategy strategy :
-         {cluster::SelectStrategy::kRankSelect,
-          cluster::SelectStrategy::kNetwork}) {
-      StrategyGuard strategy_guard(strategy);
-      for (const std::size_t n : {1u, 2u, 3u, 5u, 8u, 13u, 16u, 40u, 163u}) {
-        for (const double trim : {0.0, 0.2, 0.5, 0.9}) {
-          for (int kind = 0; kind < 5; ++kind) {
-            std::vector<double> a, b;
-            adversarial_pair(kind, n, rng, a, b);
-            const double oracle = trimmed_manhattan_oracle(a, b, trim);
-            // Single-pair scalar path.
-            ASSERT_EQ(trimmed_manhattan(a, b, trim), oracle)
-                << simd::to_string(level) << " " << cluster::to_string(strategy)
-                << " n=" << n << " trim=" << trim << " kind=" << kind;
-            // Batched kernel path (2-row table through pairwise_distances).
-            std::vector<double> table(a);
-            table.insert(table.end(), b.begin(), b.end());
-            const DistanceMatrix matrix = pairwise_distances(table, 2, n, trim);
-            ASSERT_EQ(matrix.at(0, 1), oracle)
-                << simd::to_string(level) << " " << cluster::to_string(strategy)
-                << " n=" << n << " trim=" << trim << " kind=" << kind;
-          }
+    for (const std::size_t n : {1u, 2u, 3u, 5u, 8u, 13u, 16u, 40u, 163u}) {
+      for (const double trim : {0.0, 0.2, 0.5, 0.9}) {
+        for (int kind = 0; kind < 5; ++kind) {
+          std::vector<double> a, b;
+          adversarial_pair(kind, n, rng, a, b);
+          const double oracle = trimmed_manhattan_oracle(a, b, trim);
+          // Single-pair scalar path.
+          ASSERT_EQ(trimmed_manhattan(a, b, trim), oracle)
+              << simd::to_string(level) << " n=" << n << " trim=" << trim
+              << " kind=" << kind;
+          // Batched kernel path (2-row table through pairwise_distances).
+          std::vector<double> table(a);
+          table.insert(table.end(), b.begin(), b.end());
+          const DistanceMatrix matrix = pairwise_distances(table, 2, n, trim);
+          ASSERT_EQ(matrix.at(0, 1), oracle)
+              << simd::to_string(level) << " n=" << n << " trim=" << trim
+              << " kind=" << kind;
         }
       }
     }
-  }
-}
-
-TEST(SelectStrategy, OverrideAndNames) {
-  EXPECT_STREQ(cluster::to_string(cluster::SelectStrategy::kRankSelect),
-               "ranksel");
-  EXPECT_STREQ(cluster::to_string(cluster::SelectStrategy::kNetwork),
-               "network");
-  {
-    StrategyGuard guard(cluster::SelectStrategy::kNetwork);
-    EXPECT_EQ(cluster::select_strategy(), cluster::SelectStrategy::kNetwork);
-  }
-  if (std::getenv("REPRO_SELECT") == nullptr) {
-    EXPECT_EQ(cluster::select_strategy(), cluster::SelectStrategy::kRankSelect);
   }
 }
 

@@ -116,7 +116,7 @@ CapacityModel* TrafficStudies::capacity_ = nullptr;
 TEST_F(TrafficStudies, PniUtilizationFieldsConsistent) {
   for (const Hypergiant hg : all_hypergiants()) {
     const PniUtilizationStats stats =
-        pni_utilization(*net_, *registry_, *demand_, *capacity_, hg);
+        pni_utilization(*net_, *demand_, *capacity_, hg);
     EXPECT_EQ(stats.hg, hg);
     EXPECT_GE(stats.fraction_exceeded, 0.0);
     EXPECT_LE(stats.fraction_exceeded, 1.0);
@@ -133,7 +133,7 @@ TEST_F(TrafficStudies, SomePnisAreUnderProvisioned) {
   bool any = false;
   for (const Hypergiant hg : all_hypergiants()) {
     const PniUtilizationStats stats =
-        pni_utilization(*net_, *registry_, *demand_, *capacity_, hg);
+        pni_utilization(*net_, *demand_, *capacity_, hg);
     if (stats.fraction_exceeded > 0.0) any = true;
   }
   EXPECT_TRUE(any);

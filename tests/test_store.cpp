@@ -619,7 +619,9 @@ TEST_F(StoreTest, ConcurrentLoadsAndSavesAreSafe) {
           artifacts.save(key, test_payload(500 + i % 7, static_cast<std::uint8_t>(i)));
         } else {
           const store::LoadResult result = artifacts.load(key);
-          if (result.hit()) EXPECT_GE(result.payload.size(), 500u);
+          if (result.hit()) {
+            EXPECT_GE(result.payload.size(), 500u);
+          }
           EXPECT_FALSE(result.corrupt());
         }
       },

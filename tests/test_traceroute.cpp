@@ -111,7 +111,9 @@ TEST_F(TracerouteTest, SilentAsYieldsAllStars) {
       const Traceroute trace =
           tracer_->trace(google_, user_ip(*net_, target), table);
       for (const TracerouteHop& hop : trace.hops) {
-        if (hop.true_owner == as) EXPECT_FALSE(hop.ip.has_value());
+        if (hop.true_owner == as) {
+          EXPECT_FALSE(hop.ip.has_value());
+        }
       }
       return;
     }
