@@ -14,8 +14,7 @@
 #                                  kernels and the obs layer), a TSan
 #                                  store-chaos smoke (live corruption under
 #                                  concurrent warm readers), the warm-start
-#                                  smoke, an ASan multi-process shard smoke
-#                                  (repro-shard vs --single), a report-
+#                                  smoke, the trace-export smoke, a report-
 #                                  service smoke + latency gate (repro-serve
 #                                  cold/warm byte-identity, warm hits > 0,
 #                                  load-bench warm_p99_ms vs the committed
@@ -29,13 +28,16 @@
 #   SKIP_WARM=1 ./scripts/check.sh  skip the warm-equals-cold smoke
 #   SKIP_TRACE=1 ./scripts/check.sh skip the trace-export smoke
 #   SKIP_PERF=1 ./scripts/check.sh  skip the perf-regression gate
-#   SKIP_SHARD=1 ./scripts/check.sh skip the multi-process shard smoke
 #   SKIP_SERVE=1 ./scripts/check.sh skip the report-service smoke + gate
 #   SKIP_BENCH=1 ./scripts/check.sh skip the perfbench smoke
 #
 # Exits nonzero on the first failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Every smoke's temp dir, removed by one exit trap however the script ends.
+chaos_dir="" smoke_dir="" trace_dir="" serve_dir="" perf_dir=""
+trap 'rm -rf "$chaos_dir" "$smoke_dir" "$trace_dir" "$serve_dir" "$perf_dir"' EXIT
 
 echo "== tier-1: configure + build =="
 cmake -B build -S . >/dev/null
@@ -68,7 +70,6 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
     # with ThreadSanitizer watching the reader/injector races.
     cmake --build build-tsan -j"$(nproc)" --target full_report
     chaos_dir="$(mktemp -d)"
-    trap 'rm -rf "${smoke_dir:-}" "${trace_dir:-}" "${perf_dir:-}" "${chaos_dir:-}"' EXIT
     REPRO_SCALE=tiny REPRO_TRACE=0 REPRO_THREADS=8 REPRO_STORE="$chaos_dir/store" \
       ./build-tsan/examples/full_report "$chaos_dir/cold.md" >/dev/null
     REPRO_SCALE=tiny REPRO_TRACE=0 REPRO_THREADS=8 REPRO_STORE="$chaos_dir/store" \
@@ -99,7 +100,6 @@ if [[ "${SKIP_WARM:-0}" != "1" ]]; then
   # must produce a byte-identical report (REPRO_TRACE=0 keeps timing tables
   # out of the output, which legitimately differ between runs).
   smoke_dir="$(mktemp -d)"
-  trap 'rm -rf "${smoke_dir:-}" "${perf_dir:-}"' EXIT
   REPRO_SCALE=tiny REPRO_TRACE=0 REPRO_STORE="$smoke_dir/store" \
     ./build/examples/full_report "$smoke_dir/cold.md" >/dev/null
   REPRO_SCALE=tiny REPRO_TRACE=0 REPRO_STORE="$smoke_dir/store" \
@@ -114,7 +114,6 @@ if [[ "${SKIP_TRACE:-0}" != "1" ]]; then
   # at least one enqueue->run flow event (cross-thread stitching) and one
   # sampler counter track. repro-bench trace-check does the validation.
   trace_dir="$(mktemp -d)"
-  trap 'rm -rf "${smoke_dir:-}" "${trace_dir:-}" "${perf_dir:-}"' EXIT
   # REPRO_THREADS forces the pool fan-out even on single-core hosts, so the
   # enqueue->run flow events actually exist to be checked.
   REPRO_SCALE=tiny REPRO_TRACE=1 REPRO_SAMPLE_HZ=50 REPRO_THREADS=8 \
@@ -122,27 +121,6 @@ if [[ "${SKIP_TRACE:-0}" != "1" ]]; then
     REPRO_TRACE_EVENTS="$trace_dir/trace.json" \
     ./build/examples/full_report "$trace_dir/report.md" >/dev/null
   ./build/examples/repro-bench trace-check "$trace_dir/trace.json"
-fi
-
-if [[ "${SKIP_SHARD:-0}" != "1" ]]; then
-  echo "== asan: multi-process shard smoke (3 shards vs single, tiny scale) =="
-  # The repro-shard driver forks 3 workers over a shared artifact store and
-  # merges; a --single run over its own store is the baseline. The two
-  # summaries (clusterings digests, stage health, domain counters, Table 1/2
-  # renders) must be byte-identical -- docs/SCALING.md's bit-identity
-  # contract crossing real process boundaries, with ASan watching the
-  # worker/merge paths. Shard-transport gauges (store.*, pipeline.*) are
-  # excluded from the summary by the driver itself.
-  cmake -B build-asan -S . -DREPRO_SANITIZE=address >/dev/null
-  cmake --build build-asan -j"$(nproc)" --target repro-shard
-  shard_dir="$(mktemp -d)"
-  trap 'rm -rf "${smoke_dir:-}" "${trace_dir:-}" "${perf_dir:-}" "${chaos_dir:-}" "${shard_dir:-}"' EXIT
-  ./build-asan/examples/repro-shard --shards 3 --scale tiny \
-    --store "$shard_dir/sharded.store" --out "$shard_dir/sharded.txt" >/dev/null
-  ./build-asan/examples/repro-shard --single --scale tiny \
-    --store "$shard_dir/single.store" --out "$shard_dir/single.txt" >/dev/null
-  diff "$shard_dir/sharded.txt" "$shard_dir/single.txt"
-  echo "3-shard merge byte-identical to single process"
 fi
 
 if [[ "${SKIP_SERVE:-0}" != "1" ]]; then
@@ -154,7 +132,6 @@ if [[ "${SKIP_SERVE:-0}" != "1" ]]; then
   # repro-bench naming the regressed field. Shared CI hosts are noisy, so
   # the gate takes the best of up to three attempts before failing.
   serve_dir="$(mktemp -d)"
-  trap 'rm -rf "${smoke_dir:-}" "${trace_dir:-}" "${perf_dir:-}" "${chaos_dir:-}" "${shard_dir:-}" "${serve_dir:-}"' EXIT
   ./build/examples/repro-serve --store "$serve_dir/store" --scale tiny \
     --render-out "$serve_dir/cold.txt" --query '{"query":"table1"}' >/dev/null
   ./build/examples/repro-serve --store "$serve_dir/store" --scale tiny \
@@ -211,7 +188,6 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
   # are noisy, so the gate takes the best of up to three attempts before
   # failing.
   perf_dir="$(mktemp -d)"
-  trap 'rm -rf "${smoke_dir:-}" "${trace_dir:-}" "${perf_dir:-}" "${chaos_dir:-}" "${shard_dir:-}" "${serve_dir:-}"' EXIT
   perf_ok=0
   for attempt in 1 2 3; do
     REPRO_SCALE=tiny REPRO_BENCH_OUT="$perf_dir" \

@@ -62,7 +62,6 @@ void note_store_corruption(fault::StageHealth& health, const std::string& detail
 /// The xi batch clusterings() computes together, decided on the xi key so
 /// every spelling of one xi lands in one batch: the paper's two standard
 /// settings share one OPTICS ordering; an unusual xi is computed alone.
-/// Shard workers and the merge derive the identical batch independently.
 std::vector<double> xi_batch(double xi) {
   const std::uint64_t key = xi_key(xi);
   if (key == xi_key(0.1) || key == xi_key(0.9)) return {0.1, 0.9};
@@ -71,14 +70,6 @@ std::vector<double> xi_batch(double xi) {
 
 std::string corrupt_matrices_note(std::uint64_t count) {
   return std::to_string(count) + " corrupt latency matrices recomputed";
-}
-
-/// Counters that must not ride a shard artifact into the parent: store
-/// traffic and pipeline cache bookkeeping are per-process facts, while the
-/// domain counters (cluster.*, filters.*, ...) sum linearly over ISPs and
-/// replay exactly (docs/SCALING.md).
-bool shard_local_counter(const std::string& name) {
-  return name.rfind("store.", 0) == 0 || name.rfind("pipeline.", 0) == 0;
 }
 
 }  // namespace
@@ -477,15 +468,6 @@ std::vector<AsIndex> Pipeline::hosting_isps_2023() const {
 }
 
 const std::vector<IspClustering>& Pipeline::clusterings(double xi) const {
-  return clustering_stage(xi, [this](const std::vector<AsIndex>& isps,
-                                     std::span<const double> xis) {
-    return cluster_isps(isps, xis);
-  });
-}
-
-template <class Fanout>
-const std::vector<IspClustering>& Pipeline::clustering_stage(
-    double xi, Fanout&& fanout) const {
   std::lock_guard<std::recursive_mutex> lock(stage_mutex_);
   const std::uint64_t key = xi_key(xi);
   const auto it = clusterings_.find(key);
@@ -502,7 +484,7 @@ const std::vector<IspClustering>& Pipeline::clustering_stage(
       "clustering", "pipeline.clustering", keys, store::encode,
       store::decode_clusterings, [&] {
         const std::vector<AsIndex> isps = hosting_isps_2023();
-        return merge_isp_outcomes(isps, xis, fanout(isps, xis));
+        return merge_isp_outcomes(isps, xis, cluster_isps(isps, xis));
       });
   for (std::size_t x = 0; x < xis.size(); ++x) {
     // Never replace a cached xi: callers hold references into it.
@@ -722,211 +704,6 @@ Pipeline::StageOutput<std::vector<IspClustering>> Pipeline::merge_isp_outcomes(
     merged.store_note = corrupt_matrices_note(fanout.corrupt_matrices);
   }
   return merged;
-}
-
-std::size_t Pipeline::shard_of(std::uint64_t measurement_digest, AsIndex isp,
-                               std::size_t shard_count) noexcept {
-  if (shard_count <= 1) return 0;
-  return static_cast<std::size_t>(
-      store::Fnv1a()
-          .mix(measurement_digest)
-          .mix(static_cast<std::uint64_t>(isp))
-          .digest() %
-      shard_count);
-}
-
-void Pipeline::compute_clustering_shard(std::size_t shard,
-                                        std::size_t shard_count,
-                                        double xi) const {
-  require(artifacts_ != nullptr,
-          "compute_clustering_shard: needs an artifact store (the shared "
-          "medium between shard processes)");
-  require(shard_count >= 1 && shard < shard_count,
-          "compute_clustering_shard: shard outside [0, shard_count)");
-  std::lock_guard<std::recursive_mutex> lock(stage_mutex_);
-  obs::ScopedSpan span("pipeline.clustering_shard");
-
-  const std::vector<double> xis = xi_batch(xi);
-  const std::uint64_t partition_digest = measurement_digest(scenario_);
-
-  // Force every upstream stage before bracketing the counter delta: the
-  // fan-out below must be the only thing between the two snapshots, so the
-  // delta replays cleanly in a parent that forced the same stages itself.
-  const std::vector<AsIndex> all = hosting_isps_2023();
-  registry(Snapshot::k2023);
-  vantage_points();
-  ping_mesh();
-
-  std::vector<AsIndex> mine;
-  for (const AsIndex isp : all) {
-    if (shard_of(partition_digest, isp, shard_count) == shard) {
-      mine.push_back(isp);
-    }
-  }
-
-  std::map<std::string, std::uint64_t> before;
-  for (const auto& [name, value] : obs::metrics().snapshot().counters) {
-    before[name] = value;
-  }
-
-  ClusterFanout fanout = cluster_isps(mine, xis);
-
-  // Domain-counter delta of the fan-out (cluster.*, filters.*, ...); store
-  // and pipeline bookkeeping stays per-process. Counters the fan-out merely
-  // *registered* (zero adds, like filters.nonfinite_leaked on a clean run)
-  // ride along with a zero delta: replaying them registers the same entry
-  // in the parent, so the merged counter listing matches a single-process
-  // run name-for-name, not just value-for-value.
-  std::vector<std::pair<std::string, std::uint64_t>> deltas;
-  for (const auto& [name, value] : obs::metrics().snapshot().counters) {
-    if (shard_local_counter(name)) continue;
-    const auto it = before.find(name);
-    if (it == before.end()) {
-      deltas.emplace_back(name, value);
-    } else if (value > it->second) {
-      deltas.emplace_back(name, value - it->second);
-    }
-  }
-
-  store::ByteWriter writer;
-  writer.u64(shard);
-  writer.u64(shard_count);
-  writer.u64(xis.size());
-  for (const double x : xis) writer.u64(xi_key(x));
-  writer.u64(fanout.corrupt_matrices);
-  writer.u64(mine.size());
-  for (std::size_t i = 0; i < mine.size(); ++i) {
-    const IspOutcome& out = fanout.outcomes[i];
-    writer.u64(static_cast<std::uint64_t>(mine[i]));
-    writer.u8(out.failed ? 1 : 0);
-    writer.str(out.error);
-    store::encode(writer, out.per_xi);
-  }
-  writer.u64(deltas.size());
-  for (const auto& [name, value] : deltas) {
-    writer.str(name);
-    writer.u64(value);
-  }
-  artifacts_->save(make_key("clustershard", store::kClusterShardSchema,
-                            world_digest_,
-                            {shard, shard_count, xi_key(xi)}),
-                   writer.bytes());
-}
-
-void Pipeline::merge_clustering_shards(std::size_t shard_count,
-                                       double xi) const {
-  require(artifacts_ != nullptr,
-          "merge_clustering_shards: needs an artifact store");
-  require(shard_count >= 1, "merge_clustering_shards: zero shards");
-  std::lock_guard<std::recursive_mutex> lock(stage_mutex_);
-  obs::ScopedSpan span("pipeline.clustering_merge");
-
-  // The parent owns the stage health and counters of every non-clustering
-  // stage, exactly like a single-process run, warm clustering or not.
-  hosting_isps_2023();
-  registry(Snapshot::k2023);
-  vantage_points();
-  ping_mesh();
-
-  // The shard transport is the stage's fan-out: every shard's outcomes and
-  // counter deltas, a missing or corrupt shard recomputed in-process.
-  clustering_stage(xi, [&](const std::vector<AsIndex>& isps,
-                           std::span<const double> xis) {
-    const std::uint64_t partition_digest = measurement_digest(scenario_);
-
-    // Each shard's slots into the global hosting-ISP order (the shard
-    // artifact lists its ISPs in the same filtered sub-order).
-    std::vector<std::vector<std::size_t>> shard_slots(shard_count);
-    for (std::size_t i = 0; i < isps.size(); ++i) {
-      const auto shard = shard_of(partition_digest, isps[i], shard_count);
-      shard_slots[shard].push_back(i);
-    }
-
-    ClusterFanout merged;
-    merged.outcomes.resize(isps.size());
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      bool replayed = false;
-      const store::LoadResult loaded = artifacts_->load(
-          make_key("clustershard", store::kClusterShardSchema, world_digest_,
-                   {s, shard_count, xi_key(xi)}));
-      if (loaded.hit()) {
-        try {
-          store::ByteReader reader(loaded.payload);
-          const std::uint64_t got_shard = reader.u64();
-          const std::uint64_t got_count = reader.u64();
-          const std::uint64_t got_xis = reader.u64();
-          bool consistent = got_shard == s && got_count == shard_count &&
-                            got_xis == xis.size();
-          for (std::uint64_t x = 0; x < got_xis; ++x) {
-            const std::uint64_t got_key = reader.u64();
-            consistent = consistent && x < xis.size() &&
-                         got_key == xi_key(xis[static_cast<std::size_t>(x)]);
-          }
-          if (!consistent) throw store::SerdeError("clustershard layout drift");
-          const std::uint64_t shard_corrupt = reader.u64();
-          const std::uint64_t count = reader.u64();
-          if (count != shard_slots[s].size()) {
-            throw store::SerdeError("clustershard ISP count drift");
-          }
-          std::vector<IspOutcome> outcomes(static_cast<std::size_t>(count));
-          for (std::uint64_t i = 0; i < count; ++i) {
-            IspOutcome& out = outcomes[static_cast<std::size_t>(i)];
-            const AsIndex isp = static_cast<AsIndex>(reader.u64());
-            if (isp != isps[shard_slots[s][static_cast<std::size_t>(i)]]) {
-              throw store::SerdeError("clustershard ISP order drift");
-            }
-            out.failed = reader.u8() != 0;
-            out.error = reader.str();
-            out.per_xi = store::decode_clusterings(reader);
-            if (out.per_xi.size() != xis.size()) {
-              throw store::SerdeError("clustershard xi count drift");
-            }
-          }
-          const std::uint64_t delta_count = reader.u64();
-          std::vector<std::pair<std::string, std::uint64_t>> deltas;
-          deltas.reserve(static_cast<std::size_t>(delta_count));
-          for (std::uint64_t i = 0; i < delta_count; ++i) {
-            std::string name = reader.str();
-            const std::uint64_t value = reader.u64();
-            deltas.emplace_back(std::move(name), value);
-          }
-          // Fully decoded: commit. Replaying the worker's domain-counter
-          // deltas makes the merged registry match a single-process cold
-          // run's counters exactly (the worker bracketed only the fan-out).
-          for (std::size_t i = 0; i < outcomes.size(); ++i) {
-            merged.outcomes[shard_slots[s][i]] = std::move(outcomes[i]);
-          }
-          for (const auto& [name, value] : deltas) {
-            obs::metrics().counter(name).add(value);
-          }
-          merged.corrupt_matrices += shard_corrupt;
-          replayed = true;
-        } catch (const Error&) {
-          replayed = false;
-        }
-      }
-      if (!replayed) {
-        // Missing, corrupt, or drifted shard artifact: recompute its ISPs in
-        // this process. The outputs are bit-identical (that is the whole
-        // bit-identity contract); only store.* bookkeeping shifts, which the
-        // shard tests already exclude. Not a health event -- the transport
-        // cache missed, nothing degraded.
-        obs::metrics().counter("store.shard_fallback").add(1);
-        std::vector<AsIndex> mine;
-        mine.reserve(shard_slots[s].size());
-        for (const std::size_t slot : shard_slots[s]) {
-          mine.push_back(isps[slot]);
-        }
-        ClusterFanout fanout = cluster_isps(mine, xis);
-        for (std::size_t i = 0; i < mine.size(); ++i) {
-          merged.outcomes[shard_slots[s][i]] = std::move(fanout.outcomes[i]);
-        }
-        merged.corrupt_matrices += fanout.corrupt_matrices;
-      }
-    }
-
-    return merged;
-  });
 }
 
 const IspClustering* Pipeline::clustering_of(double xi, AsIndex isp) const {

@@ -172,35 +172,6 @@ class Pipeline {
   /// ISPs hosting at least one offnet in the 2023 discovery.
   std::vector<AsIndex> hosting_isps_2023() const;
 
-  // --- multi-process shard mode (examples/repro-shard, docs/SCALING.md) ---
-  //
-  // The clustering stage partitions its hosting ISPs across `shard_count`
-  // cooperating processes. Each worker process runs
-  // compute_clustering_shard() for its shard index and publishes the
-  // outcomes (plus its domain-counter deltas) as a "clustershard" artifact;
-  // the parent then runs merge_clustering_shards(), which replays every
-  // shard's outcomes through the exact ISP-ordered merge the single-process
-  // fan-out uses. Results, StageHealth and domain counters are bit-identical
-  // to a single-process run for every shard count (tests/test_scale.cpp).
-
-  /// Deterministic shard assignment: which of `shard_count` shards owns
-  /// `isp`. Pure function of (measurement digest, isp), so every process
-  /// agrees on the partition without coordination.
-  static std::size_t shard_of(std::uint64_t measurement_digest, AsIndex isp,
-                              std::size_t shard_count) noexcept;
-
-  /// Worker half: clusters only the hosting ISPs this shard owns and
-  /// publishes the outcomes as a "clustershard" artifact in the attached
-  /// store (the shared medium between shard processes). Requires a store.
-  void compute_clustering_shard(std::size_t shard, std::size_t shard_count,
-                                double xi = 0.1) const;
-
-  /// Parent half: clusterings(xi) with the shards as its fan-out -- loads
-  /// every shard's artifact (recomputing a missing or corrupt one), replays
-  /// the counter deltas and runs the canonical ISP-ordered merge, unless the
-  /// batch is cached or warm. clusterings(xi) then answers from the cache.
-  void merge_clustering_shards(std::size_t shard_count, double xi = 0.1) const;
-
  private:
   /// A persisted stage's compute result: one value per artifact key, its
   /// health, and a store note (corruption the compute recovered from).
@@ -235,13 +206,6 @@ class Pipeline {
     std::vector<IspOutcome> outcomes;
     std::uint64_t corrupt_matrices = 0;
   };
-
-  /// clusterings(xi) through persisted_stage, with `fanout(isps, xis)` --
-  /// the in-process fan-out or the shard merge's replay -- producing the
-  /// outcomes; caches each xi of the batch that is not cached yet.
-  template <class Fanout>
-  const std::vector<IspClustering>& clustering_stage(double xi,
-                                                     Fanout&& fanout) const;
 
   /// Runs the per-ISP clustering fan-out over the thread pool. Pure with
   /// respect to pipeline state other than lazily forcing the mesh/registry

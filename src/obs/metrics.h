@@ -17,8 +17,8 @@
 //   - 1920 buckets cover the whole uint64 unit range (sub-ns .. ~213 days).
 // Because the boundaries are a pure function of the bucket index, snapshots
 // taken in different threads or processes can be merged by adding counts
-// per index (HistogramSnapshot::merge) -- the substrate for sharded runs
-// and the report service's p50/p99 queries.
+// per index (HistogramSnapshot::merge), and percentiles read straight off
+// the buckets (the report service's p50/p99 queries).
 //
 // All metric objects are thread-safe and live for the process lifetime;
 // references returned by the registry stay valid forever, so hot paths can
@@ -74,7 +74,7 @@ struct HistogramBucket {
   std::uint64_t count = 0;
 };
 
-/// Point-in-time copy of a histogram for export and cross-shard merging.
+/// Point-in-time copy of a histogram for export and merging.
 /// Only occupied buckets are stored, sorted by index.
 struct HistogramSnapshot {
   std::uint64_t count = 0;
@@ -94,9 +94,9 @@ struct HistogramSnapshot {
   /// (bit-exact -- boundaries are global so no re-binning happens), count
   /// and min/max combine exactly, percentiles are recomputed. `sum` is a
   /// float accumulation and is not guaranteed bit-exact across merge
-  /// orders. Merging shard snapshots recorded from a partition of one
-  /// value stream yields the same buckets/count/min/max as a single
-  /// histogram fed the whole stream.
+  /// orders. Merging snapshots recorded from a partition of one value
+  /// stream yields the same buckets/count/min/max as a single histogram
+  /// fed the whole stream.
   void merge(const HistogramSnapshot& other);
 };
 

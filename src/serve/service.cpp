@@ -59,6 +59,16 @@ double rate_in_unit(const obs::JsonValue& value, const char* field) {
   return v;
 }
 
+/// A seed must be an integer the u64 cast can represent: casting a negative
+/// or out-of-range double is undefined, and a fraction would be truncated.
+std::uint64_t seed_in_range(const obs::JsonValue& value, const char* field) {
+  const double v = finite_number(value, field);
+  if (!(v >= 0.0 && v < 0x1p64) || v != std::floor(v)) {
+    throw Error(std::string(field) + " must be an integer in [0, 2^64)");
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
 double xi_in_range(const obs::JsonValue& value) {
   const double v = finite_number(value, "xi");
   if (!(v > 0.0 && v < 1.0)) throw Error("xi outside (0, 1)");
@@ -134,8 +144,7 @@ QueryRequest parse_request(std::string_view line, Scale default_scale) {
             finite_number(value, "fault"));
       }
     } else if (key == "fault_seed") {
-      request.plan.seed =
-          static_cast<std::uint64_t>(finite_number(value, "fault_seed"));
+      request.plan.seed = seed_in_range(value, "fault_seed");
     } else if (key == "flap_rate") {
       request.plan.route.flap_rate = rate_in_unit(value, "flap_rate");
     } else if (key == "missing_ptr_rate") {

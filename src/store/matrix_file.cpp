@@ -96,8 +96,8 @@ void write_matrix_file(const std::string& path, const LatencyMatrix& matrix) {
           fnv1a_bytes(bytes.data(), checksum_offset(rows, matrix.vp_count)));
 
   // Atomic publish: temp file next to the target, then one rename. The
-  // temp name carries the PID so concurrent writers (two shard processes
-  // warming unrelated ISPs in one directory) never collide; identical
+  // temp name carries the PID so concurrent writers (two processes over
+  // one store's stream directory) never collide; identical
   // inputs produce identical bytes, so a lost rename race is harmless.
   namespace fs = std::filesystem;
   const fs::path target(path);

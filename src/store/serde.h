@@ -48,9 +48,6 @@ inline constexpr std::uint32_t kLatencyMatrixSchema = 1;
 // the last ulps; v1 artifacts would replay stdlib-dependent results.
 inline constexpr std::uint32_t kClusteringSchema = 2;
 inline constexpr std::uint32_t kInternetSchema = 1;
-// Shard-transport payload of the multi-process clustering mode: per-ISP
-// outcome slots plus the worker's domain-counter deltas (docs/SCALING.md).
-inline constexpr std::uint32_t kClusterShardSchema = 1;
 
 /// Append-only little-endian byte sink.
 class ByteWriter {

@@ -1,19 +1,8 @@
-// The scale fence (docs/SCALING.md): every way of spreading the clustering
-// stage across processes or memory substrates is bit-identical to the plain
-// single-process, in-memory pipeline.
-//
-//   * k-shard compute+merge (k in {1, 2, 4, 7}) == single process, for a
-//     clean plan and for chaos(): clusterings, StageHealth, Table 1/2
-//     renders, and every run-report domain counter.
-//   * Shard-count invariance holds with the shared store warm or cold.
-//   * The streamed matrix substrate (spill to .mmx, mmap back,
-//     block-streamed pairwise distances) produces the same pipeline run as
-//     the in-memory substrate, for any block height.
-//
-// Workers here run in-process (fresh ArtifactStore handle per worker over
-// one shared root, metrics reset between phases) -- the same store-mediated
-// protocol the forked repro-shard processes use, minus the fork; the real
-// multi-process path is exercised by scripts/check.sh's shard tier.
+// The scale fence (docs/SCALING.md): the streamed matrix substrate (spill
+// to .mmx, mmap back, block-streamed pairwise distances) produces the same
+// pipeline run as the plain in-memory substrate -- clusterings, StageHealth,
+// Table 1/2 renders and every run-report domain counter -- for any block
+// height, and its spills persist under an attached store.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -21,7 +10,6 @@
 #include <filesystem>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -56,8 +44,8 @@ class ScaleTest : public ::testing::Test {
     fs::remove_all(root_, ec);
   }
 
-  /// Fresh store handle over a per-k subdirectory (cold) or a shared one
-  /// (warm reruns) -- one handle per Pipeline, like one per process.
+  /// Fresh store handle over a subdirectory of the test root -- one handle
+  /// per Pipeline.
   std::shared_ptr<store::ArtifactStore> open_store(const std::string& sub) {
     store::StoreConfig config;
     config.root = (root_ / sub).string();
@@ -67,9 +55,9 @@ class ScaleTest : public ::testing::Test {
   fs::path root_;
 };
 
-/// Domain counters only: store.* and pipeline.* describe the transport
-/// (hits, spills, shard bookkeeping), which legitimately differs between
-/// process layouts; everything else must not.
+/// Domain counters only: store.* and pipeline.* describe persistence
+/// bookkeeping (hits, spills), which legitimately differs between
+/// substrates; everything else must not.
 std::map<std::string, std::uint64_t> domain_counters() {
   std::map<std::string, std::uint64_t> out;
   for (const auto& [name, value] : obs::metrics().snapshot().counters) {
@@ -143,104 +131,6 @@ void expect_identical_runs(const PipelineRun& a, const PipelineRun& b,
                            const std::string& context) {
   expect_identical_outputs(a, b, context);
   EXPECT_EQ(a.counters, b.counters) << context;
-}
-
-class ShardModeTest : public ScaleTest {
- protected:
-  /// Single-process baseline over `sub`. A throwaway pipeline first
-  /// publishes the shared stage artifacts (topology, population, scan) so
-  /// the measured run is warm for those stages and cold only for
-  /// clustering -- the exact stage temperature of a shard-mode parent,
-  /// whose workers published the same artifacts. Without this the baseline
-  /// would carry stage counters (scan.*, tls.*) no shard parent ever sees.
-  PipelineRun run_single(const fault::FaultPlan& plan, const std::string& sub) {
-    {
-      Pipeline prewarm(Scenario::tiny(), plan, open_store(sub));
-      prewarm.hosting_isps_2023();
-    }
-    obs::metrics().reset();
-    Pipeline pipeline(Scenario::tiny(), plan, open_store(sub));
-    return collect(pipeline);
-  }
-
-  /// k workers then a merging parent, each with its own Pipeline and store
-  /// handle over the shared root; metrics are reset per phase so each
-  /// in-process "process" sees its own registry, like real processes do.
-  PipelineRun run_sharded(std::size_t shards, const fault::FaultPlan& plan,
-                  const std::string& sub) {
-    for (std::size_t shard = 0; shard < shards; ++shard) {
-      obs::metrics().reset();
-      Pipeline worker(Scenario::tiny(), plan, open_store(sub));
-      worker.compute_clustering_shard(shard, shards, 0.1);
-    }
-    obs::metrics().reset();
-    Pipeline parent(Scenario::tiny(), plan, open_store(sub));
-    parent.merge_clustering_shards(shards, 0.1);
-    return collect(parent);
-  }
-};
-
-TEST_F(ShardModeTest, ShardOfIsDeterministicAndCoversRange) {
-  const std::uint64_t digest = measurement_digest(Scenario::tiny());
-  std::set<std::size_t> seen;
-  for (AsIndex isp = 0; isp < 1000; ++isp) {
-    const std::size_t shard = Pipeline::shard_of(digest, isp, 7);
-    EXPECT_LT(shard, 7u);
-    EXPECT_EQ(shard, Pipeline::shard_of(digest, isp, 7)) << "unstable";
-    seen.insert(shard);
-  }
-  // A 7-way split of 1000 ISPs that leaves shards empty would mean the
-  // partition is degenerate, not just unlucky.
-  EXPECT_EQ(seen.size(), 7u);
-  // Different measurement digests shuffle the assignment (the partition is
-  // keyed, not positional), and shard_count<=1 collapses to shard 0.
-  EXPECT_EQ(Pipeline::shard_of(digest, 3, 1), 0u);
-  EXPECT_EQ(Pipeline::shard_of(digest, 3, 0), 0u);
-  bool any_differs = false;
-  for (AsIndex isp = 0; isp < 1000 && !any_differs; ++isp) {
-    any_differs = Pipeline::shard_of(digest, isp, 7) !=
-                  Pipeline::shard_of(digest + 1, isp, 7);
-  }
-  EXPECT_TRUE(any_differs);
-}
-
-TEST_F(ShardModeTest, CleanShardCountsBitIdenticalToSingle) {
-  const fault::FaultPlan clean = fault::FaultPlan::none();
-  const PipelineRun single = run_single(clean, "single");
-  ASSERT_FALSE(single.xi01.empty());
-  for (const std::size_t k : {1u, 2u, 4u, 7u}) {
-    const PipelineRun sharded = run_sharded(k, clean, "k" + std::to_string(k));
-    expect_identical_runs(single, sharded,
-                          "clean k=" + std::to_string(k));
-  }
-}
-
-TEST_F(ShardModeTest, ChaosShardCountsBitIdenticalToSingle) {
-  // Under chaos() the fault injections (and the store's own corruption
-  // chaos, deterministic per filename) land identically no matter which
-  // process clusters which ISP.
-  const fault::FaultPlan plan = fault::FaultPlan::chaos();
-  const PipelineRun single = run_single(plan, "single");
-  ASSERT_FALSE(single.xi01.empty());
-  for (const std::size_t k : {1u, 2u, 4u, 7u}) {
-    const PipelineRun sharded = run_sharded(k, plan, "k" + std::to_string(k));
-    expect_identical_runs(single, sharded,
-                          "chaos k=" + std::to_string(k));
-  }
-}
-
-TEST_F(ShardModeTest, WarmStoreShardCountInvariance) {
-  // One shared root: the k=4 pass computes everything cold; the k=2 and
-  // k=7 reruns find the matrices (and stage artifacts) warm. Warm reruns
-  // must agree with each other on every fence dimension, and with the cold
-  // run on outputs -- counters legitimately lose the measurement-stage
-  // entries once matrices come from disk instead of being measured.
-  const fault::FaultPlan clean = fault::FaultPlan::none();
-  const PipelineRun cold = run_sharded(4, clean, "shared");
-  const PipelineRun warm2 = run_sharded(2, clean, "shared");
-  const PipelineRun warm7 = run_sharded(7, clean, "shared");
-  expect_identical_runs(warm2, warm7, "warm k=2 vs warm k=7");
-  expect_identical_outputs(cold, warm2, "cold k=4 vs warm k=2");
 }
 
 using StreamedSubstrateTest = ScaleTest;

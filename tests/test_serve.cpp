@@ -285,6 +285,9 @@ TEST_F(ServeTest, HostileInputNeverKillsTheLoop) {
       "{\"query\":\"table2\",\"xi\":\"x\"}",       // xi wrong type
       "{\"query\":\"table2\",\"xi\":0.5,\"xis\":[0.5]}",  // both forms
       "{\"query\":\"table1\",\"xi\":0.5}",         // xi on a non-xi query
+      "{\"query\":\"table1\",\"fault_seed\":-1}",    // negative seed
+      "{\"query\":\"table1\",\"fault_seed\":1.5}",   // fractional seed
+      "{\"query\":\"table1\",\"fault_seed\":1e30}",  // seed past 2^64
       "{\"query\":\"ping\",\"id\":[1]}",           // unsupported id type
       nested,                                      // past the depth cap
       std::string(2 << 20, 'x'),                   // oversized line
