@@ -201,12 +201,12 @@ int main(int argc, char** argv) {
   const Scenario scenario = bench::scenario_from_env();
   const double xis[] = {0.1, 0.9};
 
-  // Every sweep point shares one artifact store, so the warm topology
-  // artifact (keyed by the topology digest alone, independent of the fault
-  // plan) is generated once by the clean baseline and reused by every later
-  // point instead of being regenerated per point. REPRO_STORE is honored
-  // when set; otherwise the store lives in a temp directory removed before
-  // exit, so the sweep stays side-effect free.
+  // Every sweep point shares one artifact store, so a point whose plan
+  // leaves the measurement faults clean (the route, rDNS and store
+  // pathologies) shares the clean baseline's world digest and reuses its
+  // scan and clustering artifacts instead of recomputing them. REPRO_STORE
+  // is honored when set; otherwise the store lives in a temp directory
+  // removed before exit, so the sweep stays side-effect free.
   std::shared_ptr<store::ArtifactStore> artifact_store =
       store::ArtifactStore::from_env();
   std::filesystem::path temp_store_root;

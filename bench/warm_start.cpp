@@ -3,8 +3,8 @@
 // Runs the heavy paper studies (Table 1, Table 2, Figure 2) twice over one
 // artifact store root: a cold pass into an empty store (computes and
 // publishes every artifact) and a warm pass with a fresh Pipeline over the
-// same root (population, scan, per-ISP latency matrices and clusterings all
-// come from disk). The warm outputs are checked bit-identical to the cold
+// same root (scan records, per-ISP latency matrices and clusterings all come
+// from disk; topology is regenerated). The warm outputs are checked bit-identical to the cold
 // ones -- the store's core contract -- and the speedup is reported.
 //
 // The store lives in <bench_out>/warm_start.store and is wiped at startup so
@@ -12,17 +12,14 @@
 // on purpose (this harness must never evict a store the user cares about).
 //
 // Each pass is timed end to end -- Pipeline construction (topology
-// generation, or its warm load from the Internet artifact) plus all three
-// studies -- so the reported speedup reflects a user-visible run, not just
-// the study phase. The Pipeline constructor is also timed on its own and the
-// store hit counter snapshotted around it, so the BENCH line records whether
-// the warm pass actually skipped topology generation ("warm_topology_hit").
+// generation) plus all three studies -- so the reported speedup reflects a
+// user-visible run, not just the study phase. The Pipeline constructor is
+// also timed on its own.
 //
 // Artifacts: BENCH_warm_start.json with "speedup" (end-to-end),
-// "cold_pipeline_seconds"/"warm_pipeline_seconds", "warm_topology_hit",
-// "store.hit", "store.miss" and "store.corrupt" fields (the store counters
-// of the warm pass). Exits nonzero if the warm pass is not bit-identical.
-#include <cstdint>
+// "cold_pipeline_seconds"/"warm_pipeline_seconds", "store.hit",
+// "store.miss" and "store.corrupt" fields (the store counters of the warm
+// pass). Exits nonzero if the warm pass is not bit-identical.
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -42,20 +39,16 @@ struct PassResult {
   std::map<std::string, fault::StageHealth> stages;
   /// End-to-end: Pipeline construction (topology) plus all three studies.
   double seconds = 0.0;
-  /// Pipeline construction alone: topology generation, or its warm load.
+  /// Pipeline construction alone: topology generation.
   double pipeline_seconds = 0.0;
-  /// Store hits during construction (>=1 means the topology came warm).
-  std::uint64_t construction_hits = 0;
 };
 
 PassResult run_pass(const Scenario& scenario,
                     const std::shared_ptr<store::ArtifactStore>& artifacts) {
   bench::Stopwatch watch;
-  const std::uint64_t hits_before = artifacts->stats().hits;
   Pipeline pipeline(scenario, fault::FaultPlan::none(), artifacts);
   PassResult result;
   result.pipeline_seconds = watch.seconds();
-  result.construction_hits = artifacts->stats().hits - hits_before;
   result.table1 = render(table1_study(pipeline));
   result.table2 = render(table2_study(pipeline, bench::kPaperXis));
   result.figure2 = render(figure2_study(pipeline, bench::kPaperXis));
@@ -95,11 +88,9 @@ int main() {
   auto warm_store = std::make_shared<store::ArtifactStore>(config);
   const PassResult warm = run_pass(scenario, warm_store);
   const store::StoreStats warm_stats = warm_store->stats();
-  const bool warm_topology_hit = warm.construction_hits >= 1;
-  std::printf("  %.1f s end to end (%.1f s topology, %s); "
+  std::printf("  %.1f s end to end (%.1f s topology); "
               "%llu hits, %llu misses, %llu corrupt\n",
               warm.seconds, warm.pipeline_seconds,
-              warm_topology_hit ? "loaded warm" : "REGENERATED",
               static_cast<unsigned long long>(warm_stats.hits),
               static_cast<unsigned long long>(warm_stats.misses),
               static_cast<unsigned long long>(warm_stats.corrupt));
@@ -119,12 +110,10 @@ int main() {
                 "\"cold_seconds\":%.6f,\"warm_seconds\":%.6f,"
                 "\"cold_pipeline_seconds\":%.6f,"
                 "\"warm_pipeline_seconds\":%.6f,"
-                "\"warm_topology_hit\":%s,"
                 "\"speedup\":%.3f,\"identical\":%s,\"store.hit\":%llu,"
                 "\"store.miss\":%llu,\"store.corrupt\":%llu",
                 cold.seconds, warm.seconds, cold.pipeline_seconds,
-                warm.pipeline_seconds, warm_topology_hit ? "true" : "false",
-                speedup, identical ? "true" : "false",
+                warm.pipeline_seconds, speedup, identical ? "true" : "false",
                 static_cast<unsigned long long>(warm_stats.hits),
                 static_cast<unsigned long long>(warm_stats.misses),
                 static_cast<unsigned long long>(warm_stats.corrupt));

@@ -24,11 +24,12 @@ int main() {
   if (std::getenv("REPRO_TRACE") == nullptr) obs::set_tracing(true);
 
   Scenario scenario = Scenario::paper();
-  const char* scale = std::getenv("REPRO_SCALE");
-  if (scale != nullptr) {
-    const std::string value = scale;
-    if (value == "tiny") scenario = Scenario::tiny();
-    else if (value == "small") scenario = Scenario::small();
+  if (const char* scale = std::getenv("REPRO_SCALE")) {
+    if (const auto parsed = parse_scale(scale); parsed.has_value()) {
+      scenario = Scenario::at_scale(*parsed);
+    } else {
+      std::fprintf(stderr, "unknown REPRO_SCALE '%s', using paper\n", scale);
+    }
   }
 
   fault::FaultPlan plan = fault::FaultPlan::from_env();

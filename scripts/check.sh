@@ -98,14 +98,22 @@ if [[ "${SKIP_WARM:-0}" != "1" ]]; then
   echo "== warm-equals-cold smoke (tiny scale) =="
   # Two full_report runs over one artifact store: the second starts warm and
   # must produce a byte-identical report (REPRO_TRACE=0 keeps timing tables
-  # out of the output, which legitimately differ between runs).
+  # out of the output, which legitimately differ between runs). Its store
+  # line must read 0 misses and 0 saved: every family a warm pass reads is
+  # persisted by the cold one.
   smoke_dir="$(mktemp -d)"
   REPRO_SCALE=tiny REPRO_TRACE=0 REPRO_STORE="$smoke_dir/store" \
     ./build/examples/full_report "$smoke_dir/cold.md" >/dev/null
   REPRO_SCALE=tiny REPRO_TRACE=0 REPRO_STORE="$smoke_dir/store" \
-    ./build/examples/full_report "$smoke_dir/warm.md" >/dev/null
+    ./build/examples/full_report "$smoke_dir/warm.md" >"$smoke_dir/warm.out"
   diff "$smoke_dir/cold.md" "$smoke_dir/warm.md"
-  echo "warm report byte-identical to cold"
+  misses="$(sed -n '/^artifact store /s/.*[^0-9]\([0-9]\{1,\}\) misses.*/\1/p' "$smoke_dir/warm.out")"
+  saved="$(sed -n '/^artifact store /s/.*[^0-9]\([0-9]\{1,\}\) saved.*/\1/p' "$smoke_dir/warm.out")"
+  if [[ "$misses" != "0" || "$saved" != "0" ]]; then
+    echo "FAIL: warm run took '$misses' store misses and saved '$saved' artifacts"
+    exit 1
+  fi
+  echo "warm report byte-identical to cold (0 store misses, 0 saved)"
 fi
 
 if [[ "${SKIP_TRACE:-0}" != "1" ]]; then

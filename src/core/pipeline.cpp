@@ -138,29 +138,10 @@ Pipeline::Pipeline(Scenario scenario, fault::FaultPlan plan,
     }
   }
 
-  // Warm topology (ROADMAP: generation dominates a fully warm run): the
-  // Internet artifact is keyed by the topology config alone, not the world
-  // digest, so scenarios differing only in measurement settings or fault
-  // plans share one persisted topology.
-  internet_ = std::move(
-      persisted_stage(
-          "topology", "pipeline.generate_internet",
-          {make_key("internet", store::kInternetSchema,
-                    topology_digest(scenario_.topology), {})},
-          store::encode,
-          +[](store::ByteReader& in) {
-            Internet internet = store::decode_internet(in);
-            obs::metrics().counter("pipeline.topology_store_hit").add(1);
-            return internet;
-          },
-          [&] {
-            StageOutput<Internet> out;
-            InternetGenerator generator(scenario_.topology);
-            out.values.push_back(generator.generate());
-            return out;
-          },
-          /*embeds_health=*/false)
-          .front());
+  {
+    obs::ScopedSpan span("pipeline.generate_internet");
+    internet_ = InternetGenerator(scenario_.topology).generate();
+  }
   obs::metrics().gauge("topology.metros").set(
       static_cast<double>(internet_.metros.size()));
   obs::metrics().gauge("topology.facilities").set(
@@ -199,8 +180,7 @@ std::vector<T> Pipeline::persisted_stage(
     const char* stage, const char* span_name,
     const std::vector<store::ArtifactKey>& keys,
     void (*encode)(store::ByteWriter&, const T&),
-    T (*decode)(store::ByteReader&), Compute&& compute,
-    bool embeds_health) const {
+    T (*decode)(store::ByteReader&), Compute&& compute) const {
   obs::ScopedSpan span(span_name);
   std::string corruption;
   if (artifacts_ != nullptr) {
@@ -224,13 +204,11 @@ std::vector<T> Pipeline::persisted_stage(
         std::vector<T> values;
         for (; x < keys.size(); ++x) {
           store::ByteReader reader(loads[x].payload);
-          if (embeds_health) {
-            fault::StageHealth h = store::decode_stage_health(reader);
-            if (x == 0) health = std::move(h);
-          }
+          fault::StageHealth h = store::decode_stage_health(reader);
+          if (x == 0) health = std::move(h);
           values.push_back(decode(reader));
         }
-        if (embeds_health) record_health(stage, std::move(health));
+        record_health(stage, std::move(health));
         return values;
       } catch (const Error& error) {
         corruption = keys[x].filename() + ": " + error.what();
@@ -246,7 +224,7 @@ std::vector<T> Pipeline::persisted_stage(
       out.health.status != fault::StageStatus::kFailed) {
     for (std::size_t x = 0; x < keys.size(); ++x) {
       store::ByteWriter writer;
-      if (embeds_health) store::encode(writer, out.health);
+      store::encode(writer, out.health);
       encode(writer, out.values[x]);
       artifacts_->save(keys[x], writer.bytes());
     }
@@ -255,10 +233,7 @@ std::vector<T> Pipeline::persisted_stage(
     note_store_corruption(out.health, out.store_note);
   }
   if (!corruption.empty()) note_store_corruption(out.health, corruption);
-  // A stage whose artifact embeds no health has a verdict only on failure.
-  if (embeds_health || out.health.status != fault::StageStatus::kOk) {
-    record_health(stage, std::move(out.health));
-  }
+  record_health(stage, std::move(out.health));
   return std::move(out.values);
 }
 
@@ -283,42 +258,34 @@ const CertStore& Pipeline::population(Snapshot snapshot) const {
     return it->second;
   }
 
-  std::vector<CertStore> computed = persisted_stage(
-      "tls_population", "pipeline.tls_population",
-      {make_key("population", store::kPopulationSchema, world_digest_,
-                {static_cast<std::uint64_t>(snapshot)})},
-      store::encode, store::decode_population, [&] {
-        StageOutput<CertStore> out;
-        fault::StageHealth& health = out.health;
-        CertStore& store = out.values.emplace_back();
-        try {
-          store = build_tls_population(internet_, registry(snapshot), snapshot,
-                                       scenario_.population);
-          health.total = store.size();
-          if (plan_.active()) {
-            fault::CertFaultOutcome outcome;
-            fault::inject_cert_faults(store, plan_, &outcome);
-            obs::metrics().counter("fault.cert_churned").add(outcome.churned);
-            obs::metrics().counter("fault.cert_garbled").add(outcome.garbled);
-            health.dropped = outcome.garbled;
-            if (outcome.churned + outcome.garbled > 0) {
-              health.status = fault::StageStatus::kDegraded;
-              health.reasons.push_back(count_reason(
-                  "certs garbled", outcome.garbled, health.total));
-              health.reasons.push_back(count_reason(
-                  "certs churned", outcome.churned, health.total));
-            }
-          }
-        } catch (const Error& error) {
-          health.status = fault::StageStatus::kFailed;
-          health.reasons.push_back(std::string("tls_population: ") +
-                                   error.what());
-          store = CertStore();
-        }
-        return out;
-      });
-  return populations_.emplace(snapshot, std::move(computed.front()))
-      .first->second;
+  obs::ScopedSpan span("pipeline.tls_population");
+  fault::StageHealth health;
+  CertStore store;
+  try {
+    store = build_tls_population(internet_, registry(snapshot), snapshot,
+                                 scenario_.population);
+    health.total = store.size();
+    if (plan_.active()) {
+      fault::CertFaultOutcome outcome;
+      fault::inject_cert_faults(store, plan_, &outcome);
+      obs::metrics().counter("fault.cert_churned").add(outcome.churned);
+      obs::metrics().counter("fault.cert_garbled").add(outcome.garbled);
+      health.dropped = outcome.garbled;
+      if (outcome.churned + outcome.garbled > 0) {
+        health.status = fault::StageStatus::kDegraded;
+        health.reasons.push_back(
+            count_reason("certs garbled", outcome.garbled, health.total));
+        health.reasons.push_back(
+            count_reason("certs churned", outcome.churned, health.total));
+      }
+    }
+  } catch (const Error& error) {
+    health.status = fault::StageStatus::kFailed;
+    health.reasons.push_back(std::string("tls_population: ") + error.what());
+    store = CertStore();
+  }
+  record_health("tls_population", std::move(health));
+  return populations_.emplace(snapshot, std::move(store)).first->second;
 }
 
 const std::vector<ScanRecord>& Pipeline::scan_records(Snapshot snapshot) const {
@@ -636,14 +603,9 @@ Pipeline::ClusterFanout Pipeline::cluster_isps(
           obs::ScopedTimer timer("cluster.isp_wall_ms");
           IspOutcome& out = outcomes[i];
           try {
-            if (streaming) {
-              out.per_xi = cluster_streamed(isps[i]);
-            } else if (artifacts_ == nullptr) {
-              out.per_xi = clusterer.cluster_isp_multi(isps[i], xis);
-            } else {
-              out.per_xi = clusterer.cluster_isp_multi(isps[i], xis,
-                                                       fetch_matrix(isps[i]));
-            }
+            out.per_xi = streaming ? cluster_streamed(isps[i])
+                                   : clusterer.cluster_isp_multi(
+                                         isps[i], xis, fetch_matrix(isps[i]));
           } catch (const Error& error) {
             // Quality gate: one pathological ISP matrix must not abort the
             // other few thousand -- keep an unusable placeholder, move on.

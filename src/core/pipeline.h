@@ -12,10 +12,11 @@
 // plan every stage output is bit-identical to a Pipeline built without one.
 //
 // Warm starts: with an artifact store attached (REPRO_STORE=/path, or the
-// explicit constructor), the heavy stages -- topology, TLS population, scan
-// records, per-ISP latency matrices, clusterings -- consult the store before
-// computing and publish after. Topology, population, scan and clustering
-// share one private stage primitive (persisted_stage) for that sequence.
+// explicit constructor), the stages a warm pass reads -- scan records,
+// per-ISP latency matrices, clusterings -- consult the store before
+// computing and publish after. Scan and clustering share one private stage
+// primitive (persisted_stage) for that sequence; topology and the TLS
+// population are always computed (a warm scan never forces its population).
 // Artifacts are keyed by a digest over the measurement-relevant scenario
 // config, the fault plan, and the per-stage parameters, so a warm hit is
 // bit-identical to the cold compute (enforced by tests/test_store.cpp). A
@@ -107,8 +108,8 @@ class Pipeline {
   std::uint64_t world_digest() const noexcept { return world_digest_; }
 
   /// Health of every stage executed so far, keyed by stage name
-  /// ("topology" -- only when its artifact was corrupt -- "tls_population",
-  /// "scan", "discovery", "ping_mesh", "clustering", "rdns", "peering").
+  /// ("tls_population", "scan", "discovery", "ping_mesh", "clustering",
+  /// "rdns", "peering").
   const std::map<std::string, fault::StageHealth>& stage_health() const noexcept {
     return health_;
   }
@@ -182,16 +183,15 @@ class Pipeline {
     std::string store_note;
   };
 
-  /// The one persisted-stage primitive behind topology, population, scan
-  /// and clustering (pipeline.cpp; docs/PERSISTENCE.md). An artifact holds
-  /// the stage's StageHealth, unless !embeds_health, then the value.
+  /// The one persisted-stage primitive behind scan and clustering
+  /// (pipeline.cpp; docs/PERSISTENCE.md). An artifact holds the stage's
+  /// StageHealth, then the value.
   template <class T, class Compute>
   std::vector<T> persisted_stage(const char* stage, const char* span_name,
                                  const std::vector<store::ArtifactKey>& keys,
                                  void (*encode)(store::ByteWriter&, const T&),
                                  T (*decode)(store::ByteReader&),
-                                 Compute&& compute,
-                                 bool embeds_health = true) const;
+                                 Compute&& compute) const;
 
   /// Outcome slot of one ISP's clustering fan-out task.
   struct IspOutcome {

@@ -84,12 +84,11 @@ Scenario Scenario::at_scale(Scale scale) {
   return tiny();
 }
 
-namespace {
-
-/// The topology section shared by measurement_digest and topology_digest.
-/// Field-order matters: append-only, and bump the artifact schema versions
-/// in store/serde.h when an encoding (not just a key input) changes.
-void mix_topology(store::Fnv1a& h, const GeneratorConfig& topo) {
+std::uint64_t measurement_digest(const Scenario& scenario) {
+  // Field-order matters: append-only, and bump the artifact schema versions
+  // in store/serde.h when an encoding (not just a key input) changes.
+  store::Fnv1a h;
+  const GeneratorConfig& topo = scenario.topology;
   h.mix("topology")
       .mix(topo.seed)
       .mix(topo.scale)
@@ -106,19 +105,6 @@ void mix_topology(store::Fnv1a& h, const GeneratorConfig& topo) {
       .mix(topo.hg_pni_large_isp)
       .mix(topo.hg_pni_medium_isp)
       .mix(topo.hg_pni_small_isp);
-}
-
-}  // namespace
-
-std::uint64_t topology_digest(const GeneratorConfig& config) {
-  store::Fnv1a h;
-  mix_topology(h, config);
-  return h.digest();
-}
-
-std::uint64_t measurement_digest(const Scenario& scenario) {
-  store::Fnv1a h;
-  mix_topology(h, scenario.topology);
   const DeploymentConfig& deploy = scenario.deployment;
   h.mix("deployment")
       .mix(deploy.seed)

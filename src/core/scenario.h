@@ -83,21 +83,15 @@ struct Scenario {
 /// 64-bit digest over every scenario field that determines the persistent
 /// pipeline artifacts (topology, deployment, population, scanner, ping and
 /// filter configs plus the vantage-point campaign). Two scenarios with the
-/// same digest produce bit-identical scan records, TLS populations, latency
-/// matrices and clusterings, so the artifact store keys on it. When you add
-/// a field to one of these configs, mix it in here (and see the versioning
-/// rules in docs/PERSISTENCE.md). Thread counts are deliberately excluded:
+/// same digest produce bit-identical scan records, latency matrices and
+/// clusterings, so the artifact store keys on it. When you add a field to
+/// one of these configs, mix it in here (and see the versioning rules in
+/// docs/PERSISTENCE.md). Thread counts are deliberately excluded:
 /// parallel execution is bit-identical to serial (docs/PARALLELISM.md), so
 /// a warm start is valid across any REPRO_THREADS setting. The Scale tag
 /// and the stream_matrices/stream_block_rows knobs are excluded for the
 /// same reason: streamed execution is bit-identical to in-memory
 /// (docs/SCALING.md), so both substrates share one artifact family.
 std::uint64_t measurement_digest(const Scenario& scenario);
-
-/// 64-bit digest over the topology-generator config alone: the key for the
-/// warm-Internet artifact. Mixes exactly the topology section of
-/// measurement_digest, so scenarios differing only in measurement settings
-/// (deployment, ping, vantage...) share one persisted topology.
-std::uint64_t topology_digest(const GeneratorConfig& config);
 
 }  // namespace repro

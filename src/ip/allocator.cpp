@@ -25,9 +25,4 @@ std::uint64_t PrefixAllocator::remaining() const noexcept {
   return pool_.size() - next_offset_;
 }
 
-void PrefixAllocator::restore_next_offset(std::uint64_t offset) {
-  require(offset <= pool_.size(), "PrefixAllocator: offset outside pool");
-  next_offset_ = offset;
-}
-
 }  // namespace repro

@@ -28,14 +28,6 @@ class PrefixAllocator {
 
   const Prefix& pool() const noexcept { return pool_; }
 
-  /// Offset of the first unallocated address; with pool(), the allocator's
-  /// complete state (for serialization).
-  std::uint64_t next_offset() const noexcept { return next_offset_; }
-
-  /// Restores a serialized position. Throws Error when the offset lies
-  /// outside the pool.
-  void restore_next_offset(std::uint64_t offset);
-
  private:
   Prefix pool_;
   std::uint64_t next_offset_ = 0;  // offset of the first unallocated address

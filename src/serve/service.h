@@ -20,8 +20,8 @@
 // request can never kill the daemon loop.
 //
 // Three layers of reuse, coldest to warmest:
-//   1. store artifacts (population, scan, per-ISP matrices, per-xi
-//      clusterings, topology) via Pipeline's load_or_compute keys,
+//   1. store artifacts (scan, per-ISP matrices, per-xi clusterings) via
+//      Pipeline's load_or_compute keys,
 //   2. resident pipelines (in-process stage caches) via ArtifactResolver,
 //   3. rendered reports, keyed by (measurement digest, full plan JSON,
 //      query, xi set) in a bounded LRU with single-flight compute --

@@ -53,7 +53,7 @@ namespace repro::store {
 /// Identity of one stored artifact. The digest must cover every input that
 /// can change the payload (build it with Fnv1a).
 struct ArtifactKey {
-  std::string type;           // "scan", "population", "matrix", "clustering"
+  std::string type;           // "scan", "matrix" or "clustering"
   std::uint32_t schema = 1;   // the per-type schema constant from serde.h
   std::uint64_t digest = 0;
 

@@ -1,6 +1,5 @@
 #include "store/serde.h"
 
-#include <algorithm>
 #include <bit>
 #include <limits>
 #include <utility>
@@ -188,30 +187,6 @@ std::vector<ScanRecord> decode_scan_records(ByteReader& in) {
   return records;
 }
 
-// --- TLS population ---
-
-void encode(ByteWriter& out, const CertStore& population) {
-  // all_sorted() gives a deterministic order, so equal populations encode
-  // to equal bytes (the artifact digest relies on nothing but equality, but
-  // determinism keeps corpus tests and dedup simple).
-  const std::vector<TlsEndpoint> endpoints = population.all_sorted();
-  out.u64(endpoints.size());
-  for (const TlsEndpoint& endpoint : endpoints) {
-    out.u32(endpoint.ip.value());
-    encode(out, endpoint.cert);
-  }
-}
-
-CertStore decode_population(ByteReader& in) {
-  const std::uint64_t count = checked_count(in.u64(), "population endpoints");
-  CertStore population;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const Ipv4 ip(in.u32());
-    population.install(ip, decode_certificate(in));
-  }
-  return population;
-}
-
 // --- latency matrices ---
 
 void encode(ByteWriter& out, const LatencyMatrix& matrix) {
@@ -324,245 +299,6 @@ fault::StageHealth decode_stage_health(ByteReader& in) {
     health.reasons.push_back(in.str());
   }
   return health;
-}
-
-// --- Internet topology ---
-
-namespace {
-
-void encode_prefix(ByteWriter& out, const Prefix& prefix) {
-  out.u32(prefix.network().value());
-  out.u8(static_cast<std::uint8_t>(prefix.length()));
-}
-
-Prefix decode_prefix(ByteReader& in) {
-  const std::uint32_t network = in.u32();
-  const std::uint8_t length = in.u8();
-  if (length > 32) {
-    throw SerdeError("prefix length " + std::to_string(length) + " > 32");
-  }
-  return Prefix(Ipv4(network), length);
-}
-
-std::uint32_t checked_index(std::uint32_t index, std::size_t limit,
-                            const char* what) {
-  // kInvalidIndex is a legal "absent" marker (e.g. an IXP link's facility).
-  if (index != kInvalidIndex && index >= limit) {
-    throw SerdeError(std::string(what) + ": index " + std::to_string(index) +
-                     " out of range");
-  }
-  return index;
-}
-
-void encode_geo(ByteWriter& out, const GeoPoint& point) {
-  out.f64(point.latitude_deg);
-  out.f64(point.longitude_deg);
-}
-
-GeoPoint decode_geo(ByteReader& in) {
-  GeoPoint point;
-  point.latitude_deg = in.f64();
-  point.longitude_deg = in.f64();
-  return point;
-}
-
-}  // namespace
-
-void encode(ByteWriter& out, const Internet& internet) {
-  out.u64(internet.metros.size());
-  for (const Metro& metro : internet.metros) {
-    out.str(metro.name);
-    out.str(metro.iata);
-    out.u32(metro.country);
-    encode_geo(out, metro.location);
-    out.f64(metro.users);
-  }
-
-  out.u64(internet.facilities.size());
-  for (const Facility& facility : internet.facilities) {
-    out.str(facility.name);
-    out.u8(static_cast<std::uint8_t>(facility.kind));
-    out.u32(facility.metro);
-    out.u32(facility.owner_asn);
-    encode_geo(out, facility.location);
-  }
-
-  out.u64(internet.ixps.size());
-  for (const Ixp& ixp : internet.ixps) {
-    out.str(ixp.name);
-    out.u32(ixp.metro);
-    out.u32(ixp.facility);
-    encode_prefix(out, ixp.peering_lan);
-    out.u64(ixp.members.size());
-    for (const AsIndex member : ixp.members) out.u32(member);
-    out.f64(ixp.port_capacity_gbps);
-  }
-
-  // Adjacency (provider/customer/peer link lists) is deliberately omitted:
-  // replaying add_link below rebuilds it in identical order.
-  out.u64(internet.ases.size());
-  for (const As& as : internet.ases) {
-    out.u32(as.asn);
-    out.str(as.name);
-    out.u8(static_cast<std::uint8_t>(as.tier));
-    out.u32(as.country);
-    out.f64(as.users);
-    out.u64(as.metros.size());
-    for (const MetroIndex metro : as.metros) out.u32(metro);
-    out.u64(as.facilities.size());
-    for (const FacilityIndex facility : as.facilities) out.u32(facility);
-    out.u32(as.primary_metro);
-    encode_prefix(out, as.infra.pool());
-    out.u64(as.infra.next_offset());
-    out.u64(as.user_prefixes.size());
-    for (const Prefix& prefix : as.user_prefixes) encode_prefix(out, prefix);
-  }
-
-  out.u64(internet.links.size());
-  for (const InterdomainLink& link : internet.links) {
-    out.u8(static_cast<std::uint8_t>(link.kind));
-    out.u32(link.a);
-    out.u32(link.b);
-    out.u32(link.facility);
-    out.u32(link.ixp);
-    out.f64(link.capacity_gbps);
-  }
-
-  // Announcements: trie entries() is lexicographic, hence deterministic.
-  const auto announcements = internet.ip_to_as().entries();
-  out.u64(announcements.size());
-  for (const auto& [prefix, as_index] : announcements) {
-    encode_prefix(out, prefix);
-    out.u32(as_index);
-  }
-
-  // Peering-LAN ports, sorted by address for a deterministic encoding.
-  std::vector<std::pair<Ipv4, IxpPortInfo>> ports(
-      internet.ixp_ports().begin(), internet.ixp_ports().end());
-  std::sort(ports.begin(), ports.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  out.u64(ports.size());
-  for (const auto& [address, info] : ports) {
-    out.u32(address.value());
-    out.u32(info.ixp);
-    out.u32(info.member);
-  }
-}
-
-Internet decode_internet(ByteReader& in) {
-  Internet internet;
-
-  const std::uint64_t metros = checked_count(in.u64(), "metros");
-  for (std::uint64_t m = 0; m < metros; ++m) {
-    Metro metro;
-    metro.name = in.str();
-    metro.iata = in.str();
-    metro.country = in.u32();
-    metro.location = decode_geo(in);
-    metro.users = in.f64();
-    internet.add_metro(std::move(metro));
-  }
-
-  const std::uint64_t facilities = checked_count(in.u64(), "facilities");
-  for (std::uint64_t f = 0; f < facilities; ++f) {
-    Facility facility;
-    facility.name = in.str();
-    const std::uint8_t kind = in.u8();
-    if (kind > static_cast<std::uint8_t>(FacilityKind::kColocation)) {
-      throw SerdeError("unknown facility kind " + std::to_string(kind));
-    }
-    facility.kind = static_cast<FacilityKind>(kind);
-    facility.metro = checked_index(in.u32(), metros, "facility metro");
-    facility.owner_asn = in.u32();
-    facility.location = decode_geo(in);
-    internet.add_facility(std::move(facility));
-  }
-
-  const std::uint64_t ixps = checked_count(in.u64(), "ixps");
-  for (std::uint64_t x = 0; x < ixps; ++x) {
-    Ixp ixp;
-    ixp.name = in.str();
-    ixp.metro = checked_index(in.u32(), metros, "ixp metro");
-    ixp.facility = checked_index(in.u32(), facilities, "ixp facility");
-    ixp.peering_lan = decode_prefix(in);
-    const std::uint64_t members = checked_count(in.u64(), "ixp members");
-    ixp.members.reserve(members);
-    for (std::uint64_t i = 0; i < members; ++i) ixp.members.push_back(in.u32());
-    ixp.port_capacity_gbps = in.f64();
-    internet.add_ixp(std::move(ixp));
-  }
-
-  const std::uint64_t ases = checked_count(in.u64(), "ases");
-  for (std::uint64_t a = 0; a < ases; ++a) {
-    As as;
-    as.asn = in.u32();
-    as.name = in.str();
-    const std::uint8_t tier = in.u8();
-    if (tier > static_cast<std::uint8_t>(AsTier::kHypergiant)) {
-      throw SerdeError("unknown AS tier " + std::to_string(tier));
-    }
-    as.tier = static_cast<AsTier>(tier);
-    as.country = in.u32();
-    as.users = in.f64();
-    const std::uint64_t as_metros = checked_count(in.u64(), "AS metros");
-    as.metros.reserve(as_metros);
-    for (std::uint64_t i = 0; i < as_metros; ++i) {
-      as.metros.push_back(checked_index(in.u32(), metros, "AS metro"));
-    }
-    const std::uint64_t as_facilities = checked_count(in.u64(), "AS facilities");
-    as.facilities.reserve(as_facilities);
-    for (std::uint64_t i = 0; i < as_facilities; ++i) {
-      as.facilities.push_back(
-          checked_index(in.u32(), facilities, "AS facility"));
-    }
-    as.primary_metro = checked_index(in.u32(), metros, "AS primary metro");
-    as.infra = PrefixAllocator(decode_prefix(in));
-    const std::uint64_t next_offset = in.u64();
-    if (next_offset > as.infra.pool().size()) {
-      throw SerdeError("allocator offset outside pool");
-    }
-    as.infra.restore_next_offset(next_offset);
-    const std::uint64_t user_prefixes =
-        checked_count(in.u64(), "AS user prefixes");
-    as.user_prefixes.reserve(user_prefixes);
-    for (std::uint64_t i = 0; i < user_prefixes; ++i) {
-      as.user_prefixes.push_back(decode_prefix(in));
-    }
-    internet.add_as(std::move(as));
-  }
-
-  const std::uint64_t links = checked_count(in.u64(), "links");
-  for (std::uint64_t l = 0; l < links; ++l) {
-    InterdomainLink link;
-    const std::uint8_t kind = in.u8();
-    if (kind > static_cast<std::uint8_t>(LinkKind::kIxpPeering)) {
-      throw SerdeError("unknown link kind " + std::to_string(kind));
-    }
-    link.kind = static_cast<LinkKind>(kind);
-    link.a = checked_index(in.u32(), ases, "link endpoint");
-    link.b = checked_index(in.u32(), ases, "link endpoint");
-    link.facility = checked_index(in.u32(), facilities, "link facility");
-    link.ixp = checked_index(in.u32(), ixps, "link ixp");
-    link.capacity_gbps = in.f64();
-    internet.add_link(link);  // rebuilds both endpoints' adjacency in order
-  }
-
-  const std::uint64_t announcements = checked_count(in.u64(), "announcements");
-  for (std::uint64_t i = 0; i < announcements; ++i) {
-    const Prefix prefix = decode_prefix(in);
-    const AsIndex as_index = checked_index(in.u32(), ases, "announcement AS");
-    internet.announce(as_index, prefix);
-  }
-
-  const std::uint64_t ports = checked_count(in.u64(), "ixp ports");
-  for (std::uint64_t i = 0; i < ports; ++i) {
-    const Ipv4 address(in.u32());
-    const IxpIndex ixp = checked_index(in.u32(), ixps, "port ixp");
-    const AsIndex member = checked_index(in.u32(), ases, "port member");
-    internet.register_ixp_port(address, ixp, member);
-  }
-
-  return internet;
 }
 
 }  // namespace repro::store

@@ -1,8 +1,8 @@
 // Versioned binary serialization for the pipeline's heavy intermediates.
 //
-// The artifact store (artifact_store.h) persists four expensive artifact
-// families across processes: scan-record vectors, TLS populations
-// (CertStore), per-ISP ping-mesh latency matrices, and per-ISP clustering
+// The artifact store (artifact_store.h) persists three expensive artifact
+// families across processes -- exactly what a warm pass reads: scan-record
+// vectors, per-ISP ping-mesh latency matrices, and per-ISP clustering
 // results. Each family has an explicit little-endian wire encoding and a
 // per-type schema version (bump the constant whenever the struct or its
 // encoding changes -- stale artifacts then miss instead of decoding
@@ -26,8 +26,7 @@
 #include "fault/stage_health.h"
 #include "mlab/ping_mesh.h"
 #include "scan/scanner.h"
-#include "tls/cert_store.h"
-#include "topology/internet.h"
+#include "tls/certificate.h"
 #include "util/error.h"
 
 namespace repro::store {
@@ -41,13 +40,11 @@ class SerdeError : public Error {
 
 // --- per-type schema versions (see docs/PERSISTENCE.md for bump rules) ---
 inline constexpr std::uint32_t kScanRecordsSchema = 1;
-inline constexpr std::uint32_t kPopulationSchema = 1;
 inline constexpr std::uint32_t kLatencyMatrixSchema = 1;
 // v2: the trimmed-Manhattan distance switched to the canonical
 // ascending-order sum (docs/PERFORMANCE.md), changing clustering inputs in
 // the last ulps; v1 artifacts would replay stdlib-dependent results.
 inline constexpr std::uint32_t kClusteringSchema = 2;
-inline constexpr std::uint32_t kInternetSchema = 1;
 
 /// Append-only little-endian byte sink.
 class ByteWriter {
@@ -126,9 +123,6 @@ TlsCertificate decode_certificate(ByteReader& in);
 void encode(ByteWriter& out, const std::vector<ScanRecord>& records);
 std::vector<ScanRecord> decode_scan_records(ByteReader& in);
 
-void encode(ByteWriter& out, const CertStore& population);
-CertStore decode_population(ByteReader& in);
-
 void encode(ByteWriter& out, const LatencyMatrix& matrix);
 LatencyMatrix decode_latency_matrix(ByteReader& in);
 
@@ -140,13 +134,5 @@ std::vector<IspClustering> decode_clusterings(ByteReader& in);
 
 void encode(ByteWriter& out, const fault::StageHealth& health);
 fault::StageHealth decode_stage_health(ByteReader& in);
-
-/// Full generated topology, for the warm-Internet artifact (keyed by
-/// topology_digest). AS adjacency lists are not encoded: decode replays
-/// add_link in link-index order, which rebuilds them exactly (add_link
-/// appends), so the round trip is structurally identical without the
-/// redundant bytes.
-void encode(ByteWriter& out, const Internet& internet);
-Internet decode_internet(ByteReader& in);
 
 }  // namespace repro::store

@@ -81,15 +81,6 @@ class Internet {
   /// Parallel links are common between hypergiants and large ISPs.
   std::vector<LinkIndex> peering_links_between(AsIndex a, AsIndex b) const;
 
-  // --- serialization access (store/serde.cpp) ---
-  /// The IP->AS announcement trie; entries() is deterministic, which the
-  /// Internet artifact encoding relies on.
-  const PrefixTrie<AsIndex>& ip_to_as() const noexcept { return ip_to_as_; }
-  /// All registered peering-LAN ports (unordered; serde sorts by address).
-  const std::unordered_map<Ipv4, IxpPortInfo>& ixp_ports() const noexcept {
-    return ixp_ports_;
-  }
-
  private:
   std::unordered_map<AsNumber, AsIndex> asn_index_;
   PrefixTrie<AsIndex> ip_to_as_;

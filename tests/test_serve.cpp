@@ -175,7 +175,7 @@ TEST_F(ServeTest, XiOnlyChangeRecomputesOnlyClusterExtraction) {
   EXPECT_EQ(stats.saved, 1u);
   // No matrix was re-measured: every load_or_compute hit warm bytes.
   EXPECT_EQ(stats.recomputed, 0u);
-  // Scan, population, topology and every per-ISP matrix came from the store.
+  // The scan and every per-ISP matrix came from the store.
   EXPECT_GE(stats.hits, 4u);
 
   // Cross-check against the batch answer for the same xi.

@@ -23,6 +23,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,7 +33,6 @@
 #include "obs/metrics.h"
 #include "store/matrix_file.h"
 #include "store/serde.h"
-#include "topology/generator.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -122,29 +122,6 @@ TEST_F(StoreTest, ScanRecordsRoundTripRandomized) {
     for (std::size_t i = 0; i < records.size(); ++i) {
       EXPECT_EQ(decoded[i].ip, records[i].ip);
       EXPECT_EQ(decoded[i].cert, records[i].cert);
-    }
-  }
-}
-
-TEST_F(StoreTest, PopulationRoundTripRandomized) {
-  Rng rng(424242);
-  for (int round = 0; round < 10; ++round) {
-    CertStore population;
-    const int count = static_cast<int>(rng.uniform_int(0, 60));
-    for (int i = 0; i < count; ++i) {
-      population.install(Ipv4(static_cast<std::uint32_t>(rng.next())),
-                         random_cert(rng));
-    }
-    store::ByteWriter writer;
-    store::encode(writer, population);
-    store::ByteReader reader(writer.bytes());
-    const CertStore decoded = store::decode_population(reader);
-    EXPECT_TRUE(reader.exhausted());
-    ASSERT_EQ(decoded.size(), population.size()) << "round " << round;
-    for (const TlsEndpoint& endpoint : population.all_sorted()) {
-      const auto cert = decoded.lookup(endpoint.ip);
-      ASSERT_TRUE(cert.has_value());
-      EXPECT_EQ(*cert, endpoint.cert);
     }
   }
 }
@@ -240,78 +217,6 @@ TEST_F(StoreTest, ClusteringsAndHealthRoundTripRandomized) {
       EXPECT_EQ(decoded[i].usable_sites, clusterings[i].usable_sites);
     }
   }
-}
-
-TEST_F(StoreTest, InternetRoundTripIsStructurallyIdentical) {
-  const Internet original =
-      InternetGenerator(GeneratorConfig::tiny()).generate();
-  store::ByteWriter writer;
-  store::encode(writer, original);
-  store::ByteReader reader(writer.bytes());
-  const Internet decoded = store::decode_internet(reader);
-  EXPECT_TRUE(reader.exhausted());
-
-  // Re-encode equality covers every encoded field at once: the encoding is
-  // deterministic, so a lossless decode must reproduce the exact bytes.
-  store::ByteWriter again;
-  store::encode(again, decoded);
-  ASSERT_EQ(writer.bytes(), again.bytes());
-
-  // Spot-check the state the wire format carries only *indirectly*:
-  // adjacency lists (rebuilt by replaying add_link), allocator positions,
-  // the ASN index and the IP->AS trie.
-  ASSERT_EQ(decoded.ases.size(), original.ases.size());
-  for (std::size_t i = 0; i < original.ases.size(); ++i) {
-    const As& a = original.ases[i];
-    const As& b = decoded.ases[i];
-    EXPECT_EQ(b.asn, a.asn);
-    EXPECT_EQ(b.provider_links, a.provider_links);
-    EXPECT_EQ(b.customer_links, a.customer_links);
-    EXPECT_EQ(b.peer_links, a.peer_links);
-    EXPECT_EQ(b.infra.pool(), a.infra.pool());
-    EXPECT_EQ(b.infra.next_offset(), a.infra.next_offset());
-    EXPECT_EQ(b.infra.remaining(), a.infra.remaining());
-    EXPECT_EQ(decoded.as_by_asn(a.asn), original.as_by_asn(a.asn));
-  }
-  for (const As& as : original.ases) {
-    for (const Prefix& prefix : as.user_prefixes) {
-      EXPECT_EQ(decoded.as_of_ip(prefix.first()),
-                original.as_of_ip(prefix.first()));
-    }
-  }
-  ASSERT_EQ(decoded.ixps.size(), original.ixps.size());
-  for (const auto& [address, info] : original.ixp_ports()) {
-    const auto port = decoded.ixp_port_of_ip(address);
-    ASSERT_TRUE(port.has_value());
-    EXPECT_EQ(port->ixp, info.ixp);
-    EXPECT_EQ(port->member, info.member);
-  }
-  EXPECT_EQ(decoded.access_isps(), original.access_isps());
-  EXPECT_EQ(decoded.total_access_users(), original.total_access_users());
-}
-
-TEST_F(StoreTest, PipelineSharesWarmTopologyAcrossMeasurementConfigs) {
-  // The Internet artifact is keyed by topology_digest alone: a scenario
-  // differing only in measurement settings must still warm-hit it.
-  Scenario scenario = Scenario::tiny();
-  auto cold_store = std::make_shared<store::ArtifactStore>(config());
-  Pipeline cold(scenario, fault::FaultPlan::none(), cold_store);
-  EXPECT_GT(cold_store->stats().saved, 0u);
-
-  Scenario other = scenario;
-  other.vantage_seed += 1;  // different world digest, same topology
-  ASSERT_NE(measurement_digest(other), measurement_digest(scenario));
-  ASSERT_EQ(topology_digest(other.topology), topology_digest(scenario.topology));
-
-  auto warm_store = std::make_shared<store::ArtifactStore>(config());
-  Pipeline warm(other, fault::FaultPlan::none(), warm_store);
-  EXPECT_GE(warm_store->stats().hits, 1u);
-  EXPECT_EQ(warm_store->stats().corrupt, 0u);
-  // Same topology bytes on both sides.
-  store::ByteWriter cold_bytes, warm_bytes;
-  store::encode(cold_bytes, cold.internet());
-  store::encode(warm_bytes, warm.internet());
-  EXPECT_EQ(cold_bytes.bytes(), warm_bytes.bytes());
 }
 
 TEST_F(StoreTest, TruncatedInputThrowsSerdeErrorAtEveryLength) {
@@ -730,20 +635,45 @@ TEST_F(StoreTest, DifferentFaultPlansNeverShareArtifacts) {
   const fault::FaultPlan clean = fault::FaultPlan::none();
   const fault::FaultPlan chaos = fault::FaultPlan::chaos().scaled_by(0.5);
   auto artifacts = std::make_shared<store::ArtifactStore>(config());
-  const PipelineOutputs clean_cold = run_pipeline(clean, artifacts);
+  run_pipeline(clean, artifacts);
 
-  // A chaos run over the same store must MISS every measurement artifact
-  // (its world digest differs) and reproduce the storeless chaos outputs.
-  // The one legitimate hit is the Internet artifact: topology generation is
-  // independent of the fault plan, so it is keyed by the topology digest
-  // alone and shared on purpose.
+  // A chaos run over the same store must MISS every artifact (its world
+  // digest differs) and reproduce the storeless chaos outputs.
   auto chaos_store = std::make_shared<store::ArtifactStore>(config());
   const PipelineOutputs chaos_warm = run_pipeline(chaos, chaos_store);
-  EXPECT_EQ(chaos_store->stats().hits, 1u);
+  EXPECT_EQ(chaos_store->stats().hits, 0u);
   const PipelineOutputs chaos_reference = run_pipeline(chaos, nullptr);
   expect_identical_outputs(chaos_reference, chaos_warm,
                            "chaos over clean-populated store");
-  (void)clean_cold;
+}
+
+TEST_F(StoreTest, ColdPassPersistsOnlyWhatAWarmPassReads) {
+  // Force every stage once over an empty store: topology and the TLS
+  // population are always recomputed, so only the scan, matrix and
+  // clustering families may land on disk.
+  auto artifacts = std::make_shared<store::ArtifactStore>(config());
+  {
+    Pipeline pipeline(Scenario::tiny(), fault::FaultPlan::none(), artifacts);
+    for (const Snapshot snapshot : {Snapshot::k2021, Snapshot::k2023}) {
+      pipeline.population(snapshot);
+      pipeline.discovery(snapshot, Methodology::k2021);
+      pipeline.discovery(snapshot, Methodology::k2023);
+    }
+    pipeline.clusterings(0.1);
+    pipeline.clusterings(0.3);
+    const std::vector<AsIndex> isps = pipeline.hosting_isps_2023();
+    ASSERT_FALSE(isps.empty());
+    pipeline.isp_latency_matrix(isps.front());
+    pipeline.ptr_store();
+    pipeline.peering_study(Hypergiant::kGoogle);
+    pipeline.capacity();
+  }
+
+  std::set<std::string> types;
+  for (const store::ArtifactInfo& info : artifacts->list()) {
+    types.insert(info.key.type);
+  }
+  EXPECT_EQ(types, (std::set<std::string>{"clustering", "matrix", "scan"}));
 }
 
 /// One persisted artifact family and the stage whose health owns it.
@@ -759,41 +689,6 @@ void PrintTo(const PersistedFamily& family, std::ostream* os) {
   *os << prefix.substr(0, prefix.find('-'));
 }
 
-/// Every family the stage primitive persists, and what run_every_family
-/// reads of it: the topology, the TLS population, the scan and the
-/// clustering batch.
-struct FamilyOutputs {
-  std::vector<std::uint8_t> internet;    // encoded, so one compare covers
-  std::vector<std::uint8_t> population;  // every field
-  PipelineOutputs stages;
-};
-
-FamilyOutputs run_every_family(const fault::FaultPlan& plan,
-                               std::shared_ptr<store::ArtifactStore> artifacts) {
-  Pipeline pipeline(Scenario::tiny(), plan, std::move(artifacts));
-  FamilyOutputs out;
-  store::ByteWriter internet;
-  store::encode(internet, pipeline.internet());
-  out.internet = internet.bytes();
-  // Read explicitly: a warm scan never forces its population.
-  store::ByteWriter population;
-  store::encode(population, pipeline.population(Snapshot::k2023));
-  out.population = population.bytes();
-  out.stages.scan = pipeline.scan_records(Snapshot::k2023);
-  out.stages.xi01 = pipeline.clusterings(0.1);
-  out.stages.xi09 = pipeline.clusterings(0.9);
-  out.stages.health = pipeline.stage_health();
-  return out;
-}
-
-void expect_identical_families(const FamilyOutputs& reference,
-                               const FamilyOutputs& run,
-                               const std::string& context) {
-  EXPECT_EQ(run.internet, reference.internet) << context;
-  EXPECT_EQ(run.population, reference.population) << context;
-  expect_identical_outputs(reference.stages, run.stages, context);
-}
-
 class StoreCorruptionTest
     : public StoreTest,
       public ::testing::WithParamInterface<PersistedFamily> {};
@@ -802,10 +697,10 @@ TEST_P(StoreCorruptionTest, CorruptArtifactRecomputedWithDegradedHealth) {
   const PersistedFamily family = GetParam();
   obs::metrics().reset();
   const fault::FaultPlan plan = fault::FaultPlan::none();
-  const FamilyOutputs reference = run_every_family(plan, nullptr);
+  const PipelineOutputs reference = run_pipeline(plan, nullptr);
   {
     auto artifacts = std::make_shared<store::ArtifactStore>(config());
-    run_every_family(plan, artifacts);
+    run_pipeline(plan, artifacts);
   }
 
   // Flip one byte in the payload region of one artifact of the family.
@@ -820,17 +715,17 @@ TEST_P(StoreCorruptionTest, CorruptArtifactRecomputedWithDegradedHealth) {
   ASSERT_TRUE(corrupted) << "no " << family.prefix << " artifact to corrupt";
 
   auto warm_store = std::make_shared<store::ArtifactStore>(config());
-  const FamilyOutputs warm = run_every_family(plan, warm_store);
+  const PipelineOutputs warm = run_pipeline(plan, warm_store);
 
   // The output is recomputed and correct...
-  expect_identical_families(reference, warm, "recompute after corruption");
+  expect_identical_outputs(reference, warm, "recompute after corruption");
   EXPECT_EQ(warm_store->stats().corrupt, 1u);
   // ...but the owning stage is flagged degraded, with the store named as
   // the cause.
-  EXPECT_EQ(fault::overall_status(warm.stages.health),
+  EXPECT_EQ(fault::overall_status(warm.health),
             fault::StageStatus::kDegraded);
-  ASSERT_TRUE(warm.stages.health.count(family.stage));
-  const fault::StageHealth& owner = warm.stages.health.at(family.stage);
+  ASSERT_TRUE(warm.health.count(family.stage));
+  const fault::StageHealth& owner = warm.health.at(family.stage);
   EXPECT_EQ(owner.status, fault::StageStatus::kDegraded);
   bool noted = false;
   for (const std::string& reason : owner.reasons) {
@@ -841,8 +736,8 @@ TEST_P(StoreCorruptionTest, CorruptArtifactRecomputedWithDegradedHealth) {
   // The corrupt file was quarantined and republished: a third run hits
   // every artifact it reads.
   auto healed_store = std::make_shared<store::ArtifactStore>(config());
-  const FamilyOutputs healed = run_every_family(plan, healed_store);
-  expect_identical_families(reference, healed, "healed store");
+  const PipelineOutputs healed = run_pipeline(plan, healed_store);
+  expect_identical_outputs(reference, healed, "healed store");
   EXPECT_EQ(healed_store->stats().corrupt, 0u);
   EXPECT_EQ(healed_store->stats().misses, 0u);
   EXPECT_GT(healed_store->stats().hits, 0u);
@@ -850,9 +745,7 @@ TEST_P(StoreCorruptionTest, CorruptArtifactRecomputedWithDegradedHealth) {
 
 INSTANTIATE_TEST_SUITE_P(
     PersistedFamilies, StoreCorruptionTest,
-    ::testing::Values(PersistedFamily{"internet-v", "topology"},
-                      PersistedFamily{"population-v", "tls_population"},
-                      PersistedFamily{"scan-v", "scan"},
+    ::testing::Values(PersistedFamily{"scan-v", "scan"},
                       PersistedFamily{"clustering-v", "clustering"}));
 
 TEST_F(StoreTest, CorruptMatrixArtifactDegradesClusteringOnly) {
