@@ -177,6 +177,23 @@ void BM_PingIspMeasurement(benchmark::State& state) {
 }
 BENCHMARK(BM_PingIspMeasurement);
 
+// Best-of-5 ns per (VP, IP) cell of one measure_isp call over the ISP that
+// BM_PingIspMeasurement measures.
+double ping_ns_per_cell() {
+  const VantagePointSet vps(world(), 40, 163163);
+  const PingMesh mesh(world(), vps, PingConfig{});
+  const AsIndex isp = registry().hosting_isps().front();
+  const std::size_t cells = registry().servers_at(isp).size() * vps.size();
+  double best = 0.0;
+  for (int run = 0; run < 5; ++run) {
+    const bench::Stopwatch watch;
+    benchmark::DoNotOptimize(mesh.measure_isp(registry(), isp));
+    const double ns = watch.seconds() * 1e9 / static_cast<double>(cells);
+    if (run == 0 || ns < best) best = ns;
+  }
+  return best;
+}
+
 // Best-of-3 wall time for one pairwise_distances call at a fixed thread
 // count (0 restores the REPRO_THREADS / hardware default afterwards).
 double time_pairwise(const std::vector<double>& table, std::size_t rows,
@@ -229,6 +246,8 @@ int main(int argc, char** argv) {
     // vantage points, 20% trim): |a-b| fill vs select vs ascending-sum
     // reduce, ns per pair at the dispatched level.
     const KernelPhaseProfile phases = profile_kernel_phases(cols, 0.2, 2000);
+    // The synthetic ping's per-cell cost (the Appendix-A campaign).
+    const double ping_ns = ping_ns_per_cell();
     // Cost of one xi re-extraction sweep over a warm 256-point ordering:
     // the resident report service re-extracts per (ISP, xi) query, so this
     // is the serial path the OPTICS scratch-reuse work targets. Best of 5
@@ -268,6 +287,7 @@ int main(int argc, char** argv) {
         phases.select_ns_op, phases.sum_ns_op);
     std::printf("optics xi extraction (n 256): %.0f ns/extract\n",
                 optics_extract_ns);
+    std::printf("ping measure_isp: %.1f ns/cell\n", ping_ns);
     char fields[768];
     char speedup_fields[192] = "";
     if (speedup_meaningful) {
@@ -284,10 +304,12 @@ int main(int argc, char** argv) {
                   "\"kernel_diff_ns_op\":%.1f,"
                   "\"kernel_select_ns_op\":%.1f,"
                   "\"kernel_sum_ns_op\":%.1f,"
-                  "\"optics_extract_ns_op\":%.0f",
+                  "\"optics_extract_ns_op\":%.0f,"
+                  "\"ping_ns_per_cell\":%.1f",
                   serial, speedup_fields, hardware_thread_count(),
                   phases.simd_level.c_str(), phases.diff_ns_op,
-                  phases.select_ns_op, phases.sum_ns_op, optics_extract_ns);
+                  phases.select_ns_op, phases.sum_ns_op, optics_extract_ns,
+                  ping_ns);
     bench::print_footer("perf_micro", total, {}, fields);
   }
 

@@ -11,7 +11,8 @@
 #                                  `parallel`, `obs`, `fault`, `store` and
 #                                  `serve` labels, a UBSan build of the
 #                                  `perf` and `obs` labels (the SIMD
-#                                  kernels and the obs layer), a TSan
+#                                  kernels, the ping mesh and the obs
+#                                  layer), a TSan
 #                                  store-chaos smoke (live corruption under
 #                                  concurrent warm readers), the warm-start
 #                                  smoke, the trace-export smoke, a report-
@@ -88,9 +89,9 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
 fi
 
 if [[ "${SKIP_UBSAN:-0}" != "1" ]]; then
-  echo "== ubsan: perf + obs tests (SIMD kernels, obs layer) =="
+  echo "== ubsan: perf + obs tests (SIMD kernels, ping mesh, obs layer) =="
   cmake -B build-ubsan -S . -DREPRO_SANITIZE=undefined >/dev/null
-  cmake --build build-ubsan -j"$(nproc)" --target test_perf_kernel test_obs
+  cmake --build build-ubsan -j"$(nproc)" --target test_perf_kernel test_mlab test_obs
   (cd build-ubsan && ctest -L 'perf|obs' --output-on-failure -j"$(nproc)")
 fi
 

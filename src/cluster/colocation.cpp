@@ -63,8 +63,11 @@ std::vector<IspClustering> ColocationClusterer::cluster_rows(
 
   FilteredMatrix cleaned;
   if (!done) {
-    cleaned = clean_matrix(rows, vps_, config_.filter,
-                           /*materialize=*/!streamed);
+    {
+      obs::ScopedTimer timer("cluster.clean_ms");
+      cleaned = clean_matrix(rows, vps_, config_.filter,
+                             /*materialize=*/!streamed);
+    }
     base.dropped_unresponsive = cleaned.dropped_unresponsive;
     base.dropped_impossible = cleaned.dropped_impossible;
     base.usable_sites = cleaned.col_count();

@@ -16,6 +16,22 @@
 //       + per-IP offset (tiny)             <- NIC/stack variation
 //       + queueing jitter (per probe)      <- what the 2nd-of-8 suppresses
 //
+// Only the last two terms depend on the IP, so measure_isp works on three
+// levels per ISP:
+//   * once per ISP: the dark-VP flags and the ISP's probe loss;
+//   * once per distinct (facility, rack) the rows use (a split-personality
+//     row also uses its twin facility's): a route table of vp_count doubles,
+//     table[col] = light * inflation + facility_offset + rack_offset, all
+//     tables back to back in one vector that rows address by offset;
+//   * once per cell: the per-(VP, IP) probe stream (RNG seed, binomial
+//     probe count, two exponential jitters, retry rounds), and
+//     rtt = (table[col] + ip_offset) + jitter.
+// Summation-order contract: the sum is evaluated left to right exactly as
+// the model above lists it, and table[col] is its first three terms, so
+// the hoisted path is bit-identical to measure_once (the build targets no
+// FMA instruction set, so nothing contracts). Reassociating any of these
+// sums changes the artifacts.
+//
 // Pathologies injected to exercise the paper's filters:
 //   * unresponsive IPs (the paper discards 12K of 261K),
 //   * "impossible" IPs whose probes answer from two different locations
@@ -159,7 +175,8 @@ class PingMesh {
   LatencyMatrix measure_isp(const OffnetRegistry& registry, AsIndex isp) const;
 
   /// One (vp, server) measurement: second-smallest of `probes` RTT samples;
-  /// NaN if fewer than two probes succeed or the IP is unresponsive.
+  /// NaN if fewer than two probes succeed or the IP is unresponsive. The
+  /// single-cell reference: every cell of measure_isp equals it bit for bit.
   double measure_once(const VantagePoint& vp, const OffnetServer& server) const;
 
   /// Ground-truth pathology queries (tests and the appendix stats use them).
@@ -174,12 +191,33 @@ class PingMesh {
   const PingConfig& config() const noexcept { return config_; }
 
  private:
-  double base_rtt_ms(const VantagePoint& vp, const OffnetServer& server,
-                     FacilityIndex facility) const;
+  /// Re-probe outcomes of one or more cells, added to the mlab.reprobe_*
+  /// counters in one step (per cell in measure_once, per ISP in measure_isp).
+  struct ReprobeTally {
+    std::uint64_t rounds = 0;
+    std::uint64_t recovered = 0;
+    void publish() const;
+  };
+
+  double probe_loss(AsIndex isp) const noexcept;
+  /// The IP-independent part of the base RTT: light * inflation +
+  /// facility_offset + rack_offset, summed left to right.
+  double route_rtt_ms(const VantagePoint& vp, FacilityIndex facility,
+                      int rack) const;
+  double ip_offset_ms(Ipv4 ip) const noexcept;
+  /// Whether a split-personality IP answers this VP from its twin facility.
+  bool sees_twin(Ipv4 ip, std::size_t vp_index) const noexcept;
+  FacilityIndex twin_facility(Ipv4 ip) const noexcept;
+  /// The per-(VP, IP) probe stream with its retry rounds: the second-
+  /// smallest queueing jitter, or NaN if no round had two answers.
+  double probe_jitter_ms(Ipv4 ip, std::size_t vp_index, double loss,
+                         ReprobeTally& tally) const;
 
   const Internet& internet_;
   const VantagePointSet& vps_;
   PingConfig config_;
+  std::uint64_t probe_seed_ = 0;
+  std::vector<std::uint64_t> round_salts_;  // [0] = 0: the paper's stream
 };
 
 }  // namespace repro

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
 
+#include "fault/injector.h"
+#include "obs/metrics.h"
 #include "topology/generator.h"
 
 namespace repro {
@@ -122,6 +126,75 @@ TEST_F(MlabTest, MatrixShapeMatchesIspServers) {
     EXPECT_EQ(matrix.ips[row],
               registry_->servers()[matrix.server_indices[row]].ip);
   }
+}
+
+TEST_F(MlabTest, MeasureIspMatchesMeasureOnce) {
+  // measure_isp hoists the route RTT out of the per-cell loop; every cell
+  // must still equal the single-cell reference byte for byte (NaN
+  // included), and both paths must count the same re-probe rounds.
+  PingConfig chaos;
+  fault::apply_ping_faults(chaos, fault::FaultPlan::chaos());
+  PingConfig retry = chaos;
+  retry.retry_budget = 2;
+  const std::pair<const char*, PingConfig> configs[] = {
+      {"clean", PingConfig{}}, {"chaos", chaos}, {"chaos+retry", retry}};
+  obs::Counter& rounds = obs::metrics().counter("mlab.reprobe_rounds");
+  obs::Counter& recovered = obs::metrics().counter("mlab.reprobe_recovered");
+  std::size_t split_ips = 0;
+  std::size_t unresponsive_ips = 0;
+  std::size_t dark_vps = 0;
+  std::size_t icmp_limited_isps = 0;
+  std::size_t storm_isps = 0;
+  for (const auto& [name, config] : configs) {
+    SCOPED_TRACE(name);
+    const PingMesh mesh(*net_, *vps_, config);
+    std::uint64_t isp_rounds = 0;
+    std::uint64_t isp_recovered = 0;
+    std::uint64_t once_rounds = 0;
+    std::uint64_t once_recovered = 0;
+    for (const AsIndex isp : registry_->hosting_isps()) {
+      if (mesh.isp_icmp_limited(isp)) ++icmp_limited_isps;
+      if (mesh.isp_storm_limited(isp)) ++storm_isps;
+      const std::uint64_t rounds_before = rounds.value();
+      const std::uint64_t recovered_before = recovered.value();
+      const LatencyMatrix matrix = mesh.measure_isp(*registry_, isp);
+      isp_rounds += rounds.value() - rounds_before;
+      isp_recovered += recovered.value() - recovered_before;
+
+      const std::uint64_t once_rounds_before = rounds.value();
+      const std::uint64_t once_recovered_before = recovered.value();
+      for (std::size_t row = 0; row < matrix.row_count(); ++row) {
+        const OffnetServer& server =
+            registry_->servers()[matrix.server_indices[row]];
+        if (mesh.ip_split_personality(server.ip)) ++split_ips;
+        if (mesh.ip_unresponsive(server.ip)) ++unresponsive_ips;
+        for (std::size_t col = 0; col < matrix.vp_count; ++col) {
+          const double expected = mesh.measure_once((*vps_)[col], server);
+          const double actual = matrix.at(row, col);
+          ASSERT_EQ(std::memcmp(&expected, &actual, sizeof(double)), 0)
+              << "isp " << isp << " row " << row << " vp " << col << ": "
+              << expected << " vs " << actual;
+        }
+      }
+      once_rounds += rounds.value() - once_rounds_before;
+      once_recovered += recovered.value() - once_recovered_before;
+    }
+    for (std::size_t vp = 0; vp < vps_->size(); ++vp) {
+      if (mesh.vp_dark(vp)) ++dark_vps;
+    }
+    EXPECT_EQ(isp_rounds, once_rounds);
+    EXPECT_EQ(isp_recovered, once_recovered);
+    if (config.retry_budget > 0) {
+      EXPECT_GT(once_rounds, 0u);
+      EXPECT_GT(once_recovered, 0u);
+    }
+  }
+  // The fixture must exercise every branch of the hoisted path.
+  EXPECT_GT(split_ips, 0u);
+  EXPECT_GT(unresponsive_ips, 0u);
+  EXPECT_GT(dark_vps, 0u);
+  EXPECT_GT(icmp_limited_isps, 0u);
+  EXPECT_GT(storm_isps, 0u);
 }
 
 TEST_F(MlabTest, SameFacilityPairsCloserThanCrossMetro) {
