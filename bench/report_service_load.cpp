@@ -88,7 +88,7 @@ int main() {
   // The distinct query mix. Worlds: clean, full chaos, half-intensity
   // chaos, and a reseeded chaos (same knobs, different fault draw -- a new
   // world digest, so genuinely cold). The xi-incremental table2 queries
-  // reuse the clean world's warm matrices and re-extract clusters only.
+  // re-extract clusters from the clean world's warm plots only.
   fault::FaultPlan reseeded = fault::FaultPlan::chaos();
   reseeded.seed = 777;
   const std::pair<const char*, fault::FaultPlan> worlds[] = {

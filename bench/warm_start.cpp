@@ -3,9 +3,10 @@
 // Runs the heavy paper studies (Table 1, Table 2, Figure 2) twice over one
 // artifact store root: a cold pass into an empty store (computes and
 // publishes every artifact) and a warm pass with a fresh Pipeline over the
-// same root (scan records, per-ISP latency matrices and clusterings all come
-// from disk; topology is regenerated). The warm outputs are checked bit-identical to the cold
-// ones -- the store's core contract -- and the speedup is reported.
+// same root (scan records and the OPTICS plots the clusterings are
+// extracted from all come from disk; topology is regenerated). The warm
+// outputs are checked bit-identical to the cold ones -- the store's core
+// contract -- and the speedup is reported.
 //
 // The store lives in <bench_out>/warm_start.store and is wiped at startup so
 // the cold pass is honestly cold; the REPRO_STORE env toggle is ignored here

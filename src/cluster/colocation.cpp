@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -37,54 +38,53 @@ IspClustering ColocationClusterer::cluster_isp(AsIndex isp) const {
 
 std::vector<IspClustering> ColocationClusterer::cluster_isp_multi(
     AsIndex isp, std::span<const double> xis) const {
-  return cluster_isp_multi(isp, xis, mesh_.measure_isp(registry_, isp));
-}
-
-std::vector<IspClustering> ColocationClusterer::cluster_isp_multi(
-    AsIndex isp, std::span<const double> xis, LatencyMatrix premeasured) const {
-  const LatencyMatrix raw = std::move(premeasured);
-  return cluster_rows(isp, xis, LatencyMatrixRows(raw), /*streamed=*/false, 0);
-}
-
-std::vector<IspClustering> ColocationClusterer::cluster_isp_multi(
-    AsIndex isp, std::span<const double> xis, const LatencyRows& rows,
-    std::size_t block_rows) const {
-  return cluster_rows(isp, xis, rows, /*streamed=*/true, block_rows);
-}
-
-std::vector<IspClustering> ColocationClusterer::cluster_rows(
-    AsIndex isp, std::span<const double> xis, const LatencyRows& rows,
-    bool streamed, std::size_t block_rows) const {
   require(!xis.empty(), "cluster_isp_multi: need at least one xi");
-  IspClustering base;
-  base.isp = isp;
+  const IspPlot isp_plot = plot(isp, mesh_.measure_isp(registry_, isp));
+  std::vector<IspClustering> out;
+  out.reserve(xis.size());
+  for (const double xi : xis) {
+    out.push_back(extract_at_xi(isp_plot, config_.min_pts, xi));
+  }
+  return out;
+}
 
-  bool done = rows.row_count() == 0;
+IspPlot ColocationClusterer::plot(AsIndex isp,
+                                  const LatencyMatrix& matrix) const {
+  return plot_rows(isp, LatencyMatrixRows(matrix), /*streamed=*/false, 0);
+}
+
+IspPlot ColocationClusterer::plot(AsIndex isp, const LatencyRows& rows,
+                                  std::size_t block_rows) const {
+  return plot_rows(isp, rows, /*streamed=*/true, block_rows);
+}
+
+IspPlot ColocationClusterer::plot_rows(AsIndex isp, const LatencyRows& rows,
+                                       bool streamed,
+                                       std::size_t block_rows) const {
+  IspPlot out;
+  out.isp = isp;
+  if (rows.row_count() == 0) return out;
 
   FilteredMatrix cleaned;
-  if (!done) {
-    {
-      obs::ScopedTimer timer("cluster.clean_ms");
-      cleaned = clean_matrix(rows, vps_, config_.filter,
-                             /*materialize=*/!streamed);
-    }
-    base.dropped_unresponsive = cleaned.dropped_unresponsive;
-    base.dropped_impossible = cleaned.dropped_impossible;
-    base.usable_sites = cleaned.col_count();
-    done = !cleaned.usable;
+  {
+    obs::ScopedTimer timer("cluster.clean_ms");
+    cleaned = clean_matrix(rows, vps_, config_.filter,
+                           /*materialize=*/!streamed);
   }
-  if (!done) {
-    base.usable = true;
-    base.registry_indices.reserve(cleaned.row_count());
-    for (const std::size_t row : cleaned.kept_rows) {
-      base.registry_indices.push_back(rows.server_index(row));
-    }
-  }
+  out.dropped_unresponsive = cleaned.dropped_unresponsive;
+  out.dropped_impossible = cleaned.dropped_impossible;
+  out.usable_sites = cleaned.col_count();
+  if (!cleaned.usable) return out;
 
-  std::vector<IspClustering> out;
-  if (done || cleaned.row_count() == 1) {
-    if (!done) base.labels.assign(1, -1);
-    out.assign(xis.size(), base);
+  out.usable = true;
+  out.registry_indices.reserve(cleaned.row_count());
+  for (const std::size_t row : cleaned.kept_rows) {
+    out.registry_indices.push_back(rows.server_index(row));
+  }
+  if (cleaned.row_count() == 1) {
+    // A lone point: the plot OPTICS would draw, without the kernel.
+    out.ordering = {0};
+    out.reachability = {std::numeric_limits<double>::infinity()};
     return out;
   }
 
@@ -106,21 +106,37 @@ std::vector<IspClustering> ColocationClusterer::cluster_rows(
     obs::ScopedTimer timer("cluster.optics_order_ms");
     optics_order(distances, config_.min_pts, optics);
   }
-  out.reserve(xis.size());
-  for (const double xi : xis) {
-    require(xi > 0.0 && xi < 1.0, "cluster_isp_multi: xi outside (0, 1)");
-    {
-      obs::ScopedTimer timer("cluster.xi_extract_ms");
-      reextract_xi(optics, config_.min_pts, xi);
-    }
-    IspClustering clustering = base;
-    clustering.labels = optics.labels;
-    clustering.cluster_count = optics.cluster_count;
-    obs::metrics()
-        .counter(xi_counter_name("cluster.clusters", xi))
-        .add(static_cast<std::uint64_t>(std::max(0, optics.cluster_count)));
-    out.push_back(std::move(clustering));
+  out.ordering = std::move(optics.ordering);
+  out.reachability = std::move(optics.reachability);
+  return out;
+}
+
+IspClustering extract_at_xi(const IspPlot& plot, std::size_t min_pts,
+                            double xi) {
+  require(xi > 0.0 && xi < 1.0, "extract_at_xi: xi outside (0, 1)");
+  IspClustering out;
+  out.isp = plot.isp;
+  out.usable = plot.usable;
+  out.registry_indices = plot.registry_indices;
+  out.dropped_unresponsive = plot.dropped_unresponsive;
+  out.dropped_impossible = plot.dropped_impossible;
+  out.usable_sites = plot.usable_sites;
+  if (plot.ordering.size() < 2) {
+    // Nothing to cluster: an unusable ISP has no points, a lone point is
+    // noise.
+    out.labels.assign(plot.ordering.size(), -1);
+  } else {
+    obs::ScopedTimer timer("cluster.xi_extract_ms");
+    OpticsResult optics;
+    optics.ordering = plot.ordering;
+    optics.reachability = plot.reachability;
+    reextract_xi(optics, min_pts, xi);
+    out.labels = std::move(optics.labels);
+    out.cluster_count = optics.cluster_count;
   }
+  obs::metrics()
+      .counter(xi_counter_name("cluster.clusters", xi))
+      .add(static_cast<std::uint64_t>(out.cluster_count));
   return out;
 }
 

@@ -31,6 +31,24 @@ struct IspClustering {
   std::size_t usable_sites = 0;
 };
 
+/// The xi-independent half of one ISP's clustering: every IspClustering
+/// field except the labels, plus the OPTICS reachability plot that the
+/// labels at any xi are extracted from (extract_at_xi).
+struct IspPlot {
+  AsIndex isp = kInvalidIndex;
+  bool usable = false;
+  std::vector<std::size_t> registry_indices;
+  std::size_t dropped_unresponsive = 0;
+  std::size_t dropped_impossible = 0;
+  std::size_t usable_sites = 0;
+
+  /// Positions into registry_indices in OPTICS output order, and the
+  /// reachability of each ordered point. Same length as registry_indices
+  /// (empty for an unusable ISP).
+  std::vector<std::size_t> ordering;
+  std::vector<double> reachability;
+};
+
 /// Colocation of one hypergiant's offnets within one ISP.
 struct HgColocation {
   std::size_t total_ips = 0;      // surviving IPs of this hypergiant
@@ -59,48 +77,44 @@ class ColocationClusterer {
   /// Clusters one ISP's offnet IPs at the configured xi. Deterministic.
   IspClustering cluster_isp(AsIndex isp) const;
 
-  /// Clusters one ISP at several xi values in one pass, sharing the ping
-  /// matrix, the distance matrix and the OPTICS ordering (all of which are
-  /// xi-independent). Much cheaper than calling cluster_isp per xi.
+  /// Clusters one ISP at several xi values: one plot, then one extraction
+  /// per xi. Much cheaper than calling cluster_isp per xi.
   std::vector<IspClustering> cluster_isp_multi(AsIndex isp,
                                                std::span<const double> xis) const;
 
-  /// Same, but from an already-measured latency matrix for `isp` (the
-  /// pipeline's warm path feeds store-loaded matrices here). Because the
-  /// measurement is deterministic and the store round-trip preserves every
-  /// bit (including NaN markers), the result is bit-identical to measuring.
-  std::vector<IspClustering> cluster_isp_multi(AsIndex isp,
-                                               std::span<const double> xis,
-                                               LatencyMatrix premeasured) const;
+  /// The ISP's xi-independent plot from an already-measured latency matrix
+  /// (cleaning, the distance kernel and the OPTICS ordering).
+  IspPlot plot(AsIndex isp, const LatencyMatrix& matrix) const;
 
   /// Streamed variant over a row view (typically a store::MappedLatencyMatrix
   /// spill): the cleaned compact matrix is never materialized; pairwise
   /// distances are computed block-by-block with `block_rows` staging rows
   /// per worker (0 = whole matrix in one block). Bit-identical to the
-  /// in-memory overloads -- same filters, same kernels, same canonical
+  /// in-memory overload -- same filters, same kernels, same canonical
   /// ordering (docs/SCALING.md).
-  std::vector<IspClustering> cluster_isp_multi(AsIndex isp,
-                                               std::span<const double> xis,
-                                               const LatencyRows& rows,
-                                               std::size_t block_rows) const;
+  IspPlot plot(AsIndex isp, const LatencyRows& rows,
+               std::size_t block_rows) const;
 
   const ColocationConfig& config() const noexcept { return config_; }
 
  private:
-  /// Shared implementation of every overload above. `streamed` selects
+  /// Shared implementation of both plot overloads. `streamed` selects
   /// whether the compact matrix is materialized once (false) or compact
   /// rows are reconstructed on demand in block_rows-sized tiles (true).
-  std::vector<IspClustering> cluster_rows(AsIndex isp,
-                                          std::span<const double> xis,
-                                          const LatencyRows& rows,
-                                          bool streamed,
-                                          std::size_t block_rows) const;
+  IspPlot plot_rows(AsIndex isp, const LatencyRows& rows, bool streamed,
+                    std::size_t block_rows) const;
 
   const OffnetRegistry& registry_;
   const PingMesh& mesh_;
   const VantagePointSet& vps_;
   ColocationConfig config_;
 };
+
+/// Labels one ISP's plot at `xi` in (0, 1) with OPTICS xi extraction
+/// (reextract_xi) and bumps the cluster.clusters.xi<xi> counter. Cheap:
+/// linear in the plot, with no distance or ordering work.
+IspClustering extract_at_xi(const IspPlot& plot, std::size_t min_pts,
+                            double xi);
 
 /// Colocation stats of `hg` inside a clustered ISP: an IP is colocated when
 /// its cluster also contains an IP of a different hypergiant.

@@ -41,7 +41,7 @@ std::string count_reason(const char* what, std::uint64_t dropped,
 
 /// Content-addressed key for one artifact: the world digest (measurement
 /// config + fault plan) refined by the artifact type, its schema version
-/// and per-artifact parameters (snapshot ordinal, ISP, xi key).
+/// and per-artifact parameters (a scan's snapshot ordinal, a spill's ISP).
 store::ArtifactKey make_key(const char* type, std::uint32_t schema,
                             std::uint64_t world,
                             std::initializer_list<std::uint64_t> params) {
@@ -57,19 +57,6 @@ store::ArtifactKey make_key(const char* type, std::uint32_t schema,
 void note_store_corruption(fault::StageHealth& health, const std::string& detail) {
   health.status = std::max(health.status, fault::StageStatus::kDegraded);
   health.reasons.push_back("store: " + detail);
-}
-
-/// The xi batch clusterings() computes together, decided on the xi key so
-/// every spelling of one xi lands in one batch: the paper's two standard
-/// settings share one OPTICS ordering; an unusual xi is computed alone.
-std::vector<double> xi_batch(double xi) {
-  const std::uint64_t key = xi_key(xi);
-  if (key == xi_key(0.1) || key == xi_key(0.9)) return {0.1, 0.9};
-  return {xi};
-}
-
-std::string corrupt_matrices_note(std::uint64_t count) {
-  return std::to_string(count) + " corrupt latency matrices recomputed";
 }
 
 }  // namespace
@@ -173,68 +160,51 @@ void Pipeline::record_health(const std::string& stage,
       "fault", fault::fault_section_json(plan_.to_json(), health_));
 }
 
-/// Consult every key; if all hit and decode, replay the embedded health.
-/// Otherwise compute, publish, then note the store's failures.
+/// Consults the store through its single-flight load_or_compute. A hit
+/// that decodes replays its embedded health; otherwise this caller computes
+/// and publishes. Either way, corruption this caller ran into is noted.
 template <class T, class Compute>
-std::vector<T> Pipeline::persisted_stage(
-    const char* stage, const char* span_name,
-    const std::vector<store::ArtifactKey>& keys,
-    void (*encode)(store::ByteWriter&, const T&),
-    T (*decode)(store::ByteReader&), Compute&& compute) const {
+T Pipeline::persisted_stage(const char* stage, const char* span_name,
+                            const store::ArtifactKey& key,
+                            void (*encode)(store::ByteWriter&, const T&),
+                            T (*decode)(store::ByteReader&),
+                            Compute&& compute) const {
   obs::ScopedSpan span(span_name);
+  std::optional<StageOutput<T>> out;
   std::string corruption;
-  if (artifacts_ != nullptr) {
-    // Every key is consulted (and a corrupt one quarantined) even after a
-    // miss; the batch is all-or-nothing, so any miss recomputes it whole.
-    std::vector<store::LoadResult> loads;
-    bool all_hit = true;
-    for (const store::ArtifactKey& key : keys) {
-      loads.push_back(artifacts_->load(key));
-      all_hit = all_hit && loads.back().hit();
-      if (loads.back().corrupt() && corruption.empty()) {
-        corruption = loads.back().detail;
-      }
-    }
-    if (all_hit) {
-      std::size_t x = 0;
-      try {
-        // Every artifact of a batch embeds the same stage health; replay
-        // the first.
-        fault::StageHealth health;
-        std::vector<T> values;
-        for (; x < keys.size(); ++x) {
-          store::ByteReader reader(loads[x].payload);
-          fault::StageHealth h = store::decode_stage_health(reader);
-          if (x == 0) health = std::move(h);
-          values.push_back(decode(reader));
-        }
-        record_health(stage, std::move(health));
-        return values;
-      } catch (const Error& error) {
-        corruption = keys[x].filename() + ": " + error.what();
-      }
-    }
+  if (artifacts_ == nullptr) {
+    out.emplace(compute());
+  } else {
+    const store::FetchResult fetched = artifacts_->load_or_compute(
+        key,
+        [&] {
+          out.emplace(compute());
+          // The artifact carries the health a clean cold run earns, not
+          // this run's store stigma. A failed stage publishes nothing, so
+          // the next run retries it.
+          if (out->health.status == fault::StageStatus::kFailed) {
+            return std::vector<std::uint8_t>{};
+          }
+          store::ByteWriter writer;
+          store::encode(writer, out->health);
+          encode(writer, out->value);
+          return writer.take();
+        },
+        [&](std::span<const std::uint8_t> payload) {
+          store::ByteReader reader(payload);
+          StageOutput<T> loaded;
+          loaded.health = store::decode_stage_health(reader);
+          loaded.value = decode(reader);
+          out.emplace(std::move(loaded));
+        });
+    if (fetched.recovered_corrupt) corruption = fetched.load.detail;
   }
-
-  StageOutput<T> out = compute();
-  // Publish before folding in any store note: the replacement artifact must
-  // carry the health a clean cold run earns, not this run's stigma. A
-  // failed stage publishes nothing, so the next run retries it.
-  if (artifacts_ != nullptr &&
-      out.health.status != fault::StageStatus::kFailed) {
-    for (std::size_t x = 0; x < keys.size(); ++x) {
-      store::ByteWriter writer;
-      store::encode(writer, out.health);
-      encode(writer, out.values[x]);
-      artifacts_->save(keys[x], writer.bytes());
-    }
+  if (!out->store_note.empty()) {
+    note_store_corruption(out->health, out->store_note);
   }
-  if (!out.store_note.empty()) {
-    note_store_corruption(out.health, out.store_note);
-  }
-  if (!corruption.empty()) note_store_corruption(out.health, corruption);
-  record_health(stage, std::move(out.health));
-  return std::move(out.values);
+  if (!corruption.empty()) note_store_corruption(out->health, corruption);
+  record_health(stage, std::move(out->health));
+  return std::move(out->value);
 }
 
 const OffnetRegistry& Pipeline::registry(Snapshot snapshot) const {
@@ -297,14 +267,14 @@ const std::vector<ScanRecord>& Pipeline::scan_records(Snapshot snapshot) const {
     return it->second;
   }
 
-  std::vector<std::vector<ScanRecord>> computed = persisted_stage(
+  std::vector<ScanRecord> computed = persisted_stage(
       "scan", "pipeline.scan",
-      {make_key("scan", store::kScanRecordsSchema, world_digest_,
-                {static_cast<std::uint64_t>(snapshot)})},
+      make_key("scan", store::kScanRecordsSchema, world_digest_,
+               {static_cast<std::uint64_t>(snapshot)}),
       store::encode, store::decode_scan_records, [&] {
         StageOutput<std::vector<ScanRecord>> out;
         fault::StageHealth& health = out.health;
-        std::vector<ScanRecord>& records = out.values.emplace_back();
+        std::vector<ScanRecord>& records = out.value;
         try {
           const CertStore& store = population(snapshot);
           health.total = store.size();
@@ -336,7 +306,7 @@ const std::vector<ScanRecord>& Pipeline::scan_records(Snapshot snapshot) const {
         }
         return out;
       });
-  return scans_.emplace(snapshot, std::move(computed.front())).first->second;
+  return scans_.emplace(snapshot, std::move(computed)).first->second;
 }
 
 const DiscoveryReport& Pipeline::discovery(Snapshot snapshot,
@@ -434,85 +404,38 @@ std::vector<AsIndex> Pipeline::hosting_isps_2023() const {
   return discovery(Snapshot::k2023, Methodology::k2023).isps_hosting_at_least(1);
 }
 
+const std::vector<IspPlot>& Pipeline::plots() const {
+  std::lock_guard<std::recursive_mutex> lock(stage_mutex_);
+  if (!plots_) {
+    plots_ = persisted_stage(
+        "clustering", "pipeline.clustering",
+        make_key("plot", store::kPlotSchema, world_digest_, {}), store::encode,
+        store::decode_plots, [&] {
+          const std::vector<AsIndex> isps = hosting_isps_2023();
+          return merge_isp_outcomes(isps, cluster_isps(isps));
+        });
+  }
+  return *plots_;
+}
+
 const std::vector<IspClustering>& Pipeline::clusterings(double xi) const {
   std::lock_guard<std::recursive_mutex> lock(stage_mutex_);
   const std::uint64_t key = xi_key(xi);
   const auto it = clusterings_.find(key);
   if (it != clusterings_.end()) return it->second;
 
-  // One OPTICS ordering serves every xi, so the batch is all-or-nothing.
-  const std::vector<double> xis = xi_batch(xi);
-  std::vector<store::ArtifactKey> keys;
-  for (const double x : xis) {
-    keys.push_back(make_key("clustering", store::kClusteringSchema,
-                            world_digest_, {xi_key(x)}));
+  const std::size_t min_pts = ColocationConfig().min_pts;
+  std::vector<IspClustering> extracted;
+  extracted.reserve(plots().size());
+  for (const IspPlot& plot : plots()) {
+    extracted.push_back(extract_at_xi(plot, min_pts, xi));
   }
-  std::vector<std::vector<IspClustering>> batch = persisted_stage(
-      "clustering", "pipeline.clustering", keys, store::encode,
-      store::decode_clusterings, [&] {
-        const std::vector<AsIndex> isps = hosting_isps_2023();
-        return merge_isp_outcomes(isps, xis, cluster_isps(isps, xis));
-      });
-  for (std::size_t x = 0; x < xis.size(); ++x) {
-    // Never replace a cached xi: callers hold references into it.
-    clusterings_.try_emplace(xi_key(xis[x]), std::move(batch[x]));
-  }
-  return clusterings_.at(key);
-}
-
-LatencyMatrix Pipeline::fetch_isp_matrix(
-    const OffnetRegistry& reg, const PingMesh& mesh, AsIndex isp,
-    std::atomic<std::uint64_t>& corrupt) const {
-  if (artifacts_ == nullptr) return mesh.measure_isp(reg, isp);
-  const store::ArtifactKey mkey =
-      make_key("matrix", store::kLatencyMatrixSchema, world_digest_,
-               {static_cast<std::uint64_t>(isp)});
-  // Single-flight fetch: when several workers (or several pipelines over
-  // one shared store) race for the same matrix -- including one freshly
-  // garbled by store chaos -- exactly one computes while the rest park
-  // and re-load the healed bytes.
-  const store::FetchResult fetched = artifacts_->load_or_compute(
-      mkey, [&]() {
-        LatencyMatrix computed = mesh.measure_isp(reg, isp);
-        store::ByteWriter writer;
-        store::encode(writer, computed);
-        return writer.bytes();
-      });
-  if (fetched.recovered_corrupt) {
-    corrupt.fetch_add(1, std::memory_order_relaxed);
-  }
-  try {
-    store::ByteReader reader(fetched.load.payload);
-    return store::decode_latency_matrix(reader);
-  } catch (const Error&) {
-    // Payload decode failed even after the fetch (e.g. a read-only store
-    // serving chaos-garbled bytes it cannot heal): fall back to a direct
-    // compute.
-    corrupt.fetch_add(1, std::memory_order_relaxed);
-    return mesh.measure_isp(reg, isp);
-  }
-}
-
-LatencyMatrix Pipeline::isp_latency_matrix(AsIndex isp) const {
-  std::lock_guard<std::recursive_mutex> lock(stage_mutex_);
-  obs::ScopedSpan span("pipeline.isp_matrix");
-  const OffnetRegistry& reg = registry(Snapshot::k2023);
-  const PingMesh& mesh = ping_mesh();
-  std::atomic<std::uint64_t> corrupt{0};
-  LatencyMatrix matrix = fetch_isp_matrix(reg, mesh, isp, corrupt);
-  if (corrupt.load() > 0) {
-    // Same degraded-run note the fan-out merge would make: the matrix is
-    // recomputed and correct, but persistence failed this run.
-    fault::StageHealth health;
-    note_store_corruption(health, corrupt_matrices_note(corrupt.load()));
-    record_health("clustering", health);
-  }
-  return matrix;
+  return clusterings_.emplace(key, std::move(extracted)).first->second;
 }
 
 std::string Pipeline::stream_spill_path(AsIndex isp) const {
-  // Keyed exactly like the "matrix" artifact family, with the .mmx
-  // extension marking the aligned spill layout (store/matrix_file.h).
+  // Named like an artifact key of type "matrix", with the .mmx extension
+  // marking the aligned spill layout (store/matrix_file.h).
   std::string name = make_key("matrix", store::kLatencyMatrixSchema,
                               world_digest_,
                               {static_cast<std::uint64_t>(isp)})
@@ -522,16 +445,16 @@ std::string Pipeline::stream_spill_path(AsIndex isp) const {
 }
 
 Pipeline::ClusterFanout Pipeline::cluster_isps(
-    const std::vector<AsIndex>& isps, std::span<const double> xis) const {
+    const std::vector<AsIndex>& isps) const {
   ColocationConfig config;
   config.filter = scenario_.filter;
   const OffnetRegistry& reg = registry(Snapshot::k2023);
   const PingMesh& mesh = ping_mesh();
   const ColocationClusterer clusterer(reg, mesh, vantage_points(), config);
 
-  // Fan the per-ISP clustering across the thread pool. Each ISP's outcome
-  // lands in its own preallocated slot, and the health/result merge walks
-  // the slots in ISP order on one thread, so results, health records and
+  // Fan the per-ISP plots across the thread pool. Each ISP's outcome lands
+  // in its own preallocated slot, and the health/result merge walks the
+  // slots in ISP order on one thread, so results, health records and
   // counters are bit-identical to the serial loop for any thread count.
   ClusterFanout fanout;
   fanout.outcomes.resize(isps.size());
@@ -543,26 +466,14 @@ Pipeline::ClusterFanout Pipeline::cluster_isps(
   const std::size_t block =
       std::max<std::size_t>(1, isps.size() / (threads * 4));
   const bool streaming = !stream_dir_.empty();
-  // Per-ISP latency matrices are the expensive xi-independent half of the
-  // clustering stage, so workers consult/publish them individually; the
-  // store serializes internally, keeping the fan-out data-race free (the
-  // TSan tier of scripts/check.sh covers this path).
-  std::atomic<std::uint64_t> corrupt_matrices{0};
-
-  // Fetches one ISP's matrix: through the attached store when present
-  // (single-flight, self-healing), else by measuring directly. Shared with
-  // the public isp_latency_matrix() accessor; lock-free so pool workers can
-  // call it while the fan-out caller holds the stage mutex.
-  const auto fetch_matrix = [&](AsIndex isp) -> LatencyMatrix {
-    return fetch_isp_matrix(reg, mesh, isp, corrupt_matrices);
-  };
+  std::atomic<std::uint64_t> corrupt_spills{0};
 
   // Streamed path: the matrix lives in a .mmx spill and clustering reads
   // it through an mmap view, so the full matrix never sits on the heap. A
-  // malformed spill is treated like a corrupt artifact (delete, recompute,
-  // republish); a failed spill write degrades to the in-memory path --
+  // malformed spill is treated like a corrupt artifact (delete, remeasure,
+  // respill); a failed spill write degrades to the in-memory path --
   // bit-identical either way (docs/SCALING.md).
-  const auto cluster_streamed = [&](AsIndex isp) -> std::vector<IspClustering> {
+  const auto plot_streamed = [&](AsIndex isp) -> IspPlot {
     const std::string path = stream_spill_path(isp);
     std::optional<store::MappedLatencyMatrix> mapped;
     try {
@@ -570,22 +481,21 @@ Pipeline::ClusterFanout Pipeline::cluster_isps(
     } catch (const store::SerdeError&) {
       std::error_code ec;
       std::filesystem::remove(path, ec);
-      corrupt_matrices.fetch_add(1, std::memory_order_relaxed);
+      corrupt_spills.fetch_add(1, std::memory_order_relaxed);
     } catch (const Error&) {
       // Unmappable (permissions, exotic filesystem): leave the file alone
-      // and fall through to a fresh fetch + in-memory fallback below.
+      // and fall through to a fresh measurement + in-memory fallback below.
     }
     if (!mapped.has_value()) {
-      LatencyMatrix computed = fetch_matrix(isp);
+      const LatencyMatrix measured = mesh.measure_isp(reg, isp);
       try {
-        store::write_matrix_file(path, computed);
+        store::write_matrix_file(path, measured);
         mapped = store::MappedLatencyMatrix::open(path);
       } catch (const Error&) {
-        return clusterer.cluster_isp_multi(isp, xis, std::move(computed));
+        return clusterer.plot(isp, measured);
       }
     }
-    return clusterer.cluster_isp_multi(isp, xis, *mapped,
-                                       scenario_.stream_block_rows);
+    return clusterer.plot(isp, *mapped, scenario_.stream_block_rows);
   };
 
   parallel_for_blocks(
@@ -603,38 +513,35 @@ Pipeline::ClusterFanout Pipeline::cluster_isps(
           obs::ScopedTimer timer("cluster.isp_wall_ms");
           IspOutcome& out = outcomes[i];
           try {
-            out.per_xi = streaming ? cluster_streamed(isps[i])
-                                   : clusterer.cluster_isp_multi(
-                                         isps[i], xis, fetch_matrix(isps[i]));
+            out.plot = streaming ? plot_streamed(isps[i])
+                                 : clusterer.plot(isps[i],
+                                                  mesh.measure_isp(reg, isps[i]));
           } catch (const Error& error) {
             // Quality gate: one pathological ISP matrix must not abort the
             // other few thousand -- keep an unusable placeholder, move on.
             out.failed = true;
             out.error = error.what();
-            IspClustering placeholder;
-            placeholder.isp = isps[i];
-            out.per_xi.assign(xis.size(), placeholder);
+            out.plot = IspPlot();
+            out.plot.isp = isps[i];
           }
           obs::metrics().counter("cluster.isps_clustered").add(1);
         }
       },
       threads);
-  fanout.corrupt_matrices = corrupt_matrices.load();
+  fanout.corrupt_spills = corrupt_spills.load();
   return fanout;
 }
 
-Pipeline::StageOutput<std::vector<IspClustering>> Pipeline::merge_isp_outcomes(
-    const std::vector<AsIndex>& isps, std::span<const double> xis,
-    ClusterFanout fanout) const {
+Pipeline::StageOutput<std::vector<IspPlot>> Pipeline::merge_isp_outcomes(
+    const std::vector<AsIndex>& isps, ClusterFanout fanout) const {
   std::vector<IspOutcome>& outcomes = fanout.outcomes;
   require(outcomes.size() == isps.size(),
           "merge_isp_outcomes: outcome count mismatch");
 
   // Deterministic, ISP-ordered merge on the calling thread.
-  StageOutput<std::vector<IspClustering>> merged;
+  StageOutput<std::vector<IspPlot>> merged;
   fault::StageHealth& health = merged.health;
-  std::vector<std::vector<IspClustering>>& results = merged.values;
-  results.resize(xis.size());
+  merged.value.reserve(isps.size());
   std::uint64_t failed_isps = 0;
   for (std::size_t i = 0; i < isps.size(); ++i) {
     ++health.total;
@@ -646,10 +553,8 @@ Pipeline::StageOutput<std::vector<IspClustering>> Pipeline::merge_isp_outcomes(
         health.reasons.push_back(std::string("clustering error: ") + out.error);
       }
     }
-    if (!out.per_xi.front().usable) ++health.dropped;
-    for (std::size_t x = 0; x < xis.size(); ++x) {
-      results[x].push_back(std::move(out.per_xi[x]));
-    }
+    if (!out.plot.usable) ++health.dropped;
+    merged.value.push_back(std::move(out.plot));
   }
 
   if (health.total > 0 && health.dropped == health.total) {
@@ -662,15 +567,16 @@ Pipeline::StageOutput<std::vector<IspClustering>> Pipeline::merge_isp_outcomes(
           "ISPs below the usable-sites filter", health.dropped, health.total));
     }
   }
-  if (fanout.corrupt_matrices > 0) {
-    merged.store_note = corrupt_matrices_note(fanout.corrupt_matrices);
+  if (fanout.corrupt_spills > 0) {
+    merged.store_note = std::to_string(fanout.corrupt_spills) +
+                        " corrupt latency matrices (.mmx spills) recomputed";
   }
   return merged;
 }
 
 const IspClustering* Pipeline::clustering_of(double xi, AsIndex isp) const {
   // Clusterings sit in hosting-ISP order, which is ascending, and a cached
-  // batch is never replaced.
+  // extraction is never replaced.
   const std::vector<IspClustering>& all = clusterings(xi);
   const auto it = std::ranges::lower_bound(all, isp, {}, &IspClustering::isp);
   return it != all.end() && it->isp == isp ? &*it : nullptr;

@@ -1,8 +1,9 @@
 // The end-to-end reproduction pipeline. Owns the generated world and lazily
 // builds (and caches) each stage: ground-truth deployments per snapshot,
 // TLS populations and scans (cached per snapshot, shared across
-// methodologies), discovery reports, the ping mesh, per-ISP clusterings per
-// xi, routing, and the traffic models.
+// methodologies), discovery reports, the ping mesh, the per-ISP OPTICS
+// plots (xi-independent) and the clusterings extracted from them at any xi,
+// routing, and the traffic models.
 //
 // Degraded-mode execution: a Pipeline can carry a fault::FaultPlan. The
 // plan's pathologies are injected at each stage boundary, every stage
@@ -12,18 +13,20 @@
 // plan every stage output is bit-identical to a Pipeline built without one.
 //
 // Warm starts: with an artifact store attached (REPRO_STORE=/path, or the
-// explicit constructor), the stages a warm pass reads -- scan records,
-// per-ISP latency matrices, clusterings -- consult the store before
-// computing and publish after. Scan and clustering share one private stage
-// primitive (persisted_stage) for that sequence; topology and the TLS
-// population are always computed (a warm scan never forces its population).
-// Artifacts are keyed by a digest over the measurement-relevant scenario
-// config, the fault plan, and the per-stage parameters, so a warm hit is
-// bit-identical to the cold compute (enforced by tests/test_store.cpp). A
-// corrupt or stale artifact falls back to recompute and records a degraded
-// StageHealth instead of throwing. With no store attached (the default)
-// behaviour is bit-identical to before the store existed. See
-// docs/PERSISTENCE.md.
+// explicit constructor), the stages a warm pass reads -- scan records per
+// snapshot and the clustering stage's one batch of OPTICS plots per world
+// -- consult the store before computing and publish after. Both go through
+// one private stage primitive (persisted_stage) over the store's
+// single-flight load_or_compute; topology and the TLS population are always
+// computed (a warm scan never forces its population). A clustering at any
+// xi is an in-memory extraction from the plots, so a new xi costs no store
+// access. Artifacts are keyed by a digest over the measurement-relevant
+// scenario config, the fault plan, and the per-stage parameters, so a warm
+// hit is bit-identical to the cold compute (enforced by
+// tests/test_store.cpp). A corrupt or stale artifact falls back to
+// recompute and records a degraded StageHealth instead of throwing. With no
+// store attached (the default) behaviour is bit-identical to before the
+// store existed. See docs/PERSISTENCE.md.
 //
 // Thread safety: every lazy accessor serializes stage computation behind one
 // recursive mutex, so a Pipeline can sit resident inside the report service
@@ -34,8 +37,10 @@
 // accessors (they run on captured references), so the caller holding the
 // stage mutex while participating in the parallel region cannot deadlock
 // against its own workers. Cross-pipeline concurrency (the common service
-// shape: different worlds resident over one store) needs no coordination
-// beyond the store's own locking.
+// shape: several worlds resident over one store) needs no coordination
+// beyond the store's own locking; pipelines of one world share each
+// artifact's compute through load_or_compute. Its waits cannot cycle: a
+// plot compute waits on a scan flight, never the reverse.
 //
 // Typical use:
 //   Pipeline pipeline(Scenario::paper());
@@ -47,12 +52,11 @@
 //   chaos.overall_status();                          // kDegraded
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,8 +79,8 @@ struct ArtifactKey;
 
 namespace repro {
 
-/// Identity of a xi in (0, 1) for the clustering caches, their artifacts and
-/// the service's render cache: micro-units, exact for config xis like 0.1.
+/// Identity of a xi in (0, 1) for the clustering cache and the service's
+/// render cache: micro-units, exact for config xis like 0.1.
 std::uint64_t xi_key(double xi);
 
 class Pipeline {
@@ -137,16 +141,10 @@ class Pipeline {
   const VantagePointSet& vantage_points() const;
   const PingMesh& ping_mesh() const;
 
-  /// One ISP's vantage-point latency matrix, individually addressable: the
-  /// xi-independent half of the clustering stage, fetched through the
-  /// store's single-flight load_or_compute path exactly like the fan-out
-  /// does (compute on miss, publish, self-heal corruption), or measured
-  /// directly with no store attached. Returns by value -- the store is the
-  /// cache; the pipeline keeps no per-matrix heap residency.
-  LatencyMatrix isp_latency_matrix(AsIndex isp) const;
-
-  /// Clustering of every 2023 offnet-hosting ISP at a given xi (cached).
-  /// Indexed by position in discovery(2023, 2023 methodology) hosting order.
+  /// Clustering of every 2023 offnet-hosting ISP at a given xi (cached per
+  /// xi): an in-memory extraction from the world's OPTICS plots, which are
+  /// computed or loaded once. Indexed by position in discovery(2023, 2023
+  /// methodology) hosting order.
   const std::vector<IspClustering>& clusterings(double xi) const;
 
   /// Clustering lookup by ISP for a given xi; nullptr if the ISP hosts
@@ -174,58 +172,51 @@ class Pipeline {
   std::vector<AsIndex> hosting_isps_2023() const;
 
  private:
-  /// A persisted stage's compute result: one value per artifact key, its
-  /// health, and a store note (corruption the compute recovered from).
+  /// A persisted stage's compute result: its value, its health, and a store
+  /// note (corruption the compute recovered from).
   template <class T>
   struct StageOutput {
-    std::vector<T> values;
+    T value;
     fault::StageHealth health;
     std::string store_note;
   };
 
   /// The one persisted-stage primitive behind scan and clustering
-  /// (pipeline.cpp; docs/PERSISTENCE.md). An artifact holds the stage's
-  /// StageHealth, then the value.
+  /// (pipeline.cpp; docs/PERSISTENCE.md): one artifact per call, holding
+  /// the stage's StageHealth, then the value.
   template <class T, class Compute>
-  std::vector<T> persisted_stage(const char* stage, const char* span_name,
-                                 const std::vector<store::ArtifactKey>& keys,
-                                 void (*encode)(store::ByteWriter&, const T&),
-                                 T (*decode)(store::ByteReader&),
-                                 Compute&& compute) const;
+  T persisted_stage(const char* stage, const char* span_name,
+                    const store::ArtifactKey& key,
+                    void (*encode)(store::ByteWriter&, const T&),
+                    T (*decode)(store::ByteReader&), Compute&& compute) const;
+
+  /// The world's OPTICS plots, one per 2023 hosting ISP (the clustering
+  /// stage's persisted half; cached).
+  const std::vector<IspPlot>& plots() const;
 
   /// Outcome slot of one ISP's clustering fan-out task.
   struct IspOutcome {
-    std::vector<IspClustering> per_xi;
+    IspPlot plot;
     bool failed = false;
     std::string error;
   };
 
-  /// Fan-out result: per-ISP outcomes plus the corrupt-matrix recoveries
-  /// the workers performed along the way.
+  /// Fan-out result: per-ISP outcomes plus the corrupt .mmx spills the
+  /// workers recovered from along the way.
   struct ClusterFanout {
     std::vector<IspOutcome> outcomes;
-    std::uint64_t corrupt_matrices = 0;
+    std::uint64_t corrupt_spills = 0;
   };
 
-  /// Runs the per-ISP clustering fan-out over the thread pool. Pure with
-  /// respect to pipeline state other than lazily forcing the mesh/registry
-  /// stages; records no health (the stage primitive does).
-  ClusterFanout cluster_isps(const std::vector<AsIndex>& isps,
-                             std::span<const double> xis) const;
+  /// Runs the per-ISP plot fan-out over the thread pool. Pure with respect
+  /// to pipeline state other than lazily forcing the mesh/registry stages;
+  /// records no health (the stage primitive does).
+  ClusterFanout cluster_isps(const std::vector<AsIndex>& isps) const;
 
-  /// Lock-free matrix fetch shared by the public isp_latency_matrix() and
-  /// the fan-out's pool workers: store single-flight when attached, direct
-  /// measurement otherwise. Takes the already-forced registry/mesh by
-  /// reference so worker threads never re-enter the locked accessors.
-  LatencyMatrix fetch_isp_matrix(const OffnetRegistry& reg,
-                                 const PingMesh& mesh, AsIndex isp,
-                                 std::atomic<std::uint64_t>& corrupt) const;
-
-  /// Deterministic ISP-ordered merge of fan-out outcomes into the per-xi
-  /// clusterings, their StageHealth and the corrupt-matrix store note.
-  StageOutput<std::vector<IspClustering>> merge_isp_outcomes(
-      const std::vector<AsIndex>& isps, std::span<const double> xis,
-      ClusterFanout fanout) const;
+  /// Deterministic ISP-ordered merge of fan-out outcomes into the plots,
+  /// their StageHealth and the corrupt-spill store note.
+  StageOutput<std::vector<IspPlot>> merge_isp_outcomes(
+      const std::vector<AsIndex>& isps, ClusterFanout fanout) const;
 
   /// Spill-file path for one ISP's streamed latency matrix (.mmx).
   std::string stream_spill_path(AsIndex isp) const;
@@ -262,6 +253,7 @@ class Pipeline {
   mutable std::map<std::pair<Snapshot, Methodology>, DiscoveryReport> reports_;
   mutable std::unique_ptr<VantagePointSet> vps_;
   mutable std::unique_ptr<PingMesh> mesh_;
+  mutable std::optional<std::vector<IspPlot>> plots_;
   mutable std::map<std::uint64_t, std::vector<IspClustering>> clusterings_;
   mutable std::unique_ptr<RoutingEngine> routing_;
   mutable std::unique_ptr<DemandModel> demand_;

@@ -20,8 +20,9 @@
 // request can never kill the daemon loop.
 //
 // Three layers of reuse, coldest to warmest:
-//   1. store artifacts (scan, per-ISP matrices, per-xi clusterings) via
-//      Pipeline's load_or_compute keys,
+//   1. store artifacts (the scans and the world's xi-independent OPTICS
+//      plots, so any xi is an in-memory extraction) via the store's
+//      single-flight load_or_compute,
 //   2. resident pipelines (in-process stage caches) via ArtifactResolver,
 //   3. rendered reports, keyed by (measurement digest, full plan JSON,
 //      query, xi set) in a bounded LRU with single-flight compute --

@@ -1,7 +1,6 @@
 #include "store/artifact_store.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -50,11 +49,6 @@ std::uint64_t fnv1a_str(std::string_view text) noexcept {
 double hash_uniform(std::uint64_t key) noexcept {
   return static_cast<double>(mix64(key) >> 11) * 0x1.0p-53;
 }
-
-/// Escalating backoff budget for load_or_compute waiters: ~16 waits of
-/// 1ms << min(n, 6) each (~0.5 s total) before a waiter stops trusting the
-/// flight holder and computes for itself.
-constexpr std::uint64_t kHerdMaxWaits = 16;
 
 }  // namespace
 
@@ -179,6 +173,17 @@ void ArtifactStore::evict_to_fit(std::uint64_t incoming,
   }
 }
 
+void ArtifactStore::quarantine(const std::string& filename) {
+  ++stats_.corrupt;
+  obs::metrics().counter("store.corrupt").add(1);
+  if (config_.read_only) return;
+  // Quarantine by deletion: the next run takes a clean miss instead of
+  // tripping over the same corrupt bytes forever.
+  std::error_code ec;
+  fs::remove(fs::path(config_.root) / filename, ec);
+  drop_entry(filename);
+}
+
 void ArtifactStore::set_chaos(const StoreChaos& chaos) {
   std::lock_guard<std::mutex> lock(mutex_);
   chaos_ = chaos;
@@ -292,15 +297,7 @@ LoadResult ArtifactStore::load(const ArtifactKey& key) {
   }
 
   if (result.corrupt()) {
-    ++stats_.corrupt;
-    obs::metrics().counter("store.corrupt").add(1);
-    if (!config_.read_only) {
-      // Quarantine by deletion: the next run takes a clean miss instead of
-      // tripping over the same corrupt bytes forever.
-      std::error_code ec;
-      fs::remove(path, ec);
-      drop_entry(filename);
-    }
+    quarantine(filename);
     return result;
   }
 
@@ -386,84 +383,77 @@ bool ArtifactStore::save(const ArtifactKey& key,
 
 FetchResult ArtifactStore::load_or_compute(
     const ArtifactKey& key,
-    const std::function<std::vector<std::uint8_t>()>& compute) {
-  FetchResult result;
-  result.load = load(key);
-  if (result.load.hit()) return result;
-  result.recovered_corrupt = result.load.corrupt();
-  const std::string corrupt_detail = result.load.detail;
+    const std::function<std::vector<std::uint8_t>()>& compute,
+    const std::function<void(std::span<const std::uint8_t>)>& decode) {
   const std::string filename = key.filename();
-
+  FetchResult result;
+  std::string corrupt_detail;
   std::uint64_t waits = 0;
-  bool computed = false;
   while (true) {
-    bool claimed = false;
-    bool parked = false;
-    {
-      std::unique_lock<std::mutex> lock(flight_mutex_);
-      if (!inflight_.contains(filename)) {
-        inflight_.insert(filename);
-        claimed = true;
-      } else if (waits < kHerdMaxWaits) {
-        ++waits;
-        parked = true;
-        flight_cv_.wait_for(lock, std::chrono::milliseconds(
-                                      1LL << std::min<std::uint64_t>(waits, 6)));
+    LoadResult loaded = load(key);
+    if (loaded.hit() && decode) {
+      try {
+        decode(loaded.payload);
+      } catch (const Error& error) {
+        // Passed the checksum but not the caller's decoder: as corrupt as a
+        // bit flip, so quarantine it and recompute.
+        loaded.status = LoadStatus::kCorrupt;
+        loaded.detail = filename + ": " + error.what();
+        std::lock_guard<std::mutex> lock(mutex_);
+        quarantine(filename);
       }
-      // else: the flight holder outlived the whole backoff budget; fall
-      // through and compute without claiming (duplicate work, no deadlock).
+    }
+    if (loaded.hit()) {
+      result.load = std::move(loaded);
+      break;
+    }
+    if (loaded.corrupt() && !result.recovered_corrupt) {
+      result.recovered_corrupt = true;
+      corrupt_detail = loaded.detail;
     }
 
-    if (claimed) {
-      std::vector<std::uint8_t> payload;
-      try {
-        payload = compute();
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(flight_mutex_);
-          inflight_.erase(filename);
-        }
-        flight_cv_.notify_all();
-        throw;
+    {
+      std::unique_lock<std::mutex> lock(flight_mutex_);
+      if (inflight_.contains(filename)) {
+        // Another caller is computing this key: wait for its flight to end,
+        // then re-load what it published (or claim the retry if it failed).
+        ++waits;
+        flight_cv_.wait(lock, [&] { return !inflight_.contains(filename); });
+        continue;
       }
-      save(key, payload);  // read-only / full disk degrade to no persistence
+      inflight_.insert(filename);
+    }
+    const auto land = [&] {
       {
         std::lock_guard<std::mutex> lock(flight_mutex_);
         inflight_.erase(filename);
       }
       flight_cv_.notify_all();
-      computed = true;
-      result.load.status = LoadStatus::kHit;
-      result.load.payload = std::move(payload);
-      break;
+    };
+    std::vector<std::uint8_t> payload;
+    try {
+      payload = compute();
+    } catch (...) {
+      land();
+      throw;
     }
-
-    if (parked) {
-      LoadResult again = load(key);
-      if (again.hit()) {
-        result.load = std::move(again);
-        break;
-      }
-      continue;  // holder not done (or its save failed): claim or park again
-    }
-
-    std::vector<std::uint8_t> payload = compute();
-    save(key, payload);
-    computed = true;
+    // Read-only / full disk degrade to no persistence.
+    if (!payload.empty()) save(key, payload);
+    land();
+    result.computed = true;
     result.load.status = LoadStatus::kHit;
     result.load.payload = std::move(payload);
     break;
   }
 
-  result.computed = computed;
   if (result.recovered_corrupt) result.load.detail = corrupt_detail;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stats_.herd_waits += waits;
-    if (computed) ++stats_.recomputed;
+    if (result.computed) ++stats_.recomputed;
   }
   if (waits > 0) obs::metrics().counter("store.herd_waits").add(waits);
-  if (computed) obs::metrics().counter("store.recomputed").add(1);
+  if (result.computed) obs::metrics().counter("store.recomputed").add(1);
   return result;
 }
 

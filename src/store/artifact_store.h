@@ -4,10 +4,10 @@
 // `<type>-v<schema>-<digest>.bin` where the digest is an FNV-1a 64-bit hash
 // over everything that determines the artifact's content: the per-type
 // schema version, the scenario's measurement-relevant config fields, the
-// fault plan (seed + every rate), and per-artifact parameters (snapshot,
-// ISP, xi). Change any input and the key changes, so a stale artifact can
-// never be served -- there is no invalidation protocol, only different
-// names.
+// fault plan (seed + every rate), and per-artifact parameters (the
+// snapshot of a scan; a plot has none). Change any input and the key
+// changes, so a stale artifact can never be served -- there is no
+// invalidation protocol, only different names.
 //
 // Durability contract:
 //   * writes are atomic: payload goes to a temp file in the root, then one
@@ -21,8 +21,9 @@
 //     over file recency (same policy shape as cache/lru.h, with file mtimes
 //     persisting the recency order across processes).
 //
-// All operations are thread-safe: the clustering fan-out loads and saves
-// per-ISP matrices from pool workers concurrently.
+// All operations are thread-safe: resident pipelines of one world (the
+// report service) consult and publish the same keys concurrently, and
+// load_or_compute makes them share one compute per key.
 //
 // Env toggles (read by from_env(); all default off so the pipeline is
 // bit-identical to a storeless build):
@@ -40,6 +41,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -53,7 +55,7 @@ namespace repro::store {
 /// Identity of one stored artifact. The digest must cover every input that
 /// can change the payload (build it with Fnv1a).
 struct ArtifactKey {
-  std::string type;           // "scan", "matrix" or "clustering"
+  std::string type;           // "scan" or "plot"
   std::uint32_t schema = 1;   // the per-type schema constant from serde.h
   std::uint64_t digest = 0;
 
@@ -129,8 +131,9 @@ struct StoreStats {
 
 /// Outcome of ArtifactStore::load_or_compute.
 struct FetchResult {
-  /// Always a hit on return (payload present); `detail` preserves the
-  /// corruption reason when the fetch began with a corrupt artifact.
+  /// Always a hit on return (payload present, empty only when `compute`
+  /// returned nothing); `detail` preserves the corruption reason when the
+  /// fetch began with a corrupt or rejected artifact.
   LoadResult load;
   bool computed = false;           // this caller ran the compute fn
   bool recovered_corrupt = false;  // the artifact was corrupt before healing
@@ -165,20 +168,23 @@ class ArtifactStore {
   /// read-only stores (they cannot modify files).
   void set_chaos(const StoreChaos& chaos);
 
-  /// Single-flight load-or-compute: a hit returns immediately; on a miss or
-  /// corrupt artifact exactly one caller runs `compute` and republishes
-  /// while concurrent callers for the same key park on a bounded
-  /// escalating-backoff wait and then re-load the published bytes -- N
-  /// workers hitting the same corrupt artifact cost one recompute, not N
-  /// (stats().recomputed counts them; herd_waits counts the parked). The
-  /// wait is bounded: if the flight holder stalls past the backoff budget,
-  /// a waiter gives up waiting and computes too, so no caller can hang on a
-  /// wedged peer. `compute` runs without any store lock held and must
-  /// return the serialized payload; the returned FetchResult always carries
-  /// a usable payload.
+  /// Single-flight load-or-compute, the store's one consult -> compute ->
+  /// publish sequence. A hit that `decode` accepts returns at once. On a
+  /// miss, a corrupt artifact, or a payload `decode` rejects by throwing
+  /// repro::Error (quarantined like a checksum failure), exactly one caller
+  /// runs `compute` and publishes its payload, while concurrent callers for
+  /// the same key park until that flight ends and then re-load (and
+  /// re-decode) the published bytes -- N callers racing for one corrupt
+  /// artifact cost one recompute, not N (stats().recomputed counts
+  /// computes, herd_waits counts parks). An empty payload is not published
+  /// (a failed stage: the next caller retries). `compute` and `decode` run
+  /// without any store lock held; `compute` must not wait on another flight
+  /// of the same key. A caller that computed gets its own payload back
+  /// undecoded (`computed`); any other caller has had `decode` accept it.
   FetchResult load_or_compute(
       const ArtifactKey& key,
-      const std::function<std::vector<std::uint8_t>()>& compute);
+      const std::function<std::vector<std::uint8_t>()>& compute,
+      const std::function<void(std::span<const std::uint8_t>)>& decode = {});
 
   const StoreConfig& config() const noexcept { return config_; }
   StoreStats stats() const;
@@ -211,6 +217,9 @@ class ArtifactStore {
   /// budget. Never evicts `keep`. Caller holds the lock.
   void evict_to_fit(std::uint64_t incoming, const std::string& keep);
   void drop_entry(const std::string& filename);
+  /// Deletes a corrupt artifact (unless read-only) so the next load takes a
+  /// clean miss, and counts it. Caller holds the lock.
+  void quarantine(const std::string& filename);
   /// Garbles the on-disk file if armed chaos selects it and it has not been
   /// hit before. Caller holds the lock.
   void maybe_inject_chaos(const std::string& filename);

@@ -27,9 +27,9 @@
 //
 // Spill files live under <store-root>/stream/ (or a per-process temp
 // directory when no store is attached) and are deliberately outside the
-// .bin indexer: they are a rebuildable disk cache keyed like the "matrix"
-// artifact family, not content the store's LRU budget manages. See
-// docs/SCALING.md.
+// .bin indexer: they are a rebuildable disk cache named like "matrix"
+// artifact keys (no .bin artifact holds a matrix), not content the store's
+// LRU budget manages. See docs/SCALING.md.
 #pragma once
 
 #include <cstdint>

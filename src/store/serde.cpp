@@ -187,91 +187,93 @@ std::vector<ScanRecord> decode_scan_records(ByteReader& in) {
   return records;
 }
 
-// --- latency matrices ---
+// --- OPTICS plots ---
 
-void encode(ByteWriter& out, const LatencyMatrix& matrix) {
-  out.u64(matrix.ips.size());
-  for (const Ipv4 ip : matrix.ips) out.u32(ip.value());
-  out.u64(matrix.server_indices.size());
-  for (const std::size_t index : matrix.server_indices) out.u64(index);
-  out.u64(matrix.vp_count);
-  out.u64(matrix.rtt.size());
-  for (const double rtt : matrix.rtt) out.f64(rtt);
+namespace {
+
+void encode_indices(ByteWriter& out, const std::vector<std::size_t>& values) {
+  out.u64(values.size());
+  for (const std::size_t value : values) out.u64(value);
 }
 
-LatencyMatrix decode_latency_matrix(ByteReader& in) {
-  LatencyMatrix matrix;
-  const std::uint64_t ips = checked_count(in.u64(), "matrix rows");
-  matrix.ips.reserve(ips);
-  for (std::uint64_t i = 0; i < ips; ++i) matrix.ips.push_back(Ipv4(in.u32()));
-  const std::uint64_t servers = checked_count(in.u64(), "matrix servers");
-  matrix.server_indices.reserve(servers);
-  for (std::uint64_t i = 0; i < servers; ++i) {
-    matrix.server_indices.push_back(in.u64());
-  }
-  matrix.vp_count = in.u64();
-  const std::uint64_t cells = checked_count(in.u64(), "matrix cells");
-  if (cells != ips * matrix.vp_count) {
-    throw SerdeError("matrix shape mismatch: " + std::to_string(cells) +
-                     " cells for " + std::to_string(ips) + "x" +
-                     std::to_string(matrix.vp_count));
-  }
-  matrix.rtt.reserve(cells);
-  for (std::uint64_t i = 0; i < cells; ++i) matrix.rtt.push_back(in.f64());
-  return matrix;
+std::vector<std::size_t> decode_indices(ByteReader& in, const char* what) {
+  const std::uint64_t count = checked_count(in.u64(), what);
+  std::vector<std::size_t> values;
+  values.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i) values.push_back(in.u64());
+  return values;
 }
 
-// --- clusterings ---
-
-void encode(ByteWriter& out, const IspClustering& clustering) {
-  out.u32(clustering.isp);
-  out.u8(clustering.usable ? 1 : 0);
-  out.u64(clustering.registry_indices.size());
-  for (const std::size_t index : clustering.registry_indices) out.u64(index);
-  out.u64(clustering.labels.size());
-  for (const int label : clustering.labels) out.i32(label);
-  out.i32(clustering.cluster_count);
-  out.u64(clustering.dropped_unresponsive);
-  out.u64(clustering.dropped_impossible);
-  out.u64(clustering.usable_sites);
-}
-
-IspClustering decode_clustering(ByteReader& in) {
-  IspClustering clustering;
-  clustering.isp = in.u32();
-  clustering.usable = in.u8() != 0;
-  const std::uint64_t indices = checked_count(in.u64(), "registry indices");
-  clustering.registry_indices.reserve(indices);
-  for (std::uint64_t i = 0; i < indices; ++i) {
-    clustering.registry_indices.push_back(in.u64());
+/// Rejects a plot whose arrays could not have come from OPTICS, so an
+/// inconsistent payload that passed the checksum never reaches extraction
+/// or colocation_of's unchecked indexing.
+void validate(const IspPlot& plot) {
+  const std::size_t n = plot.ordering.size();
+  if (plot.registry_indices.size() != n || plot.reachability.size() != n) {
+    throw SerdeError("plot shape mismatch: " + std::to_string(n) +
+                     " ordered points, " +
+                     std::to_string(plot.registry_indices.size()) +
+                     " registry indices, " +
+                     std::to_string(plot.reachability.size()) +
+                     " reachabilities");
   }
-  const std::uint64_t labels = checked_count(in.u64(), "cluster labels");
-  clustering.labels.reserve(labels);
-  for (std::uint64_t i = 0; i < labels; ++i) {
-    clustering.labels.push_back(in.i32());
+  if (!plot.usable && n > 0) {
+    throw SerdeError("unusable ISP plot carries " + std::to_string(n) +
+                     " points");
   }
-  clustering.cluster_count = in.i32();
-  clustering.dropped_unresponsive = in.u64();
-  clustering.dropped_impossible = in.u64();
-  clustering.usable_sites = in.u64();
-  return clustering;
-}
-
-void encode(ByteWriter& out, const std::vector<IspClustering>& clusterings) {
-  out.u64(clusterings.size());
-  for (const IspClustering& clustering : clusterings) {
-    encode(out, clustering);
+  std::vector<bool> seen(n, false);
+  for (const std::size_t position : plot.ordering) {
+    if (position >= n || seen[position]) {
+      throw SerdeError("plot ordering is not a permutation of [0, " +
+                       std::to_string(n) + ")");
+    }
+    seen[position] = true;
   }
 }
 
-std::vector<IspClustering> decode_clusterings(ByteReader& in) {
-  const std::uint64_t count = checked_count(in.u64(), "clusterings");
-  std::vector<IspClustering> clusterings;
-  clusterings.reserve(count);
+}  // namespace
+
+void encode(ByteWriter& out, const IspPlot& plot) {
+  out.u32(plot.isp);
+  out.u8(plot.usable ? 1 : 0);
+  encode_indices(out, plot.registry_indices);
+  out.u64(plot.dropped_unresponsive);
+  out.u64(plot.dropped_impossible);
+  out.u64(plot.usable_sites);
+  encode_indices(out, plot.ordering);
+  out.u64(plot.reachability.size());
+  for (const double reachability : plot.reachability) out.f64(reachability);
+}
+
+IspPlot decode_plot(ByteReader& in) {
+  IspPlot plot;
+  plot.isp = in.u32();
+  plot.usable = in.u8() != 0;
+  plot.registry_indices = decode_indices(in, "registry indices");
+  plot.dropped_unresponsive = in.u64();
+  plot.dropped_impossible = in.u64();
+  plot.usable_sites = in.u64();
+  plot.ordering = decode_indices(in, "plot ordering");
+  const std::uint64_t count = checked_count(in.u64(), "plot reachability");
+  plot.reachability.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    clusterings.push_back(decode_clustering(in));
+    plot.reachability.push_back(in.f64());
   }
-  return clusterings;
+  validate(plot);
+  return plot;
+}
+
+void encode(ByteWriter& out, const std::vector<IspPlot>& plots) {
+  out.u64(plots.size());
+  for (const IspPlot& plot : plots) encode(out, plot);
+}
+
+std::vector<IspPlot> decode_plots(ByteReader& in) {
+  const std::uint64_t count = checked_count(in.u64(), "plots");
+  std::vector<IspPlot> plots;
+  plots.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i) plots.push_back(decode_plot(in));
+  return plots;
 }
 
 // --- stage health ---

@@ -1,14 +1,14 @@
 // Versioned binary serialization for the pipeline's heavy intermediates.
 //
-// The artifact store (artifact_store.h) persists three expensive artifact
+// The artifact store (artifact_store.h) persists two expensive artifact
 // families across processes -- exactly what a warm pass reads: scan-record
-// vectors, per-ISP ping-mesh latency matrices, and per-ISP clustering
-// results. Each family has an explicit little-endian wire encoding and a
-// per-type schema version (bump the constant whenever the struct or its
-// encoding changes -- stale artifacts then miss instead of decoding
-// garbage). Doubles travel as raw IEEE-754 bit patterns, so NaN markers
-// (kNoMeasurement) and every last ulp survive the round trip: a warm start
-// is bit-identical to a cold compute.
+// vectors and the per-world batch of xi-independent OPTICS plots (one
+// IspPlot per hosting ISP). Each family has an explicit little-endian wire
+// encoding and a per-type schema version (bump the constant whenever the
+// struct or its encoding changes -- stale artifacts then miss instead of
+// decoding garbage). Doubles travel as raw IEEE-754 bit patterns, so
+// infinite reachabilities and every last ulp survive the round trip: a warm
+// start is bit-identical to a cold compute.
 //
 // Stage-health records ride along with each artifact so a warm run reports
 // the same degraded/ok verdicts the cold run earned.
@@ -24,7 +24,6 @@
 
 #include "cluster/colocation.h"
 #include "fault/stage_health.h"
-#include "mlab/ping_mesh.h"
 #include "scan/scanner.h"
 #include "tls/certificate.h"
 #include "util/error.h"
@@ -40,11 +39,10 @@ class SerdeError : public Error {
 
 // --- per-type schema versions (see docs/PERSISTENCE.md for bump rules) ---
 inline constexpr std::uint32_t kScanRecordsSchema = 1;
+inline constexpr std::uint32_t kPlotSchema = 1;
+/// Header version of the streamed substrate's .mmx latency-matrix spills
+/// (store/matrix_file.h); no .bin artifact carries a latency matrix.
 inline constexpr std::uint32_t kLatencyMatrixSchema = 1;
-// v2: the trimmed-Manhattan distance switched to the canonical
-// ascending-order sum (docs/PERFORMANCE.md), changing clustering inputs in
-// the last ulps; v1 artifacts would replay stdlib-dependent results.
-inline constexpr std::uint32_t kClusteringSchema = 2;
 
 /// Append-only little-endian byte sink.
 class ByteWriter {
@@ -123,14 +121,14 @@ TlsCertificate decode_certificate(ByteReader& in);
 void encode(ByteWriter& out, const std::vector<ScanRecord>& records);
 std::vector<ScanRecord> decode_scan_records(ByteReader& in);
 
-void encode(ByteWriter& out, const LatencyMatrix& matrix);
-LatencyMatrix decode_latency_matrix(ByteReader& in);
+void encode(ByteWriter& out, const IspPlot& plot);
+/// Also throws SerdeError when the plot's shape is inconsistent: an
+/// ordering that is not a permutation of [0, n), a registry-index or
+/// reachability array whose length is not n, or an unusable ISP with points.
+IspPlot decode_plot(ByteReader& in);
 
-void encode(ByteWriter& out, const IspClustering& clustering);
-IspClustering decode_clustering(ByteReader& in);
-
-void encode(ByteWriter& out, const std::vector<IspClustering>& clusterings);
-std::vector<IspClustering> decode_clusterings(ByteReader& in);
+void encode(ByteWriter& out, const std::vector<IspPlot>& plots);
+std::vector<IspPlot> decode_plots(ByteReader& in);
 
 void encode(ByteWriter& out, const fault::StageHealth& health);
 fault::StageHealth decode_stage_health(ByteReader& in);

@@ -176,11 +176,11 @@ TEST_F(StreamedSubstrateTest, StreamedSpillsPersistUnderStore) {
   }
   EXPECT_GT(spills, 0u);
 
-  // Drop the clustering artifacts so the rerun actually re-clusters -- now
+  // Drop the plot artifact so the rerun actually re-clusters -- now
   // reading the persisted spills instead of measuring and respilling.
   for (const auto& entry : fs::directory_iterator(root_ / "store")) {
     const std::string name = entry.path().filename().string();
-    if (name.rfind("clustering-v", 0) == 0) fs::remove(entry.path());
+    if (name.rfind("plot-v", 0) == 0) fs::remove(entry.path());
   }
 
   obs::metrics().reset();
