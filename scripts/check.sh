@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus sanitizer passes: AddressSanitizer over the fault
 # and store tests, ThreadSanitizer over the concurrency-sensitive tiers (the
-# parallel clustering engine, the obs registry, degraded-mode runs, and
-# concurrent artifact-store access from the clustering fan-out), and a
-# warm-equals-cold smoke test of the persistent store.
+# parallel clustering engine, the peering study's per-target fan-out, the
+# obs registry, degraded-mode runs, and concurrent artifact-store access
+# from the clustering fan-out), and a warm-equals-cold smoke test of the
+# persistent store.
 #
 #   ./scripts/check.sh             tier-1 build + full ctest, then an
 #                                  ASan build of the `fault`, `store` and
 #                                  `serve` labels, a TSan build of the
-#                                  `parallel`, `obs`, `fault`, `store` and
-#                                  `serve` labels, a UBSan build of the
+#                                  `parallel` (test_parallel and
+#                                  test_peering), `obs`, `fault`, `store`
+#                                  and `serve` labels, a UBSan build of the
 #                                  `perf` and `obs` labels (the SIMD
 #                                  kernels, the ping mesh and the obs
 #                                  layer), a TSan
@@ -57,7 +59,7 @@ fi
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   echo "== tsan: parallel + obs + fault + store + serve tests =="
   cmake -B build-tsan -S . -DREPRO_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j"$(nproc)" --target test_parallel test_obs test_fault test_store test_serve
+  cmake --build build-tsan -j"$(nproc)" --target test_parallel test_peering test_obs test_fault test_store test_serve
   (cd build-tsan && ctest -L 'parallel|obs|fault|store|serve' --output-on-failure -j"$(nproc)")
 
   if [[ "${SKIP_CHAOS:-0}" != "1" ]]; then

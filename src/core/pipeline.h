@@ -34,9 +34,12 @@
 // the first caller computes, the rest see the cached result. The mutex is
 // recursive because stages force each other (discovery -> scan -> population
 // -> registry). The clustering fan-out's pool workers never touch the
-// accessors (they run on captured references), so the caller holding the
-// stage mutex while participating in the parallel region cannot deadlock
-// against its own workers. Cross-pipeline concurrency (the common service
+// accessors (they run on captured references), and neither do the peering
+// study's per-target workers: peering_study() forces routing() before the
+// fan-out starts, and its workers read only const, stateless objects
+// (Internet, RoutingEngine, TracerouteEngine, IxpRegistry). So the caller
+// holding the stage mutex while participating in a parallel region cannot
+// deadlock against its own workers. Cross-pipeline concurrency (the common service
 // shape: several worlds resident over one store) needs no coordination
 // beyond the store's own locking; pipelines of one world share each
 // artifact's compute through load_or_compute. Its waits cannot cycle: a

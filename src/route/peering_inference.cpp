@@ -6,6 +6,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/error.h"
+#include "util/thread_pool.h"
 
 namespace repro {
 
@@ -113,6 +114,70 @@ IspPeeringEvidence PeeringStudy::classify_traceroute(const Traceroute& tracerout
   return evidence;
 }
 
+std::vector<Ipv4> PeeringStudy::destinations_of(AsIndex target) const {
+  const As& as = internet_.ases[target];
+  // One address per announced /24, round-robin over the ISP's user
+  // prefixes, capped by config.
+  std::vector<Ipv4> out;
+  for (const Prefix& prefix : as.user_prefixes) {
+    const std::uint64_t slash24s = prefix.size() / 256;
+    for (std::uint64_t s = 0;
+         s < slash24s && out.size() < config_.slash24s_per_target; ++s) {
+      out.push_back(prefix.at(s * 256 + 1));
+    }
+  }
+  if (out.empty() && !as.user_prefixes.empty()) {
+    out.push_back(as.user_prefixes.front().at(1));
+  }
+  if (out.empty()) out.push_back(as.infra.pool().at(255));
+  return out;
+}
+
+IspPeeringEvidence PeeringStudy::probe_target(
+    AsIndex hg_as, AsIndex target, std::span<const Ipv4> destinations,
+    const RoutingEngine& routing, std::uint64_t clock_offset) const {
+  const RoutingTable table = routing.routes_to(target);
+  IspPeeringEvidence aggregate;
+  aggregate.isp = target;
+
+  // Per-destination path signature from *observations only* (hop count +
+  // whether the destination answered). Under stable routing every probe
+  // to one destination agrees on both regardless of VM/flow; disagreement
+  // means the path itself changed under the study.
+  std::vector<std::pair<std::size_t, bool>> first_signature(
+      destinations.size(), {0, false});
+  std::vector<bool> signature_seen(destinations.size(), false);
+
+  std::uint64_t probe_time = clock_offset;
+  for (std::size_t vm = 0; vm < config_.vm_count; ++vm) {
+    for (std::size_t d = 0; d < destinations.size(); ++d) {
+      const Traceroute traceroute =
+          engine_.trace(hg_as, destinations[d], table,
+                        mix64(config_.seed ^ (vm + 1)), probe_time++);
+      const IspPeeringEvidence one =
+          classify_traceroute(traceroute, hg_as, target);
+      ++aggregate.traceroutes;
+      aggregate.seen_via_ixp |= one.seen_via_ixp;
+      aggregate.seen_via_pni |= one.seen_via_pni;
+      if (one.status == PeeringStatus::kPeer) {
+        aggregate.status = PeeringStatus::kPeer;
+      } else if (one.status == PeeringStatus::kPossiblePeer &&
+                 aggregate.status == PeeringStatus::kNoEvidence) {
+        aggregate.status = PeeringStatus::kPossiblePeer;
+      }
+      const std::pair<std::size_t, bool> signature{
+          traceroute.hops.size(), traceroute.destination_reached};
+      if (!signature_seen[d]) {
+        signature_seen[d] = true;
+        first_signature[d] = signature;
+      } else if (first_signature[d] != signature) {
+        aggregate.unstable = true;
+      }
+    }
+  }
+  return aggregate;
+}
+
 std::map<AsIndex, IspPeeringEvidence> PeeringStudy::run(
     AsIndex hg_as, std::span<const AsIndex> targets,
     const RoutingEngine& routing, PeeringStudyOutcome* outcome) const {
@@ -120,82 +185,50 @@ std::map<AsIndex, IspPeeringEvidence> PeeringStudy::run(
   static obs::CachedCounter probes_counter("route.traceroutes");
   static obs::CachedCounter unstable_counter("route.unstable_targets");
   static obs::CachedCounter downgrade_counter("route.peer_downgrades");
-  PeeringStudyOutcome local;
+
   // One clock for the whole campaign: consecutive probes land in adjacent
   // flap epochs, so the same destination is revisited under evolving
-  // routing state. Clean engines ignore the clock entirely.
-  std::uint64_t probe_time = 0;
+  // routing state. Clean engines ignore the clock entirely. Target i's
+  // probes occupy [offset[i], offset[i + 1]) -- a prefix sum of
+  // vm_count x |destinations| -- so targets can run in any order, on any
+  // thread, and still see exactly the probe times of one serial campaign.
+  std::vector<std::vector<Ipv4>> plans(targets.size());
+  std::vector<std::uint64_t> offsets(targets.size() + 1, 0);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    plans[i] = destinations_of(targets[i]);
+    offsets[i + 1] = offsets[i] + config_.vm_count * plans[i].size();
+  }
+
+  // Each target writes its own slot; the merge below walks them in target
+  // order, so results and counters are bit-identical for any thread count.
+  std::vector<IspPeeringEvidence> slots(targets.size());
+  const std::size_t block =
+      std::max<std::size_t>(1, targets.size() / (default_thread_count() * 8));
+  parallel_for_blocks(
+      targets.size(), block, [&](std::size_t begin, std::size_t end) {
+        // One span and one shard_ms sample per block, as cluster.shard.
+        obs::ScopedSpan shard_span("route.peering_shard");
+        obs::ScopedTimer shard_timer("route.peering_shard_ms");
+        for (std::size_t i = begin; i < end; ++i) {
+          slots[i] = probe_target(hg_as, targets[i], plans[i], routing,
+                                  offsets[i]);
+        }
+      });
+
+  PeeringStudyOutcome local;
   std::map<AsIndex, IspPeeringEvidence> results;
-  for (const AsIndex target : targets) {
-    const RoutingTable table = routing.routes_to(target);
-    IspPeeringEvidence aggregate;
-    aggregate.isp = target;
-
-    const As& as = internet_.ases[target];
-    // Destination addresses: one per announced /24, round-robin over the
-    // ISP's user prefixes, capped by config.
-    std::vector<Ipv4> destinations;
-    for (const Prefix& prefix : as.user_prefixes) {
-      const std::uint64_t slash24s = prefix.size() / 256;
-      for (std::uint64_t s = 0;
-           s < slash24s && destinations.size() < config_.slash24s_per_target;
-           ++s) {
-        destinations.push_back(prefix.at(s * 256 + 1));
-      }
-    }
-    if (destinations.empty() && !as.user_prefixes.empty()) {
-      destinations.push_back(as.user_prefixes.front().at(1));
-    }
-    if (destinations.empty()) {
-      destinations.push_back(as.infra.pool().at(255));
-    }
-
-    // Per-destination path signature from *observations only* (hop count +
-    // whether the destination answered). Under stable routing every probe
-    // to one destination agrees on both regardless of VM/flow; disagreement
-    // means the path itself changed under the study.
-    std::vector<std::pair<std::size_t, bool>> first_signature(
-        destinations.size(), {0, false});
-    std::vector<bool> signature_seen(destinations.size(), false);
-
-    for (std::size_t vm = 0; vm < config_.vm_count; ++vm) {
-      for (std::size_t d = 0; d < destinations.size(); ++d) {
-        const Ipv4 destination = destinations[d];
-        const Traceroute traceroute =
-            engine_.trace(hg_as, destination, table,
-                          mix64(config_.seed ^ (vm + 1)), probe_time++);
-        const IspPeeringEvidence one =
-            classify_traceroute(traceroute, hg_as, target);
-        ++aggregate.traceroutes;
-        aggregate.seen_via_ixp |= one.seen_via_ixp;
-        aggregate.seen_via_pni |= one.seen_via_pni;
-        if (one.status == PeeringStatus::kPeer) {
-          aggregate.status = PeeringStatus::kPeer;
-        } else if (one.status == PeeringStatus::kPossiblePeer &&
-                   aggregate.status == PeeringStatus::kNoEvidence) {
-          aggregate.status = PeeringStatus::kPossiblePeer;
-        }
-        const std::pair<std::size_t, bool> signature{
-            traceroute.hops.size(), traceroute.destination_reached};
-        if (!signature_seen[d]) {
-          signature_seen[d] = true;
-          first_signature[d] = signature;
-        } else if (first_signature[d] != signature) {
-          aggregate.unstable = true;
-        }
-      }
-    }
-    if (aggregate.unstable) {
+  for (IspPeeringEvidence& evidence : slots) {
+    if (evidence.unstable) {
       ++local.unstable_targets;
-      if (aggregate.status == PeeringStatus::kPeer) {
-        aggregate.status = PeeringStatus::kPossiblePeer;
+      if (evidence.status == PeeringStatus::kPeer) {
+        evidence.status = PeeringStatus::kPossiblePeer;
         ++local.downgraded_peers;
       }
     }
-    results.emplace(target, aggregate);
+    results.emplace(evidence.isp, evidence);
   }
   local.targets = targets.size();
-  local.probes = probe_time;
+  local.probes = offsets.back();
   probes_counter.add(local.probes);
   unstable_counter.add(local.unstable_targets);
   downgrade_counter.add(local.downgraded_peers);

@@ -72,14 +72,29 @@ class PeeringStudy {
   /// Probes are issued on a campaign timeline (probe_time ticks once per
   /// traceroute) so routing faults that evolve during the study surface as
   /// per-destination path disagreement; stable paths are unaffected.
+  /// Targets fan out over the thread pool; each starts at its prefix-sum
+  /// offset on the timeline, so the result is bit-identical to one serial
+  /// campaign for every thread count (docs/PARALLELISM.md).
   std::map<AsIndex, IspPeeringEvidence> run(
       AsIndex hg_as, std::span<const AsIndex> targets,
       const RoutingEngine& routing,
       PeeringStudyOutcome* outcome = nullptr) const;
 
+  /// The addresses the study probes in `target`: one per announced /24,
+  /// round-robin over its user prefixes, capped at slash24s_per_target.
+  std::vector<Ipv4> destinations_of(AsIndex target) const;
+
   const PeeringStudyConfig& config() const noexcept { return config_; }
 
  private:
+  /// All vm_count x |destinations| traceroutes towards one target, on the
+  /// campaign clock from `clock_offset`, aggregated before the instability
+  /// downgrade (which run() applies when it merges).
+  IspPeeringEvidence probe_target(AsIndex hg_as, AsIndex target,
+                                  std::span<const Ipv4> destinations,
+                                  const RoutingEngine& routing,
+                                  std::uint64_t clock_offset) const;
+
   const Internet& internet_;
   const TracerouteEngine& engine_;
   const IxpRegistry& ixp_registry_;

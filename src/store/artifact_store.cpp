@@ -390,6 +390,11 @@ FetchResult ArtifactStore::load_or_compute(
   std::string corrupt_detail;
   std::uint64_t waits = 0;
   while (true) {
+    std::uint64_t landed_before_load = 0;
+    {
+      std::lock_guard<std::mutex> lock(flight_mutex_);
+      landed_before_load = landed_[filename];
+    }
     LoadResult loaded = load(key);
     if (loaded.hit() && decode) {
       try {
@@ -421,12 +426,16 @@ FetchResult ArtifactStore::load_or_compute(
         flight_cv_.wait(lock, [&] { return !inflight_.contains(filename); });
         continue;
       }
+      // A flight landed after this load started: its published bytes may
+      // be what this caller lacks, so re-load before computing again.
+      if (landed_[filename] != landed_before_load) continue;
       inflight_.insert(filename);
     }
     const auto land = [&] {
       {
         std::lock_guard<std::mutex> lock(flight_mutex_);
         inflight_.erase(filename);
+        ++landed_[filename];
       }
       flight_cv_.notify_all();
     };

@@ -241,6 +241,9 @@ class ArtifactStore {
   std::mutex flight_mutex_;
   std::condition_variable flight_cv_;
   std::unordered_set<std::string> inflight_;
+  // Flights landed per key: a caller whose load raced a landing re-loads
+  // instead of claiming a second flight for bytes just published.
+  std::unordered_map<std::string, std::uint64_t> landed_;
 };
 
 /// One-line JSON describing the store's on-disk occupancy and session

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <deque>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -165,18 +166,22 @@ void parallel_for_blocks(std::size_t count, std::size_t block,
     return;
   }
 
-  struct Shared {
+  // Region state outlives the caller: a helper dequeued after the caller
+  // returned still reads `closed`, so it is shared, not on the stack.
+  struct Region {
     std::atomic<std::size_t> next{0};
     std::mutex mutex;
     std::condition_variable done_cv;
-    std::size_t done = 0;
+    bool closed = false;     // cursor drained; late helpers must not enter
+    std::size_t active = 0;  // helpers inside drain()
     std::exception_ptr error;
-  } shared;
+  };
+  const auto region = std::make_shared<Region>();
 
   // Dynamic scheduling: every participant pulls the next block off one
   // atomic cursor, so uneven block costs (e.g. the shrinking rows of an
   // upper-triangle sweep) balance themselves.
-  const auto drain = [&shared, &body, count, block] {
+  const auto drain = [count, block, run = &body](Region& shared) {
     const bool saved = t_in_parallel_region;
     t_in_parallel_region = true;
     try {
@@ -184,7 +189,7 @@ void parallel_for_blocks(std::size_t count, std::size_t block,
         const std::size_t begin =
             shared.next.fetch_add(block, std::memory_order_relaxed);
         if (begin >= count) break;
-        body(begin, std::min(begin + block, count));
+        (*run)(begin, std::min(begin + block, count));
       }
     } catch (...) {
       std::lock_guard<std::mutex> lock(shared.mutex);
@@ -193,21 +198,29 @@ void parallel_for_blocks(std::size_t count, std::size_t block,
     t_in_parallel_region = saved;
   };
 
-  const std::size_t helpers = workers - 1;
-  for (std::size_t h = 0; h < helpers; ++h) {
-    ThreadPool::shared().submit([&shared, &drain] {
-      drain();
-      std::lock_guard<std::mutex> lock(shared.mutex);
-      ++shared.done;
-      shared.done_cv.notify_one();
+  // A helper enters only while the region is open; one dequeued after the
+  // caller closed it returns without touching `body`, which may be gone.
+  for (std::size_t h = 1; h < workers; ++h) {
+    ThreadPool::shared().submit([region, drain] {
+      {
+        std::lock_guard<std::mutex> lock(region->mutex);
+        if (region->closed) return;
+        ++region->active;
+      }
+      drain(*region);
+      std::lock_guard<std::mutex> lock(region->mutex);
+      if (--region->active == 0) region->done_cv.notify_one();
     });
   }
-  drain();  // the caller participates instead of idling
+  drain(*region);  // the caller participates instead of idling
   {
-    std::unique_lock<std::mutex> lock(shared.mutex);
-    shared.done_cv.wait(lock, [&shared, helpers] { return shared.done == helpers; });
+    // The cursor is exhausted: close the region and wait only for the
+    // helpers still running a block, never for ones stuck in the queue.
+    std::unique_lock<std::mutex> lock(region->mutex);
+    region->closed = true;
+    region->done_cv.wait(lock, [&region] { return region->active == 0; });
   }
-  if (shared.error) std::rethrow_exception(shared.error);
+  if (region->error) std::rethrow_exception(region->error);
 }
 
 void parallel_for(std::size_t count,

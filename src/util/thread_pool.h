@@ -1,11 +1,13 @@
 // A small reusable thread pool plus data-parallel loop helpers, used to fan
-// the clustering tier (the pipeline's dominant cost) across cores.
+// the clustering tier and the peering study's per-target traceroutes across
+// cores.
 //
 // Determinism contract: parallel_for / parallel_for_blocks only change which
 // thread executes each index range, never what is computed. A body that
 // writes to disjoint per-index slots therefore produces bit-identical output
 // for every thread count, including the serial fallback. The clustering
-// engine is built on this contract and tests/test_parallel.cpp enforces it.
+// engine and the peering study are built on this contract and
+// tests/test_parallel.cpp enforces it.
 //
 // Thread-count resolution (first match wins):
 //   1. an explicit `threads` argument > 0,
@@ -90,6 +92,9 @@ class ThreadPool {
 /// indices (0 = one index per block), dynamically load-balanced over
 /// `threads` workers (0 = default_thread_count(); the caller participates).
 /// The first exception thrown by a body is rethrown on the caller.
+/// Returns once every block has run: the caller waits for helpers that are
+/// still running a block, never for helpers still queued behind other pool
+/// work -- those find the region closed and return without calling `body`.
 void parallel_for_blocks(std::size_t count, std::size_t block,
                          const std::function<void(std::size_t, std::size_t)>& body,
                          std::size_t threads = 0);

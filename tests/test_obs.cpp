@@ -502,16 +502,22 @@ TEST_F(ObsTest, ResetInvalidatesOpenSpans) {
 // Cross-thread span stitching through the thread pool.
 // ---------------------------------------------------------------------------
 
-/// Waits until every "pool.task" span is closed. The wrapper's on_run_end
-/// hook fires after the task body signals completion, so pool.task spans can
-/// still be open the instant parallel_for returns.
+/// Waits until every submitted pool task has been adopted and its
+/// "pool.task" span closed. parallel_for returns once the work is done, so
+/// a helper still queued then adopts its context -- and a running one
+/// closes its span -- a beat later.
 void wait_for_pool_spans_to_close() {
   for (int i = 0; i < 2000; ++i) {
+    std::size_t submits = 0;
+    std::size_t adoptions = 0;
+    for (const FlowEvent& flow : tracer().flow_events()) {
+      (flow.phase == 's' ? submits : adoptions) += 1;
+    }
     bool open = false;
     for (const Span& span : tracer().spans()) {
       if (span.name == "pool.task" && !span.closed) open = true;
     }
-    if (!open) return;
+    if (submits == adoptions && !open) return;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 }

@@ -2,17 +2,21 @@
 // count, parallel execution is bit-identical to serial -- the thread pool
 // only changes which thread runs each index range, never what is computed.
 // Covers the pool/parallel_for primitives, the vectorized pairwise-distance
-// kernel, cluster_isp_multi, and the full Pipeline clustering stage (clean
-// and under a nonzero FaultPlan), plus thread-count invariance of every
-// run-report counter. Runs under ThreadSanitizer in scripts/check.sh
-// (ctest -L parallel).
+// kernel, cluster_isp_multi, the full Pipeline clustering stage (clean
+// and under a nonzero FaultPlan) and the peering study's per-target fan-out
+// (clean and flapped), plus thread-count invariance of every run-report
+// counter. Runs under ThreadSanitizer in scripts/check.sh (ctest -L
+// parallel).
 #include "util/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +27,7 @@
 #include "fault/fault_plan.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "route/peering_inference.h"
 #include "topology/generator.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -130,6 +135,65 @@ TEST_F(ParallelTest, ExceptionsPropagateToCaller) {
   parallel_for(
       100, [&](std::size_t) { count.fetch_add(1); }, 8);
   EXPECT_EQ(count.load(), 100);
+}
+
+TEST_F(ParallelTest, CallerDoesNotWaitForIdleHelpers) {
+  // Every shared-pool worker is held by unrelated tasks, so the helpers a
+  // parallel loop submits sit in the queue. The caller drains all blocks
+  // itself and must then return, not wait for helpers with nothing to do.
+  ThreadPool& pool = ThreadPool::shared();
+  // Shared, so a holder still unwinding after the test returns is safe.
+  struct Latch {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool released = false;
+    std::size_t holding = 0;
+  };
+  const auto latch = std::make_shared<Latch>();
+  for (std::size_t w = 0; w < pool.worker_count(); ++w) {
+    pool.submit([latch] {
+      std::unique_lock<std::mutex> lock(latch->mutex);
+      ++latch->holding;
+      latch->cv.notify_all();
+      latch->cv.wait(lock, [&latch] { return latch->released; });
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(latch->mutex);
+    latch->cv.wait(lock, [&] { return latch->holding == pool.worker_count(); });
+  }
+  const auto release = [latch] {
+    std::lock_guard<std::mutex> lock(latch->mutex);
+    latch->released = true;
+    latch->cv.notify_all();
+  };
+  // Unblocks a caller that does wait after 2 s, so a regression fails
+  // instead of hanging; a passing run releases it at once.
+  std::thread releaser([latch] {
+    std::unique_lock<std::mutex> lock(latch->mutex);
+    latch->cv.wait_for(lock, std::chrono::seconds(2),
+                       [&latch] { return latch->released; });
+    latch->released = true;
+    latch->cv.notify_all();
+  });
+
+  std::atomic<int> count{0};
+  const auto start = std::chrono::steady_clock::now();
+  parallel_for(
+      1000, [&](std::size_t) { count.fetch_add(1); }, 4);
+  const double waited_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  release();
+  releaser.join();
+  EXPECT_EQ(count.load(), 1000);
+  EXPECT_LT(waited_s, 1.0) << "caller waited for helpers stuck in the queue";
+
+  // The late helpers find the region closed; the pool keeps working.
+  std::atomic<int> after{0};
+  parallel_for(
+      100, [&](std::size_t) { after.fetch_add(1); }, 8);
+  EXPECT_EQ(after.load(), 100);
 }
 
 std::vector<double> random_table(std::size_t rows, std::size_t cols,
@@ -328,6 +392,208 @@ TEST_F(ParallelTest, PipelineClusteringBitIdenticalUnderFaults) {
   expect_identical_runs(serial, parallel, "chaos@0.5 threads=8");
 }
 
+// ------------------------------------------------- peering study fan-out --
+
+void expect_same_evidence(const IspPeeringEvidence& got,
+                          const IspPeeringEvidence& want,
+                          const std::string& context) {
+  EXPECT_EQ(got.isp, want.isp) << context;
+  EXPECT_EQ(got.status, want.status) << context;
+  EXPECT_EQ(got.seen_via_ixp, want.seen_via_ixp) << context;
+  EXPECT_EQ(got.seen_via_pni, want.seen_via_pni) << context;
+  EXPECT_EQ(got.traceroutes, want.traceroutes) << context;
+  EXPECT_EQ(got.unstable, want.unstable) << context;
+}
+
+struct PeeringRun {
+  std::map<AsIndex, IspPeeringEvidence> evidence;
+  PeeringStudyOutcome outcome;
+  std::uint64_t traceroutes = 0;  // counter deltas over the run
+  std::uint64_t unstable = 0;
+  std::uint64_t downgrades = 0;
+};
+
+PeeringRun run_peering(const PeeringStudy& study, AsIndex hg_as,
+                       std::span<const AsIndex> targets,
+                       const RoutingEngine& routing, std::size_t threads) {
+  const auto value = [](const char* name) {
+    return obs::metrics().counter(name).value();
+  };
+  const std::uint64_t traceroutes = value("route.traceroutes");
+  const std::uint64_t unstable = value("route.unstable_targets");
+  const std::uint64_t downgrades = value("route.peer_downgrades");
+  set_default_thread_count(threads);
+  PeeringRun run;
+  run.evidence = study.run(hg_as, targets, routing, &run.outcome);
+  set_default_thread_count(0);
+  run.traceroutes = value("route.traceroutes") - traceroutes;
+  run.unstable = value("route.unstable_targets") - unstable;
+  run.downgrades = value("route.peer_downgrades") - downgrades;
+  return run;
+}
+
+/// The study as one serial campaign, written against the public API: one
+/// probe clock ticking across every target in order. The oracle for the
+/// fan-out's prefix-sum clock offsets.
+PeeringRun serial_campaign(const PeeringStudy& study,
+                           const TracerouteEngine& engine, AsIndex hg_as,
+                           std::span<const AsIndex> targets,
+                           const RoutingEngine& routing) {
+  PeeringRun run;
+  std::uint64_t clock = 0;
+  for (const AsIndex target : targets) {
+    const RoutingTable table = routing.routes_to(target);
+    const std::vector<Ipv4> destinations = study.destinations_of(target);
+    std::vector<std::pair<std::size_t, bool>> first(destinations.size());
+    IspPeeringEvidence aggregate;
+    aggregate.isp = target;
+    for (std::size_t vm = 0; vm < study.config().vm_count; ++vm) {
+      for (std::size_t d = 0; d < destinations.size(); ++d) {
+        const Traceroute trace = engine.trace(
+            hg_as, destinations[d], table,
+            mix64(study.config().seed ^ (vm + 1)), clock++);
+        const IspPeeringEvidence one =
+            study.classify_traceroute(trace, hg_as, target);
+        ++aggregate.traceroutes;
+        aggregate.seen_via_ixp |= one.seen_via_ixp;
+        aggregate.seen_via_pni |= one.seen_via_pni;
+        if (one.status == PeeringStatus::kPeer ||
+            (one.status == PeeringStatus::kPossiblePeer &&
+             aggregate.status == PeeringStatus::kNoEvidence)) {
+          aggregate.status = one.status;
+        }
+        const std::pair<std::size_t, bool> signature{
+            trace.hops.size(), trace.destination_reached};
+        if (vm == 0) first[d] = signature;
+        else if (first[d] != signature) aggregate.unstable = true;
+      }
+    }
+    if (aggregate.unstable) {
+      ++run.outcome.unstable_targets;
+      if (aggregate.status == PeeringStatus::kPeer) {
+        aggregate.status = PeeringStatus::kPossiblePeer;
+        ++run.outcome.downgraded_peers;
+      }
+    }
+    run.evidence.emplace(target, aggregate);
+  }
+  run.outcome.targets = targets.size();
+  run.outcome.probes = clock;
+  run.traceroutes = clock;
+  run.unstable = run.outcome.unstable_targets;
+  run.downgrades = run.outcome.downgraded_peers;
+  return run;
+}
+
+void expect_identical_peering(const PeeringRun& got, const PeeringRun& want,
+                              const std::string& context) {
+  ASSERT_EQ(got.evidence.size(), want.evidence.size()) << context;
+  for (const auto& [isp, evidence] : want.evidence) {
+    ASSERT_TRUE(got.evidence.count(isp)) << context << " isp " << isp;
+    expect_same_evidence(got.evidence.at(isp), evidence,
+                         context + " isp " + std::to_string(isp));
+  }
+  EXPECT_EQ(got.outcome.targets, want.outcome.targets) << context;
+  EXPECT_EQ(got.outcome.probes, want.outcome.probes) << context;
+  EXPECT_EQ(got.outcome.unstable_targets, want.outcome.unstable_targets)
+      << context;
+  EXPECT_EQ(got.outcome.downgraded_peers, want.outcome.downgraded_peers)
+      << context;
+  EXPECT_EQ(got.traceroutes, want.traceroutes) << context;
+  EXPECT_EQ(got.unstable, want.unstable) << context;
+  EXPECT_EQ(got.downgrades, want.downgrades) << context;
+}
+
+TEST_F(ParallelTest, PeeringStudyBitIdenticalAcrossThreadCounts) {
+  // Targets fan out over the pool, each on its prefix-sum slice of the
+  // campaign clock. Every thread count must reproduce the serial campaign
+  // field for field -- also under flaps, where the clock picks the epoch.
+  const Internet net = InternetGenerator(GeneratorConfig::tiny()).generate();
+  const RoutingEngine routing(net);
+  const IxpRegistry registry = IxpRegistry::build(net, IxpRegistryConfig{});
+  const AsIndex google = net.as_by_asn(kGoogleAsn);
+  const std::vector<AsIndex> targets = net.access_isps();
+  ASSERT_GE(targets.size(), 16u);
+  PeeringStudyConfig config;
+  config.vm_count = 6;
+  config.slash24s_per_target = 2;
+
+  TracerouteConfig flapping;
+  flapping.fault_seed = 4242;
+  flapping.flap_rate = 0.5;
+  flapping.flap_period = 2;
+  const TracerouteEngine clean(net, TracerouteConfig{});
+  const TracerouteEngine flapped(net, flapping);
+  for (const TracerouteEngine* engine : {&clean, &flapped}) {
+    const bool flaps = engine == &flapped;
+    const std::string name = flaps ? "flapped" : "clean";
+    const PeeringStudy study(net, *engine, registry, config);
+    const PeeringRun oracle =
+        serial_campaign(study, *engine, google, targets, routing);
+    if (flaps) {
+      // The fixture must exercise the clock, or a wrong offset would pass.
+      EXPECT_GT(oracle.outcome.unstable_targets, 0u);
+      EXPECT_GT(oracle.outcome.downgraded_peers, 0u);
+    } else {
+      EXPECT_EQ(oracle.outcome.unstable_targets, 0u);
+    }
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      expect_identical_peering(
+          run_peering(study, google, targets, routing, threads), oracle,
+          name + " threads=" + std::to_string(threads));
+    }
+  }
+}
+
+/// A traced run's pool tasks can be adopted -- and their pool.task spans
+/// closed -- a beat after the fan-out returns: wait until every submit has
+/// its adoption and no pool.task span is open.
+void wait_for_pool_tasks() {
+  for (int i = 0; i < 2000; ++i) {
+    std::size_t submits = 0;
+    std::size_t adoptions = 0;
+    for (const obs::FlowEvent& flow : obs::tracer().flow_events()) {
+      (flow.phase == 's' ? submits : adoptions) += 1;
+    }
+    bool open = false;
+    for (const obs::Span& span : obs::tracer().spans()) {
+      if (span.name == "pool.task" && !span.closed) open = true;
+    }
+    if (submits == adoptions && !open) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+/// Checks that every span whose name starts with `prefix` has `stage` on
+/// its parent chain (no orphan subtrees); returns how many there are.
+std::size_t expect_spans_stitch_under(const std::string& stage,
+                                      const std::string& prefix) {
+  wait_for_pool_tasks();
+  const std::vector<obs::Span> spans = obs::tracer().spans();
+  std::size_t stage_id = obs::kNoSpan;
+  for (const obs::Span& span : spans) {
+    if (span.name == stage) stage_id = span.id;
+  }
+  EXPECT_NE(stage_id, obs::kNoSpan) << stage << " span missing";
+
+  std::size_t matched = 0;
+  for (const obs::Span& span : spans) {
+    if (span.name.rfind(prefix, 0) != 0) continue;
+    ++matched;
+    std::size_t id = span.id;
+    bool reached = false;
+    for (int hops = 0; hops < 64 && id != obs::kNoSpan; ++hops) {
+      if (id == stage_id) {
+        reached = true;
+        break;
+      }
+      id = spans[id].parent;
+    }
+    EXPECT_TRUE(reached) << "orphan " << span.name << " span " << span.id;
+  }
+  return matched;
+}
+
 TEST_F(ParallelTest, ClusteringSpansStitchUnderPipelineStage) {
   // End-to-end span stitching: with tracing on, every cluster.* span opened
   // on a pool worker during the clustering fan-out must re-parent (through
@@ -341,39 +607,30 @@ TEST_F(ParallelTest, ClusteringSpansStitchUnderPipelineStage) {
     Pipeline pipeline(Scenario::tiny());
     pipeline.clusterings(0.1);
   }
-  // pool.task wrapper spans can close a beat after the fan-out returns.
-  for (int i = 0; i < 2000; ++i) {
-    bool open = false;
-    for (const obs::Span& span : obs::tracer().spans()) {
-      if (span.name == "pool.task" && !span.closed) open = true;
-    }
-    if (!open) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  const std::vector<obs::Span> spans = obs::tracer().spans();
-  std::size_t stage_id = obs::kNoSpan;
-  for (const obs::Span& span : spans) {
-    if (span.name == "pipeline.clustering") stage_id = span.id;
-  }
-  ASSERT_NE(stage_id, obs::kNoSpan) << "clustering stage span missing";
-
-  std::size_t cluster_spans = 0;
-  for (const obs::Span& span : spans) {
-    if (span.name.rfind("cluster.", 0) != 0) continue;
-    ++cluster_spans;
-    std::size_t id = span.id;
-    bool reached = false;
-    for (int hops = 0; hops < 64 && id != obs::kNoSpan; ++hops) {
-      if (id == stage_id) {
-        reached = true;
-        break;
-      }
-      id = spans[id].parent;
-    }
-    EXPECT_TRUE(reached) << "orphan " << span.name << " span " << span.id;
-  }
+  const std::size_t cluster_spans =
+      expect_spans_stitch_under("pipeline.clustering", "cluster.");
   EXPECT_GE(cluster_spans, 1u);
+  obs::set_tracing(false);
+  obs::tracer().reset();
+  obs::metrics().reset();
+}
+
+TEST_F(ParallelTest, PeeringSpansStitchUnderPipelineStage) {
+  // The peering fan-out's per-block spans, opened on pool workers, render
+  // under pipeline.peering_study, one route.peering_shard_ms sample each.
+  obs::set_tracing(true);
+  obs::tracer().reset();
+  obs::metrics().reset();
+  set_default_thread_count(4);
+  {
+    Pipeline pipeline(Scenario::tiny());
+    ASSERT_FALSE(pipeline.peering_study(Hypergiant::kGoogle).empty());
+  }
+  const std::size_t shard_spans =
+      expect_spans_stitch_under("pipeline.peering_study", "route.peering_shard");
+  EXPECT_GE(shard_spans, 2u) << "the 4-thread study ran as one block";
+  EXPECT_EQ(obs::metrics().histogram("route.peering_shard_ms").count(),
+            shard_spans);
   obs::set_tracing(false);
   obs::tracer().reset();
   obs::metrics().reset();

@@ -163,12 +163,24 @@ TEST_F(PeeringTest, StudyPrecisionAgainstGroundTruth) {
 TEST_F(PeeringTest, StudyDeterministic) {
   std::vector<AsIndex> targets = net_->access_isps();
   targets.resize(10);
-  const auto a = study_->run(google_, targets, *routing_);
-  const auto b = study_->run(google_, targets, *routing_);
+  PeeringStudyOutcome first;
+  PeeringStudyOutcome second;
+  const auto a = study_->run(google_, targets, *routing_, &first);
+  const auto b = study_->run(google_, targets, *routing_, &second);
   ASSERT_EQ(a.size(), b.size());
   for (const auto& [isp, evidence] : a) {
-    EXPECT_EQ(b.at(isp).status, evidence.status);
+    const IspPeeringEvidence& again = b.at(isp);
+    EXPECT_EQ(again.isp, evidence.isp);
+    EXPECT_EQ(again.status, evidence.status);
+    EXPECT_EQ(again.seen_via_ixp, evidence.seen_via_ixp);
+    EXPECT_EQ(again.seen_via_pni, evidence.seen_via_pni);
+    EXPECT_EQ(again.traceroutes, evidence.traceroutes);
+    EXPECT_EQ(again.unstable, evidence.unstable);
   }
+  EXPECT_EQ(second.targets, first.targets);
+  EXPECT_EQ(second.probes, first.probes);
+  EXPECT_EQ(second.unstable_targets, first.unstable_targets);
+  EXPECT_EQ(second.downgraded_peers, first.downgraded_peers);
 }
 
 // ----------------------------------------------------- flap instability --
