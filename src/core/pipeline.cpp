@@ -59,7 +59,16 @@ void note_store_corruption(fault::StageHealth& health, const std::string& detail
   health.reasons.push_back("store: " + detail);
 }
 
+std::uint64_t cell_key(Snapshot snapshot) {
+  return static_cast<std::uint64_t>(snapshot);
+}
+
 }  // namespace
+
+struct Pipeline::PeeringTools {
+  TracerouteEngine traceroute;
+  IxpRegistry ixps;
+};
 
 Pipeline::Pipeline(Scenario scenario)
     : Pipeline(std::move(scenario), fault::FaultPlan::none()) {}
@@ -208,174 +217,155 @@ T Pipeline::persisted_stage(const char* stage, const char* span_name,
 }
 
 const OffnetRegistry& Pipeline::registry(Snapshot snapshot) const {
-  std::lock_guard<std::recursive_mutex> lock(stage_mutex_);
-  const auto it = registries_.find(snapshot);
-  if (it != registries_.end()) return it->second;
-  obs::ScopedSpan span("pipeline.deploy_registry");
-  const DeploymentPolicy policy(internet_, scenario_.deployment);
-  const OffnetRegistry& reg =
-      registries_.emplace(snapshot, policy.deploy(snapshot)).first->second;
-  obs::metrics().counter("deploy.offnet_servers").add(reg.servers().size());
-  return reg;
+  return *registries_.get(cell_key(snapshot), [&] {
+    obs::ScopedSpan span("pipeline.deploy_registry");
+    const DeploymentPolicy policy(internet_, scenario_.deployment);
+    auto reg = std::make_shared<const OffnetRegistry>(policy.deploy(snapshot));
+    obs::metrics().counter("deploy.offnet_servers").add(reg->servers().size());
+    return reg;
+  });
 }
 
 const CertStore& Pipeline::population(Snapshot snapshot) const {
-  std::lock_guard<std::recursive_mutex> lock(stage_mutex_);
-  const auto it = populations_.find(snapshot);
-  if (it != populations_.end()) {
-    // In-process memoization, distinct from a store warm hit (store.hit).
-    obs::metrics().counter("pipeline.population_cache_hit").add(1);
-    return it->second;
-  }
-
-  obs::ScopedSpan span("pipeline.tls_population");
-  fault::StageHealth health;
-  CertStore store;
-  try {
-    store = build_tls_population(internet_, registry(snapshot), snapshot,
-                                 scenario_.population);
-    health.total = store.size();
-    if (plan_.active()) {
-      fault::CertFaultOutcome outcome;
-      fault::inject_cert_faults(store, plan_, &outcome);
-      obs::metrics().counter("fault.cert_churned").add(outcome.churned);
-      obs::metrics().counter("fault.cert_garbled").add(outcome.garbled);
-      health.dropped = outcome.garbled;
-      if (outcome.churned + outcome.garbled > 0) {
-        health.status = fault::StageStatus::kDegraded;
-        health.reasons.push_back(
-            count_reason("certs garbled", outcome.garbled, health.total));
-        health.reasons.push_back(
-            count_reason("certs churned", outcome.churned, health.total));
+  return *populations_.get(cell_key(snapshot), [&] {
+    obs::ScopedSpan span("pipeline.tls_population");
+    fault::StageHealth health;
+    CertStore store;
+    try {
+      store = build_tls_population(internet_, registry(snapshot), snapshot,
+                                   scenario_.population);
+      health.total = store.size();
+      if (plan_.active()) {
+        fault::CertFaultOutcome outcome;
+        fault::inject_cert_faults(store, plan_, &outcome);
+        obs::metrics().counter("fault.cert_churned").add(outcome.churned);
+        obs::metrics().counter("fault.cert_garbled").add(outcome.garbled);
+        health.dropped = outcome.garbled;
+        if (outcome.churned + outcome.garbled > 0) {
+          health.status = fault::StageStatus::kDegraded;
+          health.reasons.push_back(
+              count_reason("certs garbled", outcome.garbled, health.total));
+          health.reasons.push_back(
+              count_reason("certs churned", outcome.churned, health.total));
+        }
       }
+    } catch (const Error& error) {
+      health.status = fault::StageStatus::kFailed;
+      health.reasons.push_back(std::string("tls_population: ") + error.what());
+      store = CertStore();
     }
-  } catch (const Error& error) {
-    health.status = fault::StageStatus::kFailed;
-    health.reasons.push_back(std::string("tls_population: ") + error.what());
-    store = CertStore();
-  }
-  record_health("tls_population", std::move(health));
-  return populations_.emplace(snapshot, std::move(store)).first->second;
+    record_health("tls_population", std::move(health));
+    return std::make_shared<const CertStore>(std::move(store));
+  });
 }
 
 const std::vector<ScanRecord>& Pipeline::scan_records(Snapshot snapshot) const {
-  std::lock_guard<std::recursive_mutex> lock(stage_mutex_);
-  const auto it = scans_.find(snapshot);
-  if (it != scans_.end()) {
-    // In-process memoization, distinct from a store warm hit (store.hit).
-    obs::metrics().counter("pipeline.scan_cache_hit").add(1);
-    return it->second;
-  }
-
-  std::vector<ScanRecord> computed = persisted_stage(
-      "scan", "pipeline.scan",
-      make_key("scan", store::kScanRecordsSchema, world_digest_,
-               {static_cast<std::uint64_t>(snapshot)}),
-      store::encode, store::decode_scan_records, [&] {
-        StageOutput<std::vector<ScanRecord>> out;
-        fault::StageHealth& health = out.health;
-        std::vector<ScanRecord>& records = out.value;
-        try {
-          const CertStore& store = population(snapshot);
-          health.total = store.size();
-          const Scanner scanner(scenario_.scanner);
-          records = scanner.scan(store);
-          if (plan_.active()) {
-            fault::ScanFaultOutcome outcome;
-            records =
-                fault::inject_scan_faults(std::move(records), plan_, &outcome);
-            obs::metrics().counter("fault.scan_truncated")
-                .add(outcome.truncated);
-            obs::metrics().counter("fault.scan_burst_missed")
-                .add(outcome.burst_missed);
-            health.dropped = outcome.dropped();
-            if (outcome.dropped() > 0) {
-              health.status = fault::StageStatus::kDegraded;
-              health.reasons.push_back(
-                  count_reason("records lost to shard truncation",
-                               outcome.truncated, health.total));
-              health.reasons.push_back(
-                  count_reason("records lost to miss bursts",
-                               outcome.burst_missed, health.total));
+  return *scans_.get(cell_key(snapshot), [&] {
+    return std::make_shared<const std::vector<ScanRecord>>(persisted_stage(
+        "scan", "pipeline.scan",
+        make_key("scan", store::kScanRecordsSchema, world_digest_,
+                 {static_cast<std::uint64_t>(snapshot)}),
+        store::encode, store::decode_scan_records, [&] {
+          StageOutput<std::vector<ScanRecord>> out;
+          fault::StageHealth& health = out.health;
+          std::vector<ScanRecord>& records = out.value;
+          try {
+            const CertStore& store = population(snapshot);
+            health.total = store.size();
+            const Scanner scanner(scenario_.scanner);
+            records = scanner.scan(store);
+            if (plan_.active()) {
+              fault::ScanFaultOutcome outcome;
+              records = fault::inject_scan_faults(std::move(records), plan_,
+                                                  &outcome);
+              obs::metrics().counter("fault.scan_truncated")
+                  .add(outcome.truncated);
+              obs::metrics().counter("fault.scan_burst_missed")
+                  .add(outcome.burst_missed);
+              health.dropped = outcome.dropped();
+              if (outcome.dropped() > 0) {
+                health.status = fault::StageStatus::kDegraded;
+                health.reasons.push_back(
+                    count_reason("records lost to shard truncation",
+                                 outcome.truncated, health.total));
+                health.reasons.push_back(
+                    count_reason("records lost to miss bursts",
+                                 outcome.burst_missed, health.total));
+              }
             }
+          } catch (const Error& error) {
+            health.status = fault::StageStatus::kFailed;
+            health.reasons.push_back(std::string("scan: ") + error.what());
+            records.clear();
           }
-        } catch (const Error& error) {
-          health.status = fault::StageStatus::kFailed;
-          health.reasons.push_back(std::string("scan: ") + error.what());
-          records.clear();
-        }
-        return out;
-      });
-  return scans_.emplace(snapshot, std::move(computed)).first->second;
+          return out;
+        }));
+  });
 }
 
 const DiscoveryReport& Pipeline::discovery(Snapshot snapshot,
                                            Methodology methodology) const {
-  std::lock_guard<std::recursive_mutex> lock(stage_mutex_);
-  const auto key = std::make_pair(snapshot, methodology);
-  const auto it = reports_.find(key);
-  if (it != reports_.end()) return it->second;
-
-  obs::ScopedSpan span("pipeline.discovery");
-  fault::StageHealth health;
-  DiscoveryReport result;
-  try {
-    const std::vector<ScanRecord>& records = scan_records(snapshot);
-    health.total = records.size();
-    const OffnetClassifier classifier(internet_, methodology);
-    result = classifier.classify(records);
-    if (result.total_offnet_ips() == 0 &&
-        registry(snapshot).server_count() > 0) {
-      // Quality gate: the ground truth deployed offnets but discovery came
-      // back empty -- downstream studies would silently report nothing.
+  const std::uint64_t key =
+      cell_key(snapshot) << 32 | static_cast<std::uint64_t>(methodology);
+  return *reports_.get(key, [&] {
+    obs::ScopedSpan span("pipeline.discovery");
+    fault::StageHealth health;
+    DiscoveryReport report;
+    try {
+      const std::vector<ScanRecord>& records = scan_records(snapshot);
+      health.total = records.size();
+      const OffnetClassifier classifier(internet_, methodology);
+      report = classifier.classify(records);
+      if (report.total_offnet_ips() == 0 &&
+          registry(snapshot).server_count() > 0) {
+        // Quality gate: the ground truth deployed offnets but discovery came
+        // back empty -- downstream studies would silently report nothing.
+        health.status = fault::StageStatus::kFailed;
+        health.reasons.push_back("no offnet IPs discovered");
+      }
+    } catch (const Error& error) {
       health.status = fault::StageStatus::kFailed;
-      health.reasons.push_back("no offnet IPs discovered");
+      health.reasons.push_back(std::string("discovery: ") + error.what());
+      report = DiscoveryReport();
+      report.methodology = methodology;
     }
-  } catch (const Error& error) {
-    health.status = fault::StageStatus::kFailed;
-    health.reasons.push_back(std::string("discovery: ") + error.what());
-    result = DiscoveryReport();
-    result.methodology = methodology;
-  }
-  const DiscoveryReport& report =
-      reports_.emplace(key, std::move(result)).first->second;
 
-  for (const auto& footprint : report.footprints) {
-    obs::metrics()
-        .counter(hg_counter_name("discovery.offnet_ips", footprint.hg))
-        .add(footprint.ip_count());
-  }
-  obs::metrics().counter("discovery.offnet_ips_total")
-      .add(report.total_offnet_ips());
-  obs::metrics().gauge("discovery.hosting_isps").set(
-      static_cast<double>(report.isps_hosting_at_least(1).size()));
-  record_health("discovery", health);
-  return report;
+    for (const auto& footprint : report.footprints) {
+      obs::metrics()
+          .counter(hg_counter_name("discovery.offnet_ips", footprint.hg))
+          .add(footprint.ip_count());
+    }
+    obs::metrics().counter("discovery.offnet_ips_total")
+        .add(report.total_offnet_ips());
+    obs::metrics().gauge("discovery.hosting_isps").set(
+        static_cast<double>(report.isps_hosting_at_least(1).size()));
+    record_health("discovery", health);
+    return std::make_shared<const DiscoveryReport>(std::move(report));
+  });
 }
 
 const VantagePointSet& Pipeline::vantage_points() const {
-  std::lock_guard<std::recursive_mutex> lock(stage_mutex_);
-  if (!vps_) {
+  return *vps_.get(0, [&] {
     obs::ScopedSpan span("pipeline.vantage_points");
-    vps_ = std::make_unique<VantagePointSet>(internet_, scenario_.vantage_points,
-                                             scenario_.vantage_seed);
+    auto vps = std::make_shared<const VantagePointSet>(
+        internet_, scenario_.vantage_points, scenario_.vantage_seed);
     obs::metrics().gauge("mlab.vantage_points").set(
-        static_cast<double>(vps_->size()));
-  }
-  return *vps_;
+        static_cast<double>(vps->size()));
+    return vps;
+  });
 }
 
 const PingMesh& Pipeline::ping_mesh() const {
-  std::lock_guard<std::recursive_mutex> lock(stage_mutex_);
-  if (!mesh_) {
+  return *mesh_.get(0, [&] {
     obs::ScopedSpan span("pipeline.ping_mesh");
-    mesh_ = std::make_unique<PingMesh>(internet_, vantage_points(),
-                                       scenario_.ping);
+    const VantagePointSet& vps = vantage_points();
+    auto mesh =
+        std::make_shared<const PingMesh>(internet_, vps, scenario_.ping);
 
     fault::StageHealth health;
-    health.total = vantage_points().size();
-    for (std::size_t vp = 0; vp < vantage_points().size(); ++vp) {
-      if (mesh_->vp_dark(vp)) ++health.dropped;
+    health.total = vps.size();
+    for (std::size_t vp = 0; vp < vps.size(); ++vp) {
+      if (mesh->vp_dark(vp)) ++health.dropped;
     }
     obs::metrics().counter("fault.vps_dark").add(health.dropped);
     if (health.dropped > 0) {
@@ -386,7 +376,7 @@ const PingMesh& Pipeline::ping_mesh() const {
     if (scenario_.ping.icmp_storm_isp_rate > 0.0) {
       std::uint64_t storming = 0;
       for (const AsIndex isp : registry(Snapshot::k2023).hosting_isps()) {
-        if (mesh_->isp_storm_limited(isp)) ++storming;
+        if (mesh->isp_storm_limited(isp)) ++storming;
       }
       if (storming > 0) {
         health.status = std::max(health.status, fault::StageStatus::kDegraded);
@@ -396,8 +386,8 @@ const PingMesh& Pipeline::ping_mesh() const {
       }
     }
     record_health("ping_mesh", health);
-  }
-  return *mesh_;
+    return mesh;
+  });
 }
 
 std::vector<AsIndex> Pipeline::hosting_isps_2023() const {
@@ -405,32 +395,29 @@ std::vector<AsIndex> Pipeline::hosting_isps_2023() const {
 }
 
 const std::vector<IspPlot>& Pipeline::plots() const {
-  std::lock_guard<std::recursive_mutex> lock(stage_mutex_);
-  if (!plots_) {
-    plots_ = persisted_stage(
+  return *plots_.get(0, [&] {
+    return std::make_shared<const std::vector<IspPlot>>(persisted_stage(
         "clustering", "pipeline.clustering",
         make_key("plot", store::kPlotSchema, world_digest_, {}), store::encode,
         store::decode_plots, [&] {
           const std::vector<AsIndex> isps = hosting_isps_2023();
           return merge_isp_outcomes(isps, cluster_isps(isps));
-        });
-  }
-  return *plots_;
+        }));
+  });
 }
 
 const std::vector<IspClustering>& Pipeline::clusterings(double xi) const {
-  std::lock_guard<std::recursive_mutex> lock(stage_mutex_);
-  const std::uint64_t key = xi_key(xi);
-  const auto it = clusterings_.find(key);
-  if (it != clusterings_.end()) return it->second;
-
-  const std::size_t min_pts = ColocationConfig().min_pts;
-  std::vector<IspClustering> extracted;
-  extracted.reserve(plots().size());
-  for (const IspPlot& plot : plots()) {
-    extracted.push_back(extract_at_xi(plot, min_pts, xi));
-  }
-  return clusterings_.emplace(key, std::move(extracted)).first->second;
+  return *clusterings_.get(xi_key(xi), [&] {
+    const std::vector<IspPlot>& all = plots();
+    const std::size_t min_pts = ColocationConfig().min_pts;
+    std::vector<IspClustering> extracted;
+    extracted.reserve(all.size());
+    for (const IspPlot& plot : all) {
+      extracted.push_back(extract_at_xi(plot, min_pts, xi));
+    }
+    return std::make_shared<const std::vector<IspClustering>>(
+        std::move(extracted));
+  });
 }
 
 std::string Pipeline::stream_spill_path(AsIndex isp) const {
@@ -583,23 +570,21 @@ const IspClustering* Pipeline::clustering_of(double xi, AsIndex isp) const {
 }
 
 const RoutingEngine& Pipeline::routing() const {
-  std::lock_guard<std::recursive_mutex> lock(stage_mutex_);
-  if (!routing_) {
+  return *routing_.get(0, [&] {
     obs::ScopedSpan span("pipeline.routing");
-    routing_ = std::make_unique<RoutingEngine>(internet_);
-  }
-  return *routing_;
+    return std::make_shared<const RoutingEngine>(internet_);
+  });
 }
 
 const PtrStore& Pipeline::ptr_store() const {
-  std::lock_guard<std::recursive_mutex> lock(stage_mutex_);
-  if (!ptr_) {
+  return *ptr_.get(0, [&] {
     obs::ScopedSpan span("pipeline.ptr_store");
+    const OffnetRegistry& reg = registry(Snapshot::k2023);
     PtrFaultCounts counts;
-    ptr_ = std::make_unique<PtrStore>(PtrStore::build(
-        internet_, registry(Snapshot::k2023), scenario_.ptr, &counts));
+    auto ptr = std::make_shared<const PtrStore>(
+        PtrStore::build(internet_, reg, scenario_.ptr, &counts));
     fault::StageHealth health;
-    health.total = registry(Snapshot::k2023).server_count();
+    health.total = reg.server_count();
     health.dropped = counts.missing;
     if (counts.total() > 0) {
       health.status = fault::StageStatus::kDegraded;
@@ -611,68 +596,60 @@ const PtrStore& Pipeline::ptr_store() const {
           count_reason("PTR records garbled", counts.garbled, health.total));
     }
     record_health("rdns", health);
-  }
-  return *ptr_;
+    return ptr;
+  });
 }
 
 const std::map<AsIndex, IspPeeringEvidence>& Pipeline::peering_study(
     Hypergiant hg) const {
-  std::lock_guard<std::recursive_mutex> lock(stage_mutex_);
-  const auto it = peering_.find(hg);
-  if (it != peering_.end()) return it->second;
+  return *peering_.get(static_cast<std::uint64_t>(hg), [&] {
+    obs::ScopedSpan span("pipeline.peering_study");
+    // The engine carries the plan's BGP-flap knobs (folded into
+    // scenario_.traceroute by the constructor); the tools are shared across
+    // hypergiants.
+    const PeeringTools& tools = *peering_tools_.get(0, [&] {
+      return std::make_shared<const PeeringTools>(
+          PeeringTools{TracerouteEngine(internet_, scenario_.traceroute),
+                       IxpRegistry::build(internet_, scenario_.ixp)});
+    });
+    const PeeringStudy study(internet_, tools.traceroute, tools.ixps,
+                             scenario_.peering);
+    const AsIndex hg_as = internet_.as_by_asn(profile(hg).asn);
+    const std::vector<AsIndex> targets = internet_.access_isps();
+    PeeringStudyOutcome outcome;
+    auto evidence =
+        std::make_shared<const std::map<AsIndex, IspPeeringEvidence>>(
+            study.run(hg_as, targets, routing(), &outcome));
 
-  obs::ScopedSpan span("pipeline.peering_study");
-  // The engine carries the plan's BGP-flap knobs (folded into
-  // scenario_.traceroute by the constructor); the IXP registry is shared
-  // across hypergiants.
-  if (!traceroute_engine_) {
-    traceroute_engine_ =
-        std::make_unique<TracerouteEngine>(internet_, scenario_.traceroute);
-  }
-  if (!ixp_registry_) {
-    ixp_registry_ = std::make_unique<IxpRegistry>(
-        IxpRegistry::build(internet_, scenario_.ixp));
-  }
-  const PeeringStudy study(internet_, *traceroute_engine_, *ixp_registry_,
-                           scenario_.peering);
-  const AsIndex hg_as = internet_.as_by_asn(profile(hg).asn);
-  const std::vector<AsIndex> targets = internet_.access_isps();
-  PeeringStudyOutcome outcome;
-  std::map<AsIndex, IspPeeringEvidence> evidence =
-      study.run(hg_as, targets, routing(), &outcome);
-
-  fault::StageHealth health;
-  health.total = outcome.targets;
-  if (outcome.unstable_targets > 0) {
-    health.status = fault::StageStatus::kDegraded;
-    health.reasons.push_back(count_reason("targets with unstable paths",
-                                          outcome.unstable_targets,
-                                          outcome.targets));
-    health.reasons.push_back(count_reason("peer verdicts downgraded",
-                                          outcome.downgraded_peers,
-                                          outcome.targets));
-  }
-  record_health("peering", health);
-  return peering_.emplace(hg, std::move(evidence)).first->second;
+    fault::StageHealth health;
+    health.total = outcome.targets;
+    if (outcome.unstable_targets > 0) {
+      health.status = fault::StageStatus::kDegraded;
+      health.reasons.push_back(count_reason("targets with unstable paths",
+                                            outcome.unstable_targets,
+                                            outcome.targets));
+      health.reasons.push_back(count_reason("peer verdicts downgraded",
+                                            outcome.downgraded_peers,
+                                            outcome.targets));
+    }
+    record_health("peering", health);
+    return evidence;
+  });
 }
 
 const DemandModel& Pipeline::demand() const {
-  std::lock_guard<std::recursive_mutex> lock(stage_mutex_);
-  if (!demand_) {
+  return *demand_.get(0, [&] {
     obs::ScopedSpan span("pipeline.demand");
-    demand_ = std::make_unique<DemandModel>(internet_);
-  }
-  return *demand_;
+    return std::make_shared<const DemandModel>(internet_);
+  });
 }
 
 const CapacityModel& Pipeline::capacity() const {
-  std::lock_guard<std::recursive_mutex> lock(stage_mutex_);
-  if (!capacity_) {
+  return *capacity_.get(0, [&] {
     obs::ScopedSpan span("pipeline.capacity");
-    capacity_ = std::make_unique<CapacityModel>(internet_, registry(Snapshot::k2023),
-                                                demand(), scenario_.capacity);
-  }
-  return *capacity_;
+    return std::make_shared<const CapacityModel>(
+        internet_, registry(Snapshot::k2023), demand(), scenario_.capacity);
+  });
 }
 
 }  // namespace repro

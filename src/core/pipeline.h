@@ -28,22 +28,21 @@
 // store attached (the default) behaviour is bit-identical to before the
 // store existed. See docs/PERSISTENCE.md.
 //
-// Thread safety: every lazy accessor serializes stage computation behind one
-// recursive mutex, so a Pipeline can sit resident inside the report service
-// (src/serve/) with many reader threads asking for stages concurrently --
-// the first caller computes, the rest see the cached result. The mutex is
-// recursive because stages force each other (discovery -> scan -> population
-// -> registry). The clustering fan-out's pool workers never touch the
-// accessors (they run on captured references), and neither do the peering
-// study's per-target workers: peering_study() forces routing() before the
-// fan-out starts, and its workers read only const, stateless objects
-// (Internet, RoutingEngine, TracerouteEngine, IxpRegistry). So the caller
-// holding the stage mutex while participating in a parallel region cannot
-// deadlock against its own workers. Cross-pipeline concurrency (the common service
-// shape: several worlds resident over one store) needs no coordination
-// beyond the store's own locking; pipelines of one world share each
-// artifact's compute through load_or_compute. Its waits cannot cycle: a
-// plot compute waits on a scan flight, never the reverse.
+// Thread safety: each lazy accessor is one get() on its stage's own
+// single-flight cell (SingleFlightLru, unbounded, so a returned reference
+// lives as long as the pipeline). The first caller for a key builds outside
+// any lock and the rest park on that cell (pipeline.stage_waits); unrelated
+// stages build side by side, so a resident service world does not serialize
+// a peering study against a discovery. Stages force each other only along
+// an acyclic graph (capacity -> demand, registry; plots -> discovery ->
+// scan -> population -> registry; peering -> routing, traceroute tools), so
+// no build ever waits on its own cell.
+// Pool workers only *read* stages already computed: the clustering fan-out
+// and the peering study's per-target workers run on references their caller
+// forced first, as does perfbench's clustering replay. With concurrent callers a multi-snapshot stage's health reasons may
+// merge in either order. Pipelines of one world share each artifact's
+// compute through the store's load_or_compute; those waits cannot cycle (a
+// plot compute waits on a scan flight, never the reverse).
 //
 // Typical use:
 //   Pipeline pipeline(Scenario::paper());
@@ -59,12 +58,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "cluster/colocation.h"
 #include "core/scenario.h"
+#include "core/single_flight_lru.h"
 #include "fault/fault_plan.h"
 #include "fault/stage_health.h"
 #include "rdns/ptr_store.h"
@@ -116,7 +115,8 @@ class Pipeline {
 
   /// Health of every stage executed so far, keyed by stage name
   /// ("tls_population", "scan", "discovery", "ping_mesh", "clustering",
-  /// "rdns", "peering").
+  /// "rdns", "peering"). Not synchronized with stage builds: read it when
+  /// no other thread is forcing a stage of this pipeline.
   const std::map<std::string, fault::StageHealth>& stage_health() const noexcept {
     return health_;
   }
@@ -243,28 +243,37 @@ class Pipeline {
   std::string stream_dir_;
   bool owns_stream_dir_ = false;
 
-  /// Serializes the lazy stage accessors (recursive: stages force each
-  /// other). Never taken by pool-worker bodies, so the fan-out caller can
-  /// hold it across parallel_for_blocks. Ordering: stage_mutex_ before
-  /// health_mutex_, never the reverse.
-  mutable std::recursive_mutex stage_mutex_;
+  /// One unbounded single-flight cell per lazy stage, keyed by Snapshot,
+  /// (Snapshot, Methodology), Hypergiant, xi_key, or 0 for a per-world
+  /// stage. `hit` names the stage's memo-hit counter, if it has one (an
+  /// in-process hit, distinct from a store warm hit, store.hit).
+  template <class T>
+  struct StageCell : SingleFlightLru<std::shared_ptr<const T>> {
+    explicit StageCell(const char* hit = nullptr)
+        : SingleFlightLru<std::shared_ptr<const T>>(
+              static_cast<std::size_t>(-1),
+              {.hit = hit, .inflight_wait = "pipeline.stage_waits"}) {}
+  };
+
+  /// The traceroute engine and IXP registry every peering study shares.
+  struct PeeringTools;
+
   mutable std::mutex health_mutex_;
   mutable std::map<std::string, fault::StageHealth> health_;
-  mutable std::map<Snapshot, OffnetRegistry> registries_;
-  mutable std::map<Snapshot, CertStore> populations_;
-  mutable std::map<Snapshot, std::vector<ScanRecord>> scans_;
-  mutable std::map<std::pair<Snapshot, Methodology>, DiscoveryReport> reports_;
-  mutable std::unique_ptr<VantagePointSet> vps_;
-  mutable std::unique_ptr<PingMesh> mesh_;
-  mutable std::optional<std::vector<IspPlot>> plots_;
-  mutable std::map<std::uint64_t, std::vector<IspClustering>> clusterings_;
-  mutable std::unique_ptr<RoutingEngine> routing_;
-  mutable std::unique_ptr<DemandModel> demand_;
-  mutable std::unique_ptr<CapacityModel> capacity_;
-  mutable std::unique_ptr<PtrStore> ptr_;
-  mutable std::unique_ptr<TracerouteEngine> traceroute_engine_;
-  mutable std::unique_ptr<IxpRegistry> ixp_registry_;
-  mutable std::map<Hypergiant, std::map<AsIndex, IspPeeringEvidence>> peering_;
+  mutable StageCell<OffnetRegistry> registries_;
+  mutable StageCell<CertStore> populations_{"pipeline.population_cache_hit"};
+  mutable StageCell<std::vector<ScanRecord>> scans_{"pipeline.scan_cache_hit"};
+  mutable StageCell<DiscoveryReport> reports_;
+  mutable StageCell<VantagePointSet> vps_;
+  mutable StageCell<PingMesh> mesh_;
+  mutable StageCell<std::vector<IspPlot>> plots_;
+  mutable StageCell<std::vector<IspClustering>> clusterings_;
+  mutable StageCell<RoutingEngine> routing_;
+  mutable StageCell<PtrStore> ptr_;
+  mutable StageCell<PeeringTools> peering_tools_;
+  mutable StageCell<std::map<AsIndex, IspPeeringEvidence>> peering_;
+  mutable StageCell<DemandModel> demand_;
+  mutable StageCell<CapacityModel> capacity_;
 };
 
 }  // namespace repro

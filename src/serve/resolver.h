@@ -27,7 +27,7 @@
 #include <memory>
 
 #include "core/pipeline.h"
-#include "serve/single_flight_lru.h"
+#include "core/single_flight_lru.h"
 
 namespace repro::serve {
 

@@ -39,8 +39,8 @@
 #include <string_view>
 #include <vector>
 
+#include "core/single_flight_lru.h"
 #include "serve/resolver.h"
-#include "serve/single_flight_lru.h"
 
 namespace repro::serve {
 

@@ -11,12 +11,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,7 +29,9 @@
 #include "cluster/colocation.h"
 #include "cluster/distance.h"
 #include "core/pipeline.h"
+#include "core/single_flight_lru.h"
 #include "fault/fault_plan.h"
+#include "hypergiant/profile.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "route/peering_inference.h"
@@ -196,6 +203,165 @@ TEST_F(ParallelTest, CallerDoesNotWaitForIdleHelpers) {
   EXPECT_EQ(after.load(), 100);
 }
 
+// ------------------------------------------------- single-flight cache --
+
+/// Counter and gauge names every SingleFlight test cache reports under.
+template <class V>
+typename SingleFlightLru<V>::Metrics test_cache_metrics() {
+  return {.hit = "test.sf.hit",
+          .inflight_wait = "test.sf.wait",
+          .evicted = "test.sf.evicted",
+          .resident = "test.sf.resident"};
+}
+
+std::uint64_t test_counter(const char* name) {
+  return obs::metrics().counter(name).value();
+}
+
+/// Polls until `done()` holds, or 60 s pass, so a broken cache fails its
+/// assertions instead of hanging the suite.
+void await(const std::function<bool()>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+TEST(SingleFlight, ConcurrentMissBuildsOnce) {
+  obs::metrics().reset();
+  SingleFlightLru<std::shared_ptr<const int>> cache(
+      4, test_cache_metrics<std::shared_ptr<const int>>());
+  constexpr std::size_t kCallers = 8;
+  std::atomic<int> builds{0};
+  std::vector<const int*> got(kCallers, nullptr);
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      got[t] = cache
+                   .get(7,
+                        [&] {
+                          builds.fetch_add(1);
+                          // Hold the build open until every other caller
+                          // has parked on it.
+                          await([] {
+                            return test_counter("test.sf.wait") >=
+                                   kCallers - 1;
+                          });
+                          return std::make_shared<const int>(42);
+                        })
+                   .get();
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(builds.load(), 1);
+  ASSERT_NE(got[0], nullptr);
+  EXPECT_EQ(*got[0], 42);
+  for (const int* value : got) EXPECT_EQ(value, got[0]);
+  EXPECT_GE(test_counter("test.sf.wait"), kCallers - 1);
+  EXPECT_EQ(test_counter("test.sf.hit"), kCallers - 1);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(SingleFlight, ThrowingBuildHandsKeyToWaiter) {
+  obs::metrics().reset();
+  SingleFlightLru<std::shared_ptr<const int>> cache(
+      4, test_cache_metrics<std::shared_ptr<const int>>());
+  std::atomic<bool> owner_building{false};
+  std::atomic<bool> owner_threw{false};
+  std::thread owner([&] {
+    try {
+      cache.get(1, [&]() -> std::shared_ptr<const int> {
+        owner_building.store(true);
+        await([] { return test_counter("test.sf.wait") >= 1; });
+        throw std::runtime_error("build failed");
+      });
+    } catch (const std::runtime_error&) {
+      owner_threw.store(true);
+    }
+  });
+  await([&] { return owner_building.load(); });
+
+  // Parks on the owner's flight, then takes the key over when it throws.
+  std::atomic<int> waiter_builds{0};
+  std::shared_ptr<const int> value;
+  std::thread waiter([&] {
+    value = cache.get(1, [&] {
+      waiter_builds.fetch_add(1);
+      return std::make_shared<const int>(5);
+    });
+  });
+  owner.join();
+  waiter.join();
+  EXPECT_TRUE(owner_threw.load());
+  EXPECT_GE(test_counter("test.sf.wait"), 1u);  // the waiter did park
+  EXPECT_EQ(waiter_builds.load(), 1);
+  ASSERT_NE(value, nullptr);
+  EXPECT_EQ(*value, 5);
+
+  bool hit = false;
+  const auto again = cache.get(
+      1,
+      [] {
+        ADD_FAILURE() << "a cached key was rebuilt";
+        return std::make_shared<const int>(0);
+      },
+      &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(again, value);
+}
+
+TEST(SingleFlight, BoundEvictsLeastRecentlyUsed) {
+  obs::metrics().reset();
+  SingleFlightLru<int> cache(2, test_cache_metrics<int>());
+  int builds = 0;
+  const auto build = [&builds](int value) {
+    return [&builds, value] {
+      ++builds;
+      return value;
+    };
+  };
+  bool hit = false;
+  cache.get(1, build(10));
+  cache.get(2, build(20));
+  EXPECT_EQ(cache.get(1, build(-1), &hit), 10);  // 1 is now most recent
+  EXPECT_TRUE(hit);
+  cache.get(3, build(30));  // evicts 2, the least recently used
+  EXPECT_EQ(test_counter("test.sf.evicted"), 1u);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(obs::metrics().gauge("test.sf.resident").value(), 2.0);
+  EXPECT_EQ(cache.get(1, build(-1), &hit), 10);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(cache.get(2, build(21), &hit), 21);  // rebuilt after eviction
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(test_counter("test.sf.evicted"), 2u);
+  EXPECT_EQ(builds, 4);
+}
+
+TEST(SingleFlight, UnboundedNeverEvicts) {
+  obs::metrics().reset();
+  using Value = std::shared_ptr<const std::vector<int>>;
+  SingleFlightLru<Value> cache(std::numeric_limits<std::size_t>::max(),
+                               test_cache_metrics<Value>());
+  // The Pipeline's use: a reference into a cached value outlives any
+  // number of later inserts.
+  const std::vector<int>& first = *cache.get(
+      0, [] { return std::make_shared<const std::vector<int>>(1000, 7); });
+  for (std::uint64_t key = 1; key <= 1000; ++key) {
+    cache.get(key, [key] {
+      return std::make_shared<const std::vector<int>>(
+          16, static_cast<int>(key));
+    });
+  }
+  EXPECT_EQ(test_counter("test.sf.evicted"), 0u);
+  EXPECT_EQ(cache.size(), 1001u);
+  bool hit = false;
+  const Value again = cache.get(0, [] { return Value(); }, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(again.get(), &first);
+  EXPECT_EQ(first, std::vector<int>(1000, 7));
+}
+
 std::vector<double> random_table(std::size_t rows, std::size_t cols,
                                  std::uint64_t seed) {
   Rng rng(seed);
@@ -335,20 +501,107 @@ std::map<std::string, std::uint64_t> counter_map() {
   return out;
 }
 
+constexpr std::pair<Snapshot, Methodology> kDiscoveryPairs[] = {
+    {Snapshot::k2021, Methodology::k2021},
+    {Snapshot::k2023, Methodology::k2023},
+    {Snapshot::k2023, Methodology::k2021}};
+
+/// Every lazy Pipeline accessor, once each, in one fixed order.
+std::vector<std::function<void(const Pipeline&)>> stage_accessors() {
+  std::vector<std::function<void(const Pipeline&)>> all;
+  for (const Snapshot snapshot : {Snapshot::k2021, Snapshot::k2023}) {
+    all.emplace_back([snapshot](const Pipeline& p) { p.registry(snapshot); });
+    all.emplace_back([snapshot](const Pipeline& p) { p.population(snapshot); });
+    all.emplace_back(
+        [snapshot](const Pipeline& p) { p.scan_records(snapshot); });
+  }
+  for (const auto& [snapshot, methodology] : kDiscoveryPairs) {
+    all.emplace_back([snapshot, methodology](const Pipeline& p) {
+      p.discovery(snapshot, methodology);
+    });
+  }
+  all.emplace_back([](const Pipeline& p) { p.ping_mesh(); });
+  all.emplace_back([](const Pipeline& p) { p.clusterings(0.1); });
+  all.emplace_back([](const Pipeline& p) { p.clusterings(0.9); });
+  all.emplace_back([](const Pipeline& p) { p.ptr_store(); });
+  for (const Hypergiant hg : all_hypergiants()) {
+    all.emplace_back([hg](const Pipeline& p) { p.peering_study(hg); });
+  }
+  all.emplace_back([](const Pipeline& p) { p.demand(); });
+  all.emplace_back([](const Pipeline& p) { p.capacity(); });
+  return all;
+}
+
+/// The outputs of every stage but the clusterings, flattened to numbers.
+std::vector<std::uint64_t> stage_outputs(const Pipeline& pipeline) {
+  std::vector<std::uint64_t> out;
+  for (const Snapshot snapshot : {Snapshot::k2021, Snapshot::k2023}) {
+    out.push_back(pipeline.registry(snapshot).server_count());
+    out.push_back(pipeline.population(snapshot).size());
+    for (const ScanRecord& record : pipeline.scan_records(snapshot)) {
+      out.push_back(record.ip.value());
+    }
+  }
+  for (const auto& [snapshot, methodology] : kDiscoveryPairs) {
+    for (const auto& footprint :
+         pipeline.discovery(snapshot, methodology).footprints) {
+      out.push_back(footprint.isp_count());
+      out.push_back(footprint.ip_count());
+    }
+  }
+  for (std::size_t vp = 0; vp < pipeline.vantage_points().size(); ++vp) {
+    out.push_back(pipeline.ping_mesh().vp_dark(vp));
+  }
+  out.push_back(pipeline.ptr_store().size());
+  for (const Hypergiant hg : all_hypergiants()) {
+    for (const auto& [isp, evidence] : pipeline.peering_study(hg)) {
+      out.push_back(isp);
+      out.push_back(static_cast<std::uint64_t>(evidence.status));
+      out.push_back(evidence.seen_via_ixp * 4 + evidence.seen_via_pni * 2 +
+                    evidence.unstable);
+      out.push_back(evidence.traceroutes);
+    }
+  }
+  for (const AsIndex isp : pipeline.internet().access_isps()) {
+    out.push_back(std::bit_cast<std::uint64_t>(
+        pipeline.demand().isp_peak_demand_gbps(isp)));
+    out.push_back(std::bit_cast<std::uint64_t>(
+        pipeline.capacity().total_transit_gbps(isp)));
+  }
+  return out;
+}
+
 struct PipelineRun {
   std::vector<IspClustering> xi01;
   std::vector<IspClustering> xi09;
+  std::vector<std::uint64_t> stages;  // stage_outputs, when walked
   std::map<std::string, fault::StageHealth> health;
   std::map<std::string, std::uint64_t> counters;
 };
 
-PipelineRun run_pipeline(std::size_t threads, const fault::FaultPlan& plan) {
+/// One tiny pipeline pass on a pool of `threads`. With `callers` > 0, that
+/// many threads first walk every stage accessor concurrently, each starting
+/// at its own rotation of the list.
+PipelineRun run_pipeline(std::size_t threads, const fault::FaultPlan& plan,
+                         std::size_t callers = 0) {
   obs::metrics().reset();
   set_default_thread_count(threads);
   Pipeline pipeline(Scenario::tiny(), plan);
+  const auto accessors = stage_accessors();
+  std::vector<std::thread> walkers;
+  for (std::size_t t = 0; t < callers; ++t) {
+    walkers.emplace_back([&, t] {
+      const std::size_t start = t * accessors.size() / callers;
+      for (std::size_t i = 0; i < accessors.size(); ++i) {
+        accessors[(start + i) % accessors.size()](pipeline);
+      }
+    });
+  }
+  for (std::thread& walker : walkers) walker.join();
   PipelineRun run;
   run.xi01 = pipeline.clusterings(0.1);
   run.xi09 = pipeline.clusterings(0.9);
+  if (callers > 0) run.stages = stage_outputs(pipeline);
   run.health = pipeline.stage_health();
   run.counters = counter_map();
   set_default_thread_count(0);
@@ -367,6 +620,7 @@ void expect_identical_runs(const PipelineRun& serial, const PipelineRun& other,
     expect_identical(other.xi09[i], serial.xi09[i],
                      context + " xi=0.9 #" + std::to_string(i));
   }
+  EXPECT_EQ(serial.stages, other.stages) << context;
   expect_identical_health(serial.health, other.health, context);
   // Every counter in the run report (mlab probes, filter drops, fault
   // injections, clustering progress, ...) must be thread-count invariant.
@@ -390,6 +644,31 @@ TEST_F(ParallelTest, PipelineClusteringBitIdenticalUnderFaults) {
   ASSERT_FALSE(serial.xi01.empty());
   const PipelineRun parallel = run_pipeline(8, plan);
   expect_identical_runs(serial, parallel, "chaos@0.5 threads=8");
+}
+
+/// What concurrent callers may legitimately change: the order in which a
+/// stage's snapshots merge their health reasons, and how often a caller
+/// hits a memo or parks on another caller's build.
+void drop_call_order(PipelineRun& run) {
+  for (auto& [stage, health] : run.health) std::ranges::sort(health.reasons);
+  for (const char* name :
+       {"pipeline.population_cache_hit", "pipeline.scan_cache_hit",
+        "pipeline.stage_waits"}) {
+    run.counters.erase(name);
+  }
+}
+
+TEST_F(ParallelTest, ConcurrentStageCallersMatchSerial) {
+  const fault::FaultPlan plan = fault::FaultPlan::chaos().scaled_by(0.5);
+  PipelineRun serial = run_pipeline(1, plan, 1);
+  ASSERT_FALSE(serial.xi01.empty());
+  ASSERT_FALSE(serial.stages.empty());
+  PipelineRun concurrent = run_pipeline(4, plan, 8);
+  drop_call_order(serial);
+  drop_call_order(concurrent);
+  // Equal counters (every fault injection, probe and clustering tally) prove
+  // each stage computed exactly once however the callers interleaved.
+  expect_identical_runs(serial, concurrent, "8 callers, chaos@0.5");
 }
 
 // ------------------------------------------------- peering study fan-out --

@@ -235,7 +235,10 @@ TEST_F(ServeTest, ConcurrentReadersShareOneService) {
   constexpr std::size_t kQueriesPerReader = 6;
   const fault::FaultPlan plans[] = {fault::FaultPlan::none(),
                                     fault::FaultPlan::chaos().scaled_by(0.5)};
-  const char* queries[] = {"table1", "figure1", "table2"};
+  // Discovery, plots, peering and capacity all compute side by side on the
+  // resident pipelines of the two worlds.
+  const char* queries[] = {"table1", "figure1", "table2", "section421",
+                           "section43"};
 
   std::vector<std::string> failures(kReaders);
   std::vector<std::thread> readers;
@@ -243,10 +246,10 @@ TEST_F(ServeTest, ConcurrentReadersShareOneService) {
   for (std::size_t t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t]() {
       for (std::size_t i = 0; i < kQueriesPerReader; ++i) {
-        const std::size_t pick = (i * 5 + t) % 6;
-        const char* query = queries[pick % 3];
+        const std::size_t pick = (i * 7 + t) % 10;
+        const char* query = queries[pick % 5];
         const QueryRequest request = report_request(
-            query, plans[pick / 3],
+            query, plans[pick / 5],
             std::string_view(query) == "table2" ? std::vector<double>{0.1, 0.9}
                                                 : std::vector<double>{});
         const QueryResponse response = service.execute(request);
