@@ -1,26 +1,20 @@
 // Scaling bench: the Scale axis as a tracked artifact (docs/SCALING.md).
 //
 // For each scale in REPRO_SCALING_SCALES (comma-separated; default
-// "tiny,small,paper") the clustering pipeline runs twice in freshly forked
-// child processes -- once with the in-memory matrix substrate, once with
-// the streamed one (spill to an .mmx file, mmap back, block-streamed
-// pairwise distances) -- and each child reports its end-to-end wall clock,
-// clustering-stage wall clock, pre-clustering RSS baseline, and lifetime
-// peak RSS (getrusage ru_maxrss). Forking gives every configuration an
-// honest per-process peak: RSS never carries over from the previous
-// measurement, and the two substrates of one scale see identical cold
-// state.
+// "tiny,small,paper") the clustering pipeline runs once in a freshly forked
+// child process, on the pipeline's one in-memory matrix path, and the child
+// reports its end-to-end wall clock, clustering-stage wall clock,
+// pre-clustering RSS baseline, and lifetime peak RSS (getrusage
+// ru_maxrss). Forking gives every scale an honest per-process peak: RSS
+// never carries over from the previous measurement.
 //
-// The number the scaling story hangs on is `cluster_growth_mb` = peak RSS
-// minus the baseline sampled right before the clustering stage: the
-// streamed substrate holds it roughly flat as matrices grow, while the
-// in-memory substrate's growth tracks the largest per-ISP matrix. Both
-// substrates are bit-identical in output (tests/test_scale.cpp fences
-// that), so the curve is purely a memory/time trade.
+// `growth_mb` = peak RSS minus the baseline sampled right before the
+// clustering stage: what the per-ISP latency matrices, compact matrices
+// and distance triangles of the concurrently clustered ISPs add on top of
+// the world.
 //
-// Artifacts: BENCH_scaling.json with a per-scale/per-substrate object
-// ("seconds", "cluster_seconds", "baseline_mb", "peak_mb", "growth_mb").
-// REPRO_SCALING_ROWS overrides the streamed block height for the sweep.
+// Artifacts: BENCH_scaling.json with one object per scale ("ok",
+// "seconds", "cluster_seconds", "baseline_mb", "peak_mb", "growth_mb").
 #include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -48,11 +42,11 @@ struct ConfigResult {
   double growth_mb() const { return peak_mb - baseline_mb; }
 };
 
-/// Runs one (scale, substrate) configuration in a forked child so its peak
-/// RSS is measured from a clean slate. The child computes the standard xi
-/// batch and reports through a pipe; a crashed or nonzero child yields
-/// ok=false rather than taking the bench down.
-ConfigResult run_config(Scale scale, bool streamed, std::size_t block_rows) {
+/// Runs one scale in a forked child so its peak RSS is measured from a
+/// clean slate. The child computes the standard xi batch and reports
+/// through a pipe; a crashed or nonzero child yields ok=false rather than
+/// taking the bench down.
+ConfigResult run_config(Scale scale) {
   int fds[2];
   if (pipe(fds) != 0) {
     std::perror("pipe");
@@ -69,11 +63,8 @@ ConfigResult run_config(Scale scale, bool streamed, std::size_t block_rows) {
     close(fds[0]);
     double payload[4] = {0.0, 0.0, 0.0, 0.0};
     try {
-      Scenario scenario = Scenario::at_scale(scale);
-      scenario.stream_matrices = streamed;
-      if (block_rows != 0) scenario.stream_block_rows = block_rows;
       bench::Stopwatch total;
-      Pipeline pipeline(scenario, fault::FaultPlan::none());
+      Pipeline pipeline(Scenario::at_scale(scale), fault::FaultPlan::none());
       pipeline.hosting_isps_2023();  // every stage but clustering
       payload[2] =
           static_cast<double>(obs::read_resource_sample().rss_kb) / 1024.0;
@@ -159,39 +150,21 @@ int main() {
   }
   bench::print_header("Scaling: wall clock and peak RSS per Scale", ran);
 
-  const char* rows_env = std::getenv("REPRO_SCALING_ROWS");
-  const std::size_t block_rows =
-      rows_env == nullptr ? 0 : std::strtoul(rows_env, nullptr, 10);
-
-  std::printf("%-7s %-9s %10s %12s %12s %11s %11s\n", "scale", "substrate",
-              "seconds", "cluster_s", "baseline_mb", "peak_mb", "growth_mb");
+  std::printf("%-7s %10s %12s %12s %11s %11s\n", "scale", "seconds",
+              "cluster_s", "baseline_mb", "peak_mb", "growth_mb");
   std::string scales_json = "\"scales\":{";
-  bool first = true;
   bool all_ok = true;
   for (const Scale scale : scales) {
     const std::string name{to_string(scale)};
-    std::string entry = "\"" + name + "\":{";
-    for (const bool streamed : {false, true}) {
-      const ConfigResult r = run_config(scale, streamed, block_rows);
-      all_ok = all_ok && r.ok;
-      std::printf("%-7s %-9s %10.2f %12.2f %12.1f %11.1f %11.1f%s\n",
-                  name.c_str(),
-                  streamed ? "streamed" : "inmem", r.seconds,
-                  r.cluster_seconds, r.baseline_mb, r.peak_mb, r.growth_mb(),
-                  r.ok ? "" : "  [FAILED]");
-      entry += streamed ? "\"streamed\":" : "\"inmem\":";
-      entry += config_json(r);
-      if (!streamed) entry += ",";
-    }
-    entry += "}";
-    if (!first) scales_json += ",";
-    first = false;
-    scales_json += entry;
+    const ConfigResult r = run_config(scale);
+    all_ok = all_ok && r.ok;
+    std::printf("%-7s %10.2f %12.2f %12.1f %11.1f %11.1f%s\n", name.c_str(),
+                r.seconds, r.cluster_seconds, r.baseline_mb, r.peak_mb,
+                r.growth_mb(), r.ok ? "" : "  [FAILED]");
+    if (scales_json.back() != '{') scales_json += ",";
+    scales_json += "\"" + name + "\":" + config_json(r);
   }
   scales_json += "}";
-  if (block_rows != 0) {
-    scales_json += ",\"block_rows\":" + std::to_string(block_rows);
-  }
 
   bench::print_footer("scaling", total, {}, scales_json, ran);
   return all_ok ? 0 : 1;

@@ -127,7 +127,7 @@ int cmd_verify(const char* root) {
 int cmd_prune(const char* root, const char* mb_text) {
   char* end = nullptr;
   const double mb = std::strtod(mb_text, &end);
-  if (end == mb_text || *end != '\0' || mb < 0.0) {
+  if (end == mb_text || *end != '\0' || !(mb >= 0.0)) {  // rejects NaN too
     std::fprintf(stderr, "repro-store: bad budget '%s' (want megabytes)\n",
                  mb_text);
     return 2;

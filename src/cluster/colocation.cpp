@@ -50,26 +50,14 @@ std::vector<IspClustering> ColocationClusterer::cluster_isp_multi(
 
 IspPlot ColocationClusterer::plot(AsIndex isp,
                                   const LatencyMatrix& matrix) const {
-  return plot_rows(isp, LatencyMatrixRows(matrix), /*streamed=*/false, 0);
-}
-
-IspPlot ColocationClusterer::plot(AsIndex isp, const LatencyRows& rows,
-                                  std::size_t block_rows) const {
-  return plot_rows(isp, rows, /*streamed=*/true, block_rows);
-}
-
-IspPlot ColocationClusterer::plot_rows(AsIndex isp, const LatencyRows& rows,
-                                       bool streamed,
-                                       std::size_t block_rows) const {
   IspPlot out;
   out.isp = isp;
-  if (rows.row_count() == 0) return out;
+  if (matrix.row_count() == 0) return out;
 
   FilteredMatrix cleaned;
   {
     obs::ScopedTimer timer("cluster.clean_ms");
-    cleaned = clean_matrix(rows, vps_, config_.filter,
-                           /*materialize=*/!streamed);
+    cleaned = clean_matrix(matrix, vps_, config_.filter);
   }
   out.dropped_unresponsive = cleaned.dropped_unresponsive;
   out.dropped_impossible = cleaned.dropped_impossible;
@@ -79,7 +67,7 @@ IspPlot ColocationClusterer::plot_rows(AsIndex isp, const LatencyRows& rows,
   out.usable = true;
   out.registry_indices.reserve(cleaned.row_count());
   for (const std::size_t row : cleaned.kept_rows) {
-    out.registry_indices.push_back(rows.server_index(row));
+    out.registry_indices.push_back(matrix.server_indices[row]);
   }
   if (cleaned.row_count() == 1) {
     // A lone point: the plot OPTICS would draw, without the kernel.
@@ -90,14 +78,6 @@ IspPlot ColocationClusterer::plot_rows(AsIndex isp, const LatencyRows& rows,
 
   const DistanceMatrix distances = [&] {
     obs::ScopedTimer timer("cluster.distance_ms");
-    if (streamed) {
-      return pairwise_distances_streamed(
-          [&rows, &cleaned](std::size_t compact_row, double* out_row) {
-            fill_compact_row(rows, cleaned, compact_row, out_row);
-          },
-          cleaned.row_count(), cleaned.col_count(), config_.trim_fraction,
-          block_rows);
-    }
     return pairwise_distances(cleaned.rtt, cleaned.row_count(),
                               cleaned.col_count(), config_.trim_fraction);
   }();

@@ -82,28 +82,15 @@ class ColocationClusterer {
   std::vector<IspClustering> cluster_isp_multi(AsIndex isp,
                                                std::span<const double> xis) const;
 
-  /// The ISP's xi-independent plot from an already-measured latency matrix
-  /// (cleaning, the distance kernel and the OPTICS ordering).
+  /// The ISP's xi-independent plot from an already-measured latency matrix:
+  /// Appendix-A cleaning into one compact in-memory matrix, the distance
+  /// kernel over it, and the OPTICS ordering. The clustering stage's one
+  /// matrix path (docs/SCALING.md).
   IspPlot plot(AsIndex isp, const LatencyMatrix& matrix) const;
-
-  /// Streamed variant over a row view (typically a store::MappedLatencyMatrix
-  /// spill): the cleaned compact matrix is never materialized; pairwise
-  /// distances are computed block-by-block with `block_rows` staging rows
-  /// per worker (0 = whole matrix in one block). Bit-identical to the
-  /// in-memory overload -- same filters, same kernels, same canonical
-  /// ordering (docs/SCALING.md).
-  IspPlot plot(AsIndex isp, const LatencyRows& rows,
-               std::size_t block_rows) const;
 
   const ColocationConfig& config() const noexcept { return config_; }
 
  private:
-  /// Shared implementation of both plot overloads. `streamed` selects
-  /// whether the compact matrix is materialized once (false) or compact
-  /// rows are reconstructed on demand in block_rows-sized tiles (true).
-  IspPlot plot_rows(AsIndex isp, const LatencyRows& rows, bool streamed,
-                    std::size_t block_rows) const;
-
   const OffnetRegistry& registry_;
   const PingMesh& mesh_;
   const VantagePointSet& vps_;

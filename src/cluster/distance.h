@@ -118,6 +118,8 @@ using RowFiller = std::function<void(std::size_t row, double* out)>;
 /// matches pairwise_distances bit-for-bit for every block size, SIMD level
 /// and thread count (tests/test_perf_kernel.cpp, tests/test_parallel.cpp).
 /// `block_rows` of 0 means "whole matrix" (one block, one staging pass).
+/// No Pipeline path calls it; perfbench's clustering replay does when a
+/// scenario sets the legacy stream_matrices knob.
 DistanceMatrix pairwise_distances_streamed(const RowFiller& fill_row,
                                            std::size_t rows, std::size_t cols,
                                            double trim_fraction = 0.2,

@@ -1,13 +1,9 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <filesystem>
 #include <optional>
 #include <string>
-#include <system_error>
 
 #include "fault/injector.h"
 #include "hypergiant/profile.h"
@@ -15,7 +11,6 @@
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "store/artifact_store.h"
-#include "store/matrix_file.h"
 #include "store/serde.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
@@ -41,7 +36,7 @@ std::string count_reason(const char* what, std::uint64_t dropped,
 
 /// Content-addressed key for one artifact: the world digest (measurement
 /// config + fault plan) refined by the artifact type, its schema version
-/// and per-artifact parameters (a scan's snapshot ordinal, a spill's ISP).
+/// and per-artifact parameters (a scan's snapshot ordinal).
 store::ArtifactKey make_key(const char* type, std::uint32_t schema,
                             std::uint64_t world,
                             std::initializer_list<std::uint64_t> params) {
@@ -110,30 +105,6 @@ Pipeline::Pipeline(Scenario scenario, fault::FaultPlan plan,
     artifacts_->set_chaos(chaos);
   }
 
-  // Streamed matrices need a spill directory. Anchor it under a writable
-  // store (spills then persist as a rebuildable warm cache next to the .bin
-  // artifacts); otherwise use a private temp directory torn down with the
-  // pipeline. If neither can be created, streaming quietly degrades to the
-  // in-memory path -- the outputs are bit-identical either way.
-  if (scenario_.stream_matrices) {
-    namespace fs = std::filesystem;
-    if (artifacts_ != nullptr && !artifacts_->config().read_only) {
-      std::error_code ec;
-      const std::string dir = artifacts_->config().root + "/stream";
-      fs::create_directories(dir, ec);
-      if (!ec) stream_dir_ = dir;
-    }
-    if (stream_dir_.empty()) {
-      std::error_code ec;
-      std::string tmpl =
-          (fs::temp_directory_path(ec) / "repro-stream-XXXXXX").string();
-      if (!ec && ::mkdtemp(tmpl.data()) != nullptr) {
-        stream_dir_ = tmpl;
-        owns_stream_dir_ = true;
-      }
-    }
-  }
-
   {
     obs::ScopedSpan span("pipeline.generate_internet");
     internet_ = InternetGenerator(scenario_.topology).generate();
@@ -146,13 +117,6 @@ Pipeline::Pipeline(Scenario scenario, fault::FaultPlan plan,
       static_cast<double>(internet_.ases.size()));
   obs::metrics().gauge("topology.links").set(
       static_cast<double>(internet_.links.size()));
-}
-
-Pipeline::~Pipeline() {
-  if (owns_stream_dir_ && !stream_dir_.empty()) {
-    std::error_code ec;
-    std::filesystem::remove_all(stream_dir_, ec);
-  }
 }
 
 void Pipeline::record_health(const std::string& stage,
@@ -207,9 +171,6 @@ T Pipeline::persisted_stage(const char* stage, const char* span_name,
           out.emplace(std::move(loaded));
         });
     if (fetched.recovered_corrupt) corruption = fetched.load.detail;
-  }
-  if (!out->store_note.empty()) {
-    note_store_corruption(out->health, out->store_note);
   }
   if (!corruption.empty()) note_store_corruption(out->health, corruption);
   record_health(stage, std::move(out->health));
@@ -420,18 +381,7 @@ const std::vector<IspClustering>& Pipeline::clusterings(double xi) const {
   });
 }
 
-std::string Pipeline::stream_spill_path(AsIndex isp) const {
-  // Named like an artifact key of type "matrix", with the .mmx extension
-  // marking the aligned spill layout (store/matrix_file.h).
-  std::string name = make_key("matrix", store::kLatencyMatrixSchema,
-                              world_digest_,
-                              {static_cast<std::uint64_t>(isp)})
-                         .filename();
-  name.replace(name.size() - 4, 4, ".mmx");
-  return stream_dir_ + "/" + name;
-}
-
-Pipeline::ClusterFanout Pipeline::cluster_isps(
+std::vector<Pipeline::IspOutcome> Pipeline::cluster_isps(
     const std::vector<AsIndex>& isps) const {
   ColocationConfig config;
   config.filter = scenario_.filter;
@@ -443,48 +393,13 @@ Pipeline::ClusterFanout Pipeline::cluster_isps(
   // in its own preallocated slot, and the health/result merge walks the
   // slots in ISP order on one thread, so results, health records and
   // counters are bit-identical to the serial loop for any thread count.
-  ClusterFanout fanout;
-  fanout.outcomes.resize(isps.size());
-  std::vector<IspOutcome>& outcomes = fanout.outcomes;
+  std::vector<IspOutcome> outcomes(isps.size());
   const std::size_t threads =
       std::min(default_thread_count(), std::max<std::size_t>(isps.size(), 1));
   obs::metrics().gauge("cluster.threads").set(static_cast<double>(threads));
   obs::metrics().gauge("cluster.tasks").set(static_cast<double>(isps.size()));
   const std::size_t block =
       std::max<std::size_t>(1, isps.size() / (threads * 4));
-  const bool streaming = !stream_dir_.empty();
-  std::atomic<std::uint64_t> corrupt_spills{0};
-
-  // Streamed path: the matrix lives in a .mmx spill and clustering reads
-  // it through an mmap view, so the full matrix never sits on the heap. A
-  // malformed spill is treated like a corrupt artifact (delete, remeasure,
-  // respill); a failed spill write degrades to the in-memory path --
-  // bit-identical either way (docs/SCALING.md).
-  const auto plot_streamed = [&](AsIndex isp) -> IspPlot {
-    const std::string path = stream_spill_path(isp);
-    std::optional<store::MappedLatencyMatrix> mapped;
-    try {
-      mapped = store::MappedLatencyMatrix::open_if_exists(path);
-    } catch (const store::SerdeError&) {
-      std::error_code ec;
-      std::filesystem::remove(path, ec);
-      corrupt_spills.fetch_add(1, std::memory_order_relaxed);
-    } catch (const Error&) {
-      // Unmappable (permissions, exotic filesystem): leave the file alone
-      // and fall through to a fresh measurement + in-memory fallback below.
-    }
-    if (!mapped.has_value()) {
-      const LatencyMatrix measured = mesh.measure_isp(reg, isp);
-      try {
-        store::write_matrix_file(path, measured);
-        mapped = store::MappedLatencyMatrix::open(path);
-      } catch (const Error&) {
-        return clusterer.plot(isp, measured);
-      }
-    }
-    return clusterer.plot(isp, *mapped, scenario_.stream_block_rows);
-  };
-
   parallel_for_blocks(
       isps.size(), block,
       [&](std::size_t begin, std::size_t end) {
@@ -500,9 +415,7 @@ Pipeline::ClusterFanout Pipeline::cluster_isps(
           obs::ScopedTimer timer("cluster.isp_wall_ms");
           IspOutcome& out = outcomes[i];
           try {
-            out.plot = streaming ? plot_streamed(isps[i])
-                                 : clusterer.plot(isps[i],
-                                                  mesh.measure_isp(reg, isps[i]));
+            out.plot = clusterer.plot(isps[i], mesh.measure_isp(reg, isps[i]));
           } catch (const Error& error) {
             // Quality gate: one pathological ISP matrix must not abort the
             // other few thousand -- keep an unusable placeholder, move on.
@@ -515,13 +428,11 @@ Pipeline::ClusterFanout Pipeline::cluster_isps(
         }
       },
       threads);
-  fanout.corrupt_spills = corrupt_spills.load();
-  return fanout;
+  return outcomes;
 }
 
 Pipeline::StageOutput<std::vector<IspPlot>> Pipeline::merge_isp_outcomes(
-    const std::vector<AsIndex>& isps, ClusterFanout fanout) const {
-  std::vector<IspOutcome>& outcomes = fanout.outcomes;
+    const std::vector<AsIndex>& isps, std::vector<IspOutcome> outcomes) const {
   require(outcomes.size() == isps.size(),
           "merge_isp_outcomes: outcome count mismatch");
 
@@ -553,10 +464,6 @@ Pipeline::StageOutput<std::vector<IspPlot>> Pipeline::merge_isp_outcomes(
       health.reasons.push_back(count_reason(
           "ISPs below the usable-sites filter", health.dropped, health.total));
     }
-  }
-  if (fanout.corrupt_spills > 0) {
-    merged.store_note = std::to_string(fanout.corrupt_spills) +
-                        " corrupt latency matrices (.mmx spills) recomputed";
   }
   return merged;
 }

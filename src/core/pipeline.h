@@ -28,6 +28,10 @@
 // store attached (the default) behaviour is bit-identical to before the
 // store existed. See docs/PERSISTENCE.md.
 //
+// One matrix path: the clustering stage measures each ISP's latency matrix
+// in memory and plots it (cluster_isps). Nothing spills to disk, so the
+// store root holds only the .bin artifacts its byte budget accounts for.
+//
 // Thread safety: each lazy accessor is one get() on its stage's own
 // single-flight cell (SingleFlightLru, unbounded, so a returned reference
 // lives as long as the pipeline). The first caller for a key builds outside
@@ -39,10 +43,11 @@
 // no build ever waits on its own cell.
 // Pool workers only *read* stages already computed: the clustering fan-out
 // and the peering study's per-target workers run on references their caller
-// forced first, as does perfbench's clustering replay. With concurrent callers a multi-snapshot stage's health reasons may
-// merge in either order. Pipelines of one world share each artifact's
-// compute through the store's load_or_compute; those waits cannot cycle (a
-// plot compute waits on a scan flight, never the reverse).
+// forced first, as does perfbench's clustering replay. With concurrent
+// callers a multi-snapshot stage's health reasons may merge in either
+// order. Pipelines of one world share each artifact's compute through the
+// store's load_or_compute; those waits cannot cycle (a plot compute waits
+// on a scan flight, never the reverse).
 //
 // Typical use:
 //   Pipeline pipeline(Scenario::paper());
@@ -94,7 +99,6 @@ class Pipeline {
   /// the REPRO_STORE environment toggles). `artifacts` may be nullptr.
   Pipeline(Scenario scenario, fault::FaultPlan plan,
            std::shared_ptr<store::ArtifactStore> artifacts);
-  ~Pipeline();
 
   const Scenario& scenario() const noexcept { return scenario_; }
   const Internet& internet() const noexcept { return internet_; }
@@ -175,13 +179,11 @@ class Pipeline {
   std::vector<AsIndex> hosting_isps_2023() const;
 
  private:
-  /// A persisted stage's compute result: its value, its health, and a store
-  /// note (corruption the compute recovered from).
+  /// A persisted stage's compute result: its value and its health.
   template <class T>
   struct StageOutput {
     T value;
     fault::StageHealth health;
-    std::string store_note;
   };
 
   /// The one persisted-stage primitive behind scan and clustering
@@ -204,25 +206,17 @@ class Pipeline {
     std::string error;
   };
 
-  /// Fan-out result: per-ISP outcomes plus the corrupt .mmx spills the
-  /// workers recovered from along the way.
-  struct ClusterFanout {
-    std::vector<IspOutcome> outcomes;
-    std::uint64_t corrupt_spills = 0;
-  };
-
-  /// Runs the per-ISP plot fan-out over the thread pool. Pure with respect
-  /// to pipeline state other than lazily forcing the mesh/registry stages;
+  /// Runs the per-ISP plot fan-out over the thread pool: each ISP's latency
+  /// matrix is measured in memory and plotted. Pure with respect to
+  /// pipeline state other than lazily forcing the mesh/registry stages;
   /// records no health (the stage primitive does).
-  ClusterFanout cluster_isps(const std::vector<AsIndex>& isps) const;
+  std::vector<IspOutcome> cluster_isps(const std::vector<AsIndex>& isps) const;
 
-  /// Deterministic ISP-ordered merge of fan-out outcomes into the plots,
-  /// their StageHealth and the corrupt-spill store note.
+  /// Deterministic ISP-ordered merge of fan-out outcomes into the plots and
+  /// their StageHealth.
   StageOutput<std::vector<IspPlot>> merge_isp_outcomes(
-      const std::vector<AsIndex>& isps, ClusterFanout fanout) const;
+      const std::vector<AsIndex>& isps, std::vector<IspOutcome> outcomes) const;
 
-  /// Spill-file path for one ISP's streamed latency matrix (.mmx).
-  std::string stream_spill_path(AsIndex isp) const;
   /// Folds a stage's health record into the map, bumps the fault counters,
   /// and republishes the run-report "fault" section. Thread-safe: stages
   /// that fan work across the thread pool may record health concurrently.
@@ -235,13 +229,6 @@ class Pipeline {
   /// Digest over (measurement config, fault plan); every artifact key
   /// derives from it.
   std::uint64_t world_digest_ = 0;
-
-  /// Directory holding .mmx latency-matrix spills when the scenario streams
-  /// matrices (empty = streaming off). Rooted under the artifact store
-  /// (<root>/stream, persists across runs as a rebuildable cache) or, with
-  /// no writable store, a private temp directory removed by the destructor.
-  std::string stream_dir_;
-  bool owns_stream_dir_ = false;
 
   /// One unbounded single-flight cell per lazy stage, keyed by Snapshot,
   /// (Snapshot, Methodology), Hypergiant, xi_key, or 0 for a per-world

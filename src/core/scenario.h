@@ -54,18 +54,14 @@ struct Scenario {
   /// field the label implies.
   Scale scale = Scale::kTiny;
 
-  /// Stream per-ISP latency matrices through memory-mapped spill files
-  /// (store/matrix_file.h) instead of holding each decoded copy on the
-  /// heap, and run the pairwise-distance pass in row blocks. On for the
-  /// paper and 10x presets, where the matrices would otherwise dominate
-  /// peak RSS. Streamed execution is bit-identical to in-memory execution
-  /// (enforced by the `scale` ctest label), so -- like thread counts --
-  /// these knobs are excluded from measurement_digest and never change
-  /// which artifacts a scenario shares. See docs/SCALING.md.
+  /// Legacy knobs of the streamed .mmx matrix substrate
+  /// (store/matrix_file.h). Nothing in src/ reads them any more: the
+  /// Pipeline clusters every ISP on one in-memory matrix path, and no
+  /// preset sets them. Only perfbench's clustering replay still reads them
+  /// (to spill to .mmx and block-stream the distances when set); they go
+  /// with the .mmx substrate in a later benchmark change. Excluded from
+  /// measurement_digest, like thread counts. See docs/SCALING.md.
   bool stream_matrices = false;
-
-  /// Row-block granularity of the streamed pairwise-distance pass
-  /// (0 = whole matrix in one block). Any value is bit-identical.
   std::size_t stream_block_rows = 0;
 
   /// Smallest world that exercises every code path; for unit tests.
@@ -89,9 +85,8 @@ struct Scenario {
 /// docs/PERSISTENCE.md). Thread counts are deliberately excluded:
 /// parallel execution is bit-identical to serial (docs/PARALLELISM.md), so
 /// a warm start is valid across any REPRO_THREADS setting. The Scale tag
-/// and the stream_matrices/stream_block_rows knobs are excluded for the
-/// same reason: streamed execution is bit-identical to in-memory
-/// (docs/SCALING.md), so both substrates share one artifact family.
+/// and the unread stream_matrices/stream_block_rows knobs are excluded
+/// too: neither changes what the pipeline computes.
 std::uint64_t measurement_digest(const Scenario& scenario);
 
 }  // namespace repro

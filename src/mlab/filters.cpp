@@ -88,8 +88,7 @@ FilteredMatrix clean_matrix(const LatencyRows& rows, const VantagePointSet& vps,
   // Pass 3: compact matrix, counting any failed measurement that slips
   // through (it would otherwise reach trimmed_manhattan as a silent NaN).
   // The leak scan runs even when the caller skips materialization, so the
-  // `filters.*` counters below come out identical in streamed and
-  // in-memory modes -- test_scale compares them verbatim.
+  // `filters.*` counters below come out identical either way.
   if (materialize) {
     out.rtt.reserve(out.kept_rows.size() * out.kept_cols.size());
   }

@@ -67,12 +67,12 @@ FilteredMatrix clean_matrix(const LatencyMatrix& matrix,
                             const FilterConfig& config);
 
 /// Source-agnostic variant over a row view (in-memory matrix or mmap spill).
-/// With `materialize` false the compact `rtt` block stays empty -- the
-/// streamed clustering path reconstructs individual compact rows on demand
-/// via fill_compact_row instead of holding rows x cols doubles resident.
+/// With `materialize` false the compact `rtt` block stays empty and a
+/// caller reconstructs compact rows on demand via fill_compact_row (only
+/// perfbench's clustering replay does; the Pipeline always materializes).
 /// Every selection decision, drop count, and obs counter is computed
-/// identically either way, so the two modes are bit-identical inputs to
-/// clustering (docs/SCALING.md).
+/// identically either way, and fill_compact_row reproduces the
+/// materialized rows bit for bit (tests/test_filters.cpp).
 FilteredMatrix clean_matrix(const LatencyRows& rows, const VantagePointSet& vps,
                             const FilterConfig& config,
                             bool materialize = true);
@@ -80,8 +80,8 @@ FilteredMatrix clean_matrix(const LatencyRows& rows, const VantagePointSet& vps,
 /// Writes compact row `compact_row` (kept_cols.size() doubles) of the
 /// cleaned matrix into `out`, reading from `rows`. Exactly the values pass 3
 /// of clean_matrix would have stored at that row; touches no obs counters,
-/// so streamed block fills may call it repeatedly without skewing the
-/// `filters.*` totals that the bit-identity tests compare.
+/// so block-streamed fills may call it repeatedly without skewing the
+/// `filters.*` totals.
 void fill_compact_row(const LatencyRows& rows, const FilteredMatrix& filtered,
                       std::size_t compact_row, double* out);
 

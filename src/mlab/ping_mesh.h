@@ -127,12 +127,13 @@ struct LatencyMatrix {
 };
 
 /// Read-only row-wise view of one ISP's latency matrix, decoupling the
-/// cleaning/clustering layers from where the bytes live: an in-memory
-/// LatencyMatrix (LatencyMatrixRows below) or a memory-mapped spill file
-/// (store::MappedLatencyMatrix), which is how paper-scale runs keep per-ISP
-/// matrices off the heap (docs/SCALING.md). Implementations must be safe
-/// for concurrent const access: the streamed pairwise pass reads rows from
-/// several pool workers at once.
+/// cleaning layer from where the bytes live: an in-memory LatencyMatrix
+/// (LatencyMatrixRows below) or a memory-mapped .mmx spill
+/// (store::MappedLatencyMatrix). The Pipeline only ever passes in-memory
+/// matrices; the spill view is left for perfbench's clustering replay
+/// (docs/SCALING.md). Implementations must be safe for concurrent const
+/// access: the block-streamed pairwise pass reads rows from several pool
+/// workers at once.
 class LatencyRows {
  public:
   virtual ~LatencyRows() = default;

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <system_error>
 
@@ -48,6 +49,16 @@ std::uint64_t fnv1a_str(std::string_view text) noexcept {
 
 double hash_uniform(std::uint64_t key) noexcept {
   return static_cast<double>(mix64(key) >> 11) * 0x1.0p-53;
+}
+
+/// Megabytes to bytes, saturating: zero, negative and NaN budgets give 0,
+/// and anything at or past 2^64 bytes (inf included) gives the largest
+/// count, i.e. no limit. A plain cast of such a double is undefined.
+std::uint64_t mb_to_bytes(double mb) noexcept {
+  const double bytes = mb * 1e6;
+  if (!(bytes > 0.0)) return 0;
+  if (bytes >= 0x1.0p64) return std::numeric_limits<std::uint64_t>::max();
+  return static_cast<std::uint64_t>(bytes);
 }
 
 }  // namespace
@@ -95,9 +106,7 @@ std::optional<ArtifactKey> ArtifactKey::parse(std::string_view filename) {
 
 ArtifactStore::ArtifactStore(StoreConfig config) : config_(std::move(config)) {
   require(!config_.root.empty(), "ArtifactStore: empty root path");
-  if (config_.budget_mb > 0.0) {
-    budget_bytes_ = static_cast<std::uint64_t>(config_.budget_mb * 1e6);
-  }
+  budget_bytes_ = mb_to_bytes(config_.budget_mb);
 
   std::error_code ec;
   if (!config_.read_only) {
@@ -495,8 +504,7 @@ std::vector<ArtifactInfo> ArtifactStore::list() const {
 
 std::uint64_t ArtifactStore::prune_to_budget(double mb) {
   if (config_.read_only) return 0;
-  const std::uint64_t target_bytes =
-      mb > 0.0 ? static_cast<std::uint64_t>(mb * 1e6) : 0;
+  const std::uint64_t target_bytes = mb_to_bytes(mb);
 
   std::lock_guard<std::mutex> lock(mutex_);
   std::uint64_t removed = 0;

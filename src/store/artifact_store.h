@@ -94,7 +94,7 @@ struct LoadResult {
 struct StoreConfig {
   std::string root;
   bool read_only = false;
-  /// LRU disk budget in megabytes; <= 0 means unlimited.
+  /// LRU disk budget in megabytes; <= 0 and inf mean unlimited.
   double budget_mb = 0.0;
 };
 
@@ -196,9 +196,10 @@ class ArtifactStore {
   /// already skips non-.bin strays).
   std::vector<ArtifactInfo> list() const;
 
-  /// One-shot LRU eviction down to `mb` megabytes (<= 0 empties the store),
-  /// independent of the configured budget. Returns the number of artifacts
-  /// removed; 0 on a read-only store. For the repro-store CLI.
+  /// One-shot LRU eviction down to `mb` megabytes (<= 0 empties the store,
+  /// inf or any budget past 2^64 bytes evicts nothing), independent of the
+  /// configured budget. Returns the number of artifacts removed; 0 on a
+  /// read-only store. For the repro-store CLI.
   std::uint64_t prune_to_budget(double mb);
 
   ArtifactStore(const ArtifactStore&) = delete;

@@ -212,12 +212,6 @@ MappedLatencyMatrix MappedLatencyMatrix::open(const std::string& path) {
   return out;
 }
 
-std::optional<MappedLatencyMatrix> MappedLatencyMatrix::open_if_exists(
-    const std::string& path) {
-  if (::access(path.c_str(), F_OK) != 0) return std::nullopt;
-  return open(path);
-}
-
 MappedLatencyMatrix::MappedLatencyMatrix(MappedLatencyMatrix&& other) noexcept {
   *this = std::move(other);
 }
@@ -277,24 +271,6 @@ LatencyMatrix MappedLatencyMatrix::to_matrix() const {
   out.vp_count = vp_count_;
   out.rtt.assign(rtt_, rtt_ + rows_ * vp_count_);
   return out;
-}
-
-void MappedLatencyMatrix::release_rows(std::size_t begin,
-                                       std::size_t end) const noexcept {
-  if (base_ == nullptr || begin >= end || end > rows_) return;
-  const long page = ::sysconf(_SC_PAGESIZE);
-  if (page <= 0) return;
-  const std::uint64_t psize = static_cast<std::uint64_t>(page);
-  const std::uint64_t lo_byte =
-      rtt_offset(rows_) + static_cast<std::uint64_t>(begin) * vp_count_ * 8;
-  const std::uint64_t hi_byte =
-      rtt_offset(rows_) + static_cast<std::uint64_t>(end) * vp_count_ * 8;
-  // Round inward: only pages fully covered by [begin, end) are dropped.
-  const std::uint64_t lo = (lo_byte + psize - 1) / psize * psize;
-  const std::uint64_t hi = hi_byte / psize * psize;
-  if (lo >= hi) return;
-  ::madvise(static_cast<std::uint8_t*>(base_) + lo,
-            static_cast<std::size_t>(hi - lo), MADV_DONTNEED);
 }
 
 }  // namespace repro::store

@@ -21,19 +21,15 @@
 // same directory and one rename() publishes them, so readers never see a
 // half-written matrix; open() validates magic, version, schema, exact file
 // size and the trailing checksum, throwing SerdeError on any mismatch --
-// truncation at every cut and bit flips are detected, never crash. The
-// pipeline treats a malformed spill like a corrupt artifact: delete,
-// recompute, republish, record a degraded "store:" StageHealth.
+// truncation at every cut and bit flips are detected, never crash.
 //
-// Spill files live under <store-root>/stream/ (or a per-process temp
-// directory when no store is attached) and are deliberately outside the
-// .bin indexer: they are a rebuildable disk cache named like "matrix"
-// artifact keys (no .bin artifact holds a matrix), not content the store's
-// LRU budget manages. See docs/SCALING.md.
+// Only perfbench's clustering replay writes and maps these files (in its own
+// temp directory, when a scenario sets the legacy stream_matrices knob);
+// the Pipeline clusters every ISP on one in-memory matrix path. The format
+// goes with that replay in a later benchmark change. See docs/SCALING.md.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "mlab/ping_mesh.h"
@@ -63,10 +59,6 @@ class MappedLatencyMatrix final : public LatencyRows {
   /// truncated content and repro::Error when the file cannot be opened.
   static MappedLatencyMatrix open(const std::string& path);
 
-  /// Like open(), but a missing file is nullopt instead of an error.
-  static std::optional<MappedLatencyMatrix> open_if_exists(
-      const std::string& path);
-
   MappedLatencyMatrix(MappedLatencyMatrix&& other) noexcept;
   MappedLatencyMatrix& operator=(MappedLatencyMatrix&& other) noexcept;
   MappedLatencyMatrix(const MappedLatencyMatrix&) = delete;
@@ -82,12 +74,6 @@ class MappedLatencyMatrix final : public LatencyRows {
   /// Full in-memory copy, bit-identical to the matrix that was written
   /// (tests compare it against the original ulp-for-ulp).
   LatencyMatrix to_matrix() const;
-
-  /// Best-effort MADV_DONTNEED over the RTT pages of rows [begin, end):
-  /// drops them from the resident set once a streaming pass is done with
-  /// them (they reload from disk on the next touch). Page-rounded inward,
-  /// so neighboring rows are never evicted mid-use.
-  void release_rows(std::size_t begin, std::size_t end) const noexcept;
 
  private:
   MappedLatencyMatrix() = default;

@@ -40,8 +40,10 @@ class SerdeError : public Error {
 // --- per-type schema versions (see docs/PERSISTENCE.md for bump rules) ---
 inline constexpr std::uint32_t kScanRecordsSchema = 1;
 inline constexpr std::uint32_t kPlotSchema = 1;
-/// Header version of the streamed substrate's .mmx latency-matrix spills
-/// (store/matrix_file.h); no .bin artifact carries a latency matrix.
+/// Header version of the .mmx latency-matrix spill format
+/// (store/matrix_file.h), which only perfbench's clustering replay still
+/// writes; no .bin artifact carries a latency matrix, and the Pipeline
+/// keeps every matrix in memory.
 inline constexpr std::uint32_t kLatencyMatrixSchema = 1;
 
 /// Append-only little-endian byte sink.

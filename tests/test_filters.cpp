@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
+#include "core/scenario.h"
 #include "topology/generator.h"
 
 namespace repro {
@@ -115,6 +118,50 @@ TEST_F(FiltersTest, UnusableWhenBelowThreshold) {
   const FilteredMatrix cleaned = clean_matrix(matrix, *vps_, config);
   EXPECT_FALSE(cleaned.usable);
   EXPECT_LT(cleaned.kept_cols.size(), 10u);
+}
+
+TEST(CleanMatrix, CompactRowFillsMatchMaterializedRowsOnTinyWorld) {
+  // Cleaning without materializing, then reconstructing each compact row
+  // with fill_compact_row, must reproduce the materialized cleaned.rtt
+  // rows bit for bit, with identical selection decisions -- over every
+  // hosting ISP of the tiny scenario's measured matrices.
+  const Scenario scenario = Scenario::tiny();
+  const Internet net = InternetGenerator(scenario.topology).generate();
+  const OffnetRegistry registry =
+      DeploymentPolicy(net, scenario.deployment).deploy(Snapshot::k2023);
+  const VantagePointSet vps(net, scenario.vantage_points,
+                            scenario.vantage_seed);
+  const PingMesh mesh(net, vps, scenario.ping);
+
+  std::size_t compared_rows = 0;
+  for (const AsIndex isp : registry.hosting_isps()) {
+    const LatencyMatrix matrix = mesh.measure_isp(registry, isp);
+    const LatencyMatrixRows rows(matrix);
+    const FilteredMatrix full =
+        clean_matrix(rows, vps, scenario.filter, /*materialize=*/true);
+    const FilteredMatrix lean =
+        clean_matrix(rows, vps, scenario.filter, /*materialize=*/false);
+    ASSERT_EQ(lean.kept_rows, full.kept_rows) << "isp " << isp;
+    ASSERT_EQ(lean.kept_cols, full.kept_cols) << "isp " << isp;
+    EXPECT_EQ(lean.dropped_unresponsive, full.dropped_unresponsive);
+    EXPECT_EQ(lean.dropped_impossible, full.dropped_impossible);
+    EXPECT_EQ(lean.nonfinite_leaked, full.nonfinite_leaked);
+    EXPECT_EQ(lean.usable, full.usable);
+    EXPECT_TRUE(lean.rtt.empty());
+    ASSERT_EQ(full.rtt.size(), full.row_count() * full.col_count());
+
+    std::vector<double> row(full.col_count());
+    for (std::size_t r = 0; r < full.row_count(); ++r) {
+      fill_compact_row(rows, lean, r, row.data());
+      for (std::size_t c = 0; c < full.col_count(); ++c) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(row[c]),
+                  std::bit_cast<std::uint64_t>(full.at(r, c)))
+            << "isp " << isp << " cell (" << r << "," << c << ")";
+      }
+      ++compared_rows;
+    }
+  }
+  EXPECT_GT(compared_rows, 0u);
 }
 
 TEST_F(FiltersTest, EmptyMatrixUnusable) {
