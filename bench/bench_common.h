@@ -4,7 +4,8 @@
 // artifacts every harness emits:
 //   * bench_output/BENCH_<name>.json -- one JSON line per run (steady-clock
 //     seconds, scale, wall-clock unix_ms, peak_rss_mb from the resource
-//     sampler's max), consumable by trend tooling;
+//     sampler's max or the largest forked child's, and the host stamp
+//     hw_threads + simd_level), consumable by trend tooling;
 //     directory overridable via REPRO_BENCH_OUT. The same line is appended
 //     to bench_output/HISTORY.jsonl so `repro-bench diff/trend` can compare
 //     runs over time (the history file is local-only, see .gitignore).
@@ -17,6 +18,8 @@
 // REPRO_SAMPLE_HZ is set (or by default under REPRO_TRACE=1).
 #pragma once
 
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -28,7 +31,9 @@
 #include "obs/report.h"
 #include "obs/sampler.h"
 #include "obs/trend.h"
+#include "util/simd.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 namespace repro::bench {
 
@@ -121,23 +126,39 @@ inline std::string health_json_fields(
   return out;
 }
 
-/// Prints the footer and emits the machine-readable artifacts described in
-/// the header comment. `bench` names the BENCH_<bench>.json file; `stages`
-/// (typically pipeline.stage_health()) becomes the line's health verdict and
-/// `extra_fields` extends the line (see bench_json_line).
 /// Peak resident set over the run, in MB: the max across the background
-/// sampler's series (when it ran) and a sample taken right now, so the
-/// field is present -- if coarser -- even in unsampled runs. RSS only
-/// shrinks on explicit release (madvise), so the footer-time sample is a
-/// faithful floor of the true peak.
+/// sampler's series (when it ran), a sample taken right now, and the
+/// largest waited-for child's ru_maxrss, so the field is present -- if
+/// coarser -- even in unsampled runs, and a harness that forks its work
+/// (bench/scaling) reports its children's peak. RSS only shrinks on
+/// explicit release (madvise), so the footer-time sample is a faithful
+/// floor of the true peak.
 inline double peak_rss_mb_now() {
   long peak_kb = obs::read_resource_sample().rss_kb;
   for (const obs::ResourceSample& sample : obs::sampler().samples()) {
     if (sample.rss_kb > peak_kb) peak_kb = sample.rss_kb;
   }
+  struct rusage children{};
+  if (getrusage(RUSAGE_CHILDREN, &children) == 0 &&
+      children.ru_maxrss > peak_kb) {
+    peak_kb = children.ru_maxrss;
+  }
   return static_cast<double>(peak_kb) / 1024.0;
 }
 
+/// `"hw_threads":N,"simd_level":"<level>"` fields for a BENCH json line:
+/// the host a measurement came from, so a comparison can tell lines from
+/// different hosts apart.
+inline std::string host_json_fields() {
+  return "\"hw_threads\":" + std::to_string(hardware_thread_count()) +
+         ",\"simd_level\":\"" +
+         std::string(simd::to_string(simd::active_level())) + "\"";
+}
+
+/// Prints the footer and emits the machine-readable artifacts described in
+/// the header comment. `bench` names the BENCH_<bench>.json file; `stages`
+/// (typically pipeline.stage_health()) becomes the line's health verdict and
+/// `extra_fields` extends the line (see bench_json_line).
 inline void print_footer(const char* bench, const Stopwatch& watch,
                          const std::map<std::string, fault::StageHealth>& stages = {},
                          const std::string& extra_fields = {},
@@ -151,10 +172,11 @@ inline void print_footer(const char* bench, const Stopwatch& watch,
   std::string fields = health_json_fields(stages);
   {
     char rss[64];
-    std::snprintf(rss, sizeof(rss), ",\"peak_rss_mb\":%.1f",
+    std::snprintf(rss, sizeof(rss), ",\"peak_rss_mb\":%.1f,",
                   peak_rss_mb_now());
     fields += rss;
   }
+  fields += host_json_fields();
   if (!extra_fields.empty()) {
     fields += ",";
     fields += extra_fields;

@@ -14,7 +14,9 @@
 // the world.
 //
 // Artifacts: BENCH_scaling.json with one object per scale ("ok",
-// "seconds", "cluster_seconds", "baseline_mb", "peak_mb", "growth_mb").
+// "seconds", "cluster_seconds", "baseline_mb", "peak_mb", "growth_mb"). The
+// line's top-level peak_rss_mb is the largest child's peak, not this
+// parent's own few MB.
 #include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>

@@ -187,54 +187,53 @@ const OffnetRegistry& Pipeline::registry(Snapshot snapshot) const {
   });
 }
 
-const CertStore& Pipeline::population(Snapshot snapshot) const {
-  return *populations_.get(cell_key(snapshot), [&] {
-    obs::ScopedSpan span("pipeline.tls_population");
-    fault::StageHealth health;
-    CertStore store;
-    try {
-      store = build_tls_population(internet_, registry(snapshot), snapshot,
-                                   scenario_.population);
-      health.total = store.size();
-      if (plan_.active()) {
-        fault::CertFaultOutcome outcome;
-        fault::inject_cert_faults(store, plan_, &outcome);
-        obs::metrics().counter("fault.cert_churned").add(outcome.churned);
-        obs::metrics().counter("fault.cert_garbled").add(outcome.garbled);
-        health.dropped = outcome.garbled;
-        if (outcome.churned + outcome.garbled > 0) {
-          health.status = fault::StageStatus::kDegraded;
-          health.reasons.push_back(
-              count_reason("certs garbled", outcome.garbled, health.total));
-          health.reasons.push_back(
-              count_reason("certs churned", outcome.churned, health.total));
-        }
+std::vector<TlsEndpoint> Pipeline::population(Snapshot snapshot) const {
+  obs::ScopedSpan span("pipeline.tls_population");
+  fault::StageHealth health;
+  std::vector<TlsEndpoint> endpoints;
+  try {
+    endpoints = build_tls_population(internet_, registry(snapshot), snapshot,
+                                     scenario_.population);
+    health.total = endpoints.size();
+    if (plan_.active()) {
+      fault::CertFaultOutcome outcome;
+      fault::inject_cert_faults(endpoints, plan_, &outcome);
+      obs::metrics().counter("fault.cert_churned").add(outcome.churned);
+      obs::metrics().counter("fault.cert_garbled").add(outcome.garbled);
+      health.dropped = outcome.garbled;
+      if (outcome.churned + outcome.garbled > 0) {
+        health.status = fault::StageStatus::kDegraded;
+        health.reasons.push_back(
+            count_reason("certs garbled", outcome.garbled, health.total));
+        health.reasons.push_back(
+            count_reason("certs churned", outcome.churned, health.total));
       }
-    } catch (const Error& error) {
-      health.status = fault::StageStatus::kFailed;
-      health.reasons.push_back(std::string("tls_population: ") + error.what());
-      store = CertStore();
     }
-    record_health("tls_population", std::move(health));
-    return std::make_shared<const CertStore>(std::move(store));
-  });
+  } catch (const Error& error) {
+    health.status = fault::StageStatus::kFailed;
+    health.reasons.push_back(std::string("tls_population: ") + error.what());
+    endpoints.clear();
+  }
+  record_health("tls_population", std::move(health));
+  return endpoints;
 }
 
-const std::vector<ScanRecord>& Pipeline::scan_records(Snapshot snapshot) const {
+const std::vector<TlsEndpoint>& Pipeline::scan_records(
+    Snapshot snapshot) const {
   return *scans_.get(cell_key(snapshot), [&] {
-    return std::make_shared<const std::vector<ScanRecord>>(persisted_stage(
+    return std::make_shared<const std::vector<TlsEndpoint>>(persisted_stage(
         "scan", "pipeline.scan",
         make_key("scan", store::kScanRecordsSchema, world_digest_,
                  {static_cast<std::uint64_t>(snapshot)}),
         store::encode, store::decode_scan_records, [&] {
-          StageOutput<std::vector<ScanRecord>> out;
+          StageOutput<std::vector<TlsEndpoint>> out;
           fault::StageHealth& health = out.health;
-          std::vector<ScanRecord>& records = out.value;
+          std::vector<TlsEndpoint>& records = out.value;
           try {
-            const CertStore& store = population(snapshot);
-            health.total = store.size();
+            std::vector<TlsEndpoint> endpoints = population(snapshot);
+            health.total = endpoints.size();
             const Scanner scanner(scenario_.scanner);
-            records = scanner.scan(store);
+            records = scanner.scan(std::move(endpoints));
             if (plan_.active()) {
               fault::ScanFaultOutcome outcome;
               records = fault::inject_scan_faults(std::move(records), plan_,
@@ -273,7 +272,7 @@ const DiscoveryReport& Pipeline::discovery(Snapshot snapshot,
     fault::StageHealth health;
     DiscoveryReport report;
     try {
-      const std::vector<ScanRecord>& records = scan_records(snapshot);
+      const std::vector<TlsEndpoint>& records = scan_records(snapshot);
       health.total = records.size();
       const OffnetClassifier classifier(internet_, methodology);
       report = classifier.classify(records);

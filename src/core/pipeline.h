@@ -1,9 +1,10 @@
 // The end-to-end reproduction pipeline. Owns the generated world and lazily
 // builds (and caches) each stage: ground-truth deployments per snapshot,
-// TLS populations and scans (cached per snapshot, shared across
-// methodologies), discovery reports, the ping mesh, the per-ISP OPTICS
-// plots (xi-independent) and the clusterings extracted from them at any xi,
-// routing, and the traffic models.
+// scans (cached per snapshot, shared across methodologies), discovery
+// reports, the ping mesh, the per-ISP OPTICS plots (xi-independent) and the
+// clusterings extracted from them at any xi, routing, and the traffic
+// models. A snapshot's TLS population is not a stage: the scan builds it,
+// consumes it and drops it.
 //
 // Degraded-mode execution: a Pipeline can carry a fault::FaultPlan. The
 // plan's pathologies are injected at each stage boundary, every stage
@@ -133,12 +134,14 @@ class Pipeline {
   /// Ground truth (what the measurements must rediscover).
   const OffnetRegistry& registry(Snapshot snapshot) const;
 
-  /// TLS population for a snapshot (cached; cert faults applied once).
-  const CertStore& population(Snapshot snapshot) const;
+  /// TLS population for a snapshot, in ascending IP order, with cert faults
+  /// applied. Uncached: every call rebuilds it and records its
+  /// "tls_population" health, and the scan is its only in-pipeline caller.
+  std::vector<TlsEndpoint> population(Snapshot snapshot) const;
 
   /// Scan records for a snapshot (cached; the scan and its faults run once
   /// per snapshot, not once per (snapshot, methodology) pair).
-  const std::vector<ScanRecord>& scan_records(Snapshot snapshot) const;
+  const std::vector<TlsEndpoint>& scan_records(Snapshot snapshot) const;
 
   /// Scan + classify with a methodology (cached per pair).
   const DiscoveryReport& discovery(Snapshot snapshot,
@@ -248,8 +251,8 @@ class Pipeline {
   mutable std::mutex health_mutex_;
   mutable std::map<std::string, fault::StageHealth> health_;
   mutable StageCell<OffnetRegistry> registries_;
-  mutable StageCell<CertStore> populations_{"pipeline.population_cache_hit"};
-  mutable StageCell<std::vector<ScanRecord>> scans_{"pipeline.scan_cache_hit"};
+  mutable StageCell<std::vector<TlsEndpoint>> scans_{
+      "pipeline.scan_cache_hit"};
   mutable StageCell<DiscoveryReport> reports_;
   mutable StageCell<VantagePointSet> vps_;
   mutable StageCell<PingMesh> mesh_;

@@ -29,18 +29,18 @@ std::uint64_t ip_key(Ipv4 ip, std::uint64_t seed, std::uint64_t salt) noexcept {
 
 }  // namespace
 
-std::vector<ScanRecord> inject_scan_faults(std::vector<ScanRecord> records,
-                                           const FaultPlan& plan,
-                                           ScanFaultOutcome* outcome) {
+std::vector<TlsEndpoint> inject_scan_faults(
+    std::vector<TlsEndpoint> records, const FaultPlan& plan,
+    ScanFaultOutcome* outcome) {
   const ScanFaults& faults = plan.scan;
   const bool truncating = faults.shard_truncation > 0.0;
   const bool bursting =
       faults.burst_coverage > 0.0 && faults.burst_miss_rate > 0.0;
   if (!truncating && !bursting) return records;
 
-  std::vector<ScanRecord> kept;
+  std::vector<TlsEndpoint> kept;
   kept.reserve(records.size());
-  for (ScanRecord& record : records) {
+  for (TlsEndpoint& record : records) {
     const std::uint32_t ip = record.ip.value();
     if (truncating) {
       const std::uint64_t shard = ip >> 24;
@@ -65,16 +65,16 @@ std::vector<ScanRecord> inject_scan_faults(std::vector<ScanRecord> records,
   return kept;
 }
 
-void inject_cert_faults(CertStore& store, const FaultPlan& plan,
-                        CertFaultOutcome* outcome) {
+void inject_cert_faults(std::vector<TlsEndpoint>& population,
+                        const FaultPlan& plan, CertFaultOutcome* outcome) {
   const CertFaults& faults = plan.cert;
   if (faults.churn_rate <= 0.0 && faults.garbled_cn_rate <= 0.0) return;
 
-  for (const TlsEndpoint& endpoint : store.all_sorted()) {
+  for (TlsEndpoint& endpoint : population) {
+    TlsCertificate& cert = endpoint.cert;
     if (faults.garbled_cn_rate > 0.0 &&
         hash_uniform(ip_key(endpoint.ip, plan.seed, kCertGarbleSalt)) <
             faults.garbled_cn_rate) {
-      TlsCertificate cert = endpoint.cert;
       char junk[32];
       std::snprintf(junk, sizeof(junk), "garbled-%016llx",
                     static_cast<unsigned long long>(
@@ -82,18 +82,15 @@ void inject_cert_faults(CertStore& store, const FaultPlan& plan,
       cert.subject.common_name = junk;
       cert.subject.organization.clear();
       cert.san_dns.clear();
-      store.install(endpoint.ip, std::move(cert));
       if (outcome != nullptr) ++outcome->garbled;
       continue;
     }
     if (faults.churn_rate > 0.0 &&
         hash_uniform(ip_key(endpoint.ip, plan.seed, kCertChurnSalt)) <
             faults.churn_rate) {
-      TlsCertificate cert = endpoint.cert;
       cert.serial = mix64(cert.serial + 1);
       cert.not_before_year = 2023;
       cert.not_after_year = 2026;
-      store.install(endpoint.ip, std::move(cert));
       if (outcome != nullptr) ++outcome->churned;
     }
   }

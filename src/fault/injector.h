@@ -12,8 +12,7 @@
 #include "mlab/ping_mesh.h"
 #include "rdns/ptr_store.h"
 #include "route/traceroute.h"
-#include "scan/scanner.h"
-#include "tls/cert_store.h"
+#include "tls/certificate.h"
 
 namespace repro::fault {
 
@@ -26,9 +25,9 @@ struct ScanFaultOutcome {
 
 /// Drops records per the plan's ScanFaults. Preserves order; returns the
 /// input unchanged when those faults are inactive.
-std::vector<ScanRecord> inject_scan_faults(std::vector<ScanRecord> records,
-                                           const FaultPlan& plan,
-                                           ScanFaultOutcome* outcome = nullptr);
+std::vector<TlsEndpoint> inject_scan_faults(
+    std::vector<TlsEndpoint> records, const FaultPlan& plan,
+    ScanFaultOutcome* outcome = nullptr);
 
 /// What inject_cert_faults rewrote.
 struct CertFaultOutcome {
@@ -36,8 +35,10 @@ struct CertFaultOutcome {
   std::size_t garbled = 0;  // names destroyed -> invisible to classification
 };
 
-/// Rewrites certificates in place per the plan's CertFaults.
-void inject_cert_faults(CertStore& store, const FaultPlan& plan,
+/// Rewrites certificates in place per the plan's CertFaults; never adds,
+/// removes or reorders an endpoint.
+void inject_cert_faults(std::vector<TlsEndpoint>& population,
+                        const FaultPlan& plan,
                         CertFaultOutcome* outcome = nullptr);
 
 /// Folds the plan's ping + anycast faults into a PingConfig: vantage-point

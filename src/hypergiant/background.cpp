@@ -1,5 +1,6 @@
 #include "hypergiant/background.h"
 
+#include <algorithm>
 #include <string>
 
 #include "hypergiant/certs.h"
@@ -63,20 +64,31 @@ TlsCertificate make_decoy_certificate(int ordinal, Snapshot snapshot, Rng& rng) 
 
 }  // namespace
 
-CertStore build_tls_population(const Internet& internet,
-                               const OffnetRegistry& registry, Snapshot snapshot,
-                               const PopulationConfig& config) {
+std::vector<TlsEndpoint> build_tls_population(const Internet& internet,
+                                              const OffnetRegistry& registry,
+                                              Snapshot snapshot,
+                                              const PopulationConfig& config) {
   obs::ScopedSpan span("tls.build_population");
-  CertStore store;
+  const auto isps = internet.access_isps();
+  // Collected in install order; sorted and deduplicated at the end.
+  std::vector<TlsEndpoint> endpoints;
+  endpoints.reserve(
+      registry.servers().size() +
+      all_hypergiants().size() *
+          static_cast<std::size_t>(config.onnet_servers_per_hg) +
+      isps.size() * static_cast<std::size_t>(config.background_per_isp) +
+      static_cast<std::size_t>(config.decoy_count));
+  const auto install = [&](Ipv4 ip, TlsCertificate cert) {
+    endpoints.push_back({ip, std::move(cert)});
+  };
   Rng rng(config.seed ^ mix64(static_cast<std::uint64_t>(snapshot)));
 
   // Offnet servers: hypergiant certificates in ISP address space.
   for (const OffnetServer& server : registry.servers()) {
     const Metro& metro =
         internet.metro_of_facility(server.facility);
-    store.install(server.ip,
-                  make_offnet_certificate(server.hg, snapshot, metro.iata,
-                                          server.site_ordinal, rng));
+    install(server.ip, make_offnet_certificate(server.hg, snapshot, metro.iata,
+                                               server.site_ordinal, rng));
   }
 
   // Onnet servers: hypergiant certificates inside the hypergiant's own AS.
@@ -86,36 +98,41 @@ CertStore build_tls_population(const Internet& internet,
     for (int i = 0; i < config.onnet_servers_per_hg; ++i) {
       const std::uint64_t offset = 1000 + static_cast<std::uint64_t>(i);
       require(offset < infra.size(), "build_tls_population: onnet block small");
-      store.install(infra.at(offset), make_onnet_certificate(hg, snapshot, rng));
+      install(infra.at(offset), make_onnet_certificate(hg, snapshot, rng));
     }
   }
 
   // Background ISP endpoints in user space.
-  for (const AsIndex isp : internet.access_isps()) {
+  for (const AsIndex isp : isps) {
     const As& as = internet.ases[isp];
     if (as.user_prefixes.empty()) continue;
     const Prefix& space = as.user_prefixes.front();
     for (int i = 0; i < config.background_per_isp; ++i) {
       const auto offset = static_cast<std::uint64_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(space.size()) - 1));
-      store.install(space.at(offset), make_isp_certificate(as, snapshot, rng));
+      install(space.at(offset), make_isp_certificate(as, snapshot, rng));
     }
   }
 
   // Decoys scattered across random access ISPs' infra space (worst case for
   // the classifier: lookalike cert in a plausible network).
-  const auto isps = internet.access_isps();
   for (int i = 0; i < config.decoy_count && !isps.empty(); ++i) {
     const AsIndex isp = isps[static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(isps.size()) - 1))];
     const Prefix& infra = internet.ases[isp].infra.pool();
     // Decoys live in the top of the infra block, clear of offnet servers.
     const std::uint64_t offset = infra.size() - 1 - static_cast<std::uint64_t>(i % 64);
-    store.install(infra.at(offset), make_decoy_certificate(i, snapshot, rng));
+    install(infra.at(offset), make_decoy_certificate(i, snapshot, rng));
   }
 
-  obs::metrics().counter("tls.population_endpoints").add(store.size());
-  return store;
+  // Stable, so equal IPs keep install order; unique over the reversed range
+  // then keeps the last install of each IP.
+  std::ranges::stable_sort(endpoints, {}, &TlsEndpoint::ip);
+  const auto duplicates = std::ranges::unique(
+      endpoints.rbegin(), endpoints.rend(), {}, &TlsEndpoint::ip);
+  endpoints.erase(endpoints.begin(), duplicates.begin().base());
+  obs::metrics().counter("tls.population_endpoints").add(endpoints.size());
+  return endpoints;
 }
 
 }  // namespace repro

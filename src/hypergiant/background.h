@@ -6,9 +6,10 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "hypergiant/deployment.h"
-#include "tls/cert_store.h"
+#include "tls/certificate.h"
 
 namespace repro {
 
@@ -22,9 +23,12 @@ struct PopulationConfig {
   int decoy_count = 50;
 };
 
-/// Assembles the CertStore a Censys-style scan of this snapshot would see.
-CertStore build_tls_population(const Internet& internet,
-                               const OffnetRegistry& registry, Snapshot snapshot,
-                               const PopulationConfig& config);
+/// The endpoints a Censys-style scan of this snapshot would see, in
+/// ascending IP order, one per IP: where two installs share an IP, the later
+/// one replaces the earlier.
+std::vector<TlsEndpoint> build_tls_population(const Internet& internet,
+                                              const OffnetRegistry& registry,
+                                              Snapshot snapshot,
+                                              const PopulationConfig& config);
 
 }  // namespace repro

@@ -53,7 +53,7 @@ OffnetClassifier::OffnetClassifier(const Internet& internet,
     : internet_(internet), methodology_(methodology) {}
 
 DiscoveryReport OffnetClassifier::classify(
-    const std::vector<ScanRecord>& records) const {
+    const std::vector<TlsEndpoint>& records) const {
   obs::ScopedSpan span("scan.classify");
   DiscoveryReport report;
   report.methodology = methodology_;
@@ -71,7 +71,7 @@ DiscoveryReport OffnetClassifier::classify(
     hg_as[static_cast<std::size_t>(hg)] = internet_.as_by_asn(profile(hg).asn);
   }
 
-  for (const ScanRecord& record : records) {
+  for (const TlsEndpoint& record : records) {
     const auto owner = internet_.as_of_ip(record.ip);
     if (!owner) {  // unrouted space
       ++unrouted;

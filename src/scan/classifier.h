@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "scan/fingerprint.h"
-#include "scan/scanner.h"
+#include "tls/certificate.h"
 #include "topology/internet.h"
 
 namespace repro {
@@ -46,7 +46,7 @@ class OffnetClassifier {
  public:
   OffnetClassifier(const Internet& internet, Methodology methodology);
 
-  DiscoveryReport classify(const std::vector<ScanRecord>& records) const;
+  DiscoveryReport classify(const std::vector<TlsEndpoint>& records) const;
 
  private:
   const Internet& internet_;

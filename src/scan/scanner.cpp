@@ -1,5 +1,8 @@
 #include "scan/scanner.h"
 
+#include <algorithm>
+#include <functional>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/error.h"
@@ -11,19 +14,27 @@ Scanner::Scanner(ScannerConfig config) : config_(config) {
           "ScannerConfig: miss_rate outside [0, 1)");
 }
 
-std::vector<ScanRecord> Scanner::scan(const CertStore& population) const {
+std::vector<TlsEndpoint> Scanner::scan(
+    std::vector<TlsEndpoint> population) const {
   obs::ScopedSpan span("scan.scan");
+  // The miss draws follow IP order, so the order is what makes a scan
+  // deterministic.
+  require(std::ranges::adjacent_find(population, std::greater_equal{},
+                                     &TlsEndpoint::ip) == population.end(),
+          "Scanner: population not in ascending IP order");
   Rng rng(config_.seed);
-  std::vector<ScanRecord> records;
-  records.reserve(population.size());
-  for (const TlsEndpoint& endpoint : population.all_sorted()) {
+  const std::size_t endpoints = population.size();
+  auto kept = population.begin();
+  for (auto it = population.begin(); it != population.end(); ++it) {
     if (rng.chance(config_.miss_rate)) continue;
-    records.push_back({endpoint.ip, endpoint.cert});
+    if (kept != it) *kept = std::move(*it);
+    ++kept;
   }
-  obs::metrics().counter("scan.endpoints_total").add(population.size());
-  obs::metrics().counter("scan.records_total").add(records.size());
-  obs::metrics().counter("scan.missed").add(population.size() - records.size());
-  return records;
+  population.erase(kept, population.end());
+  obs::metrics().counter("scan.endpoints_total").add(endpoints);
+  obs::metrics().counter("scan.records_total").add(population.size());
+  obs::metrics().counter("scan.missed").add(endpoints - population.size());
+  return population;
 }
 
 }  // namespace repro

@@ -6,16 +6,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "tls/cert_store.h"
+#include "tls/certificate.h"
 #include "util/rng.h"
 
 namespace repro {
-
-/// One record of the scan output (one responsive IP:443).
-struct ScanRecord {
-  Ipv4 ip;
-  TlsCertificate cert;
-};
 
 struct ScannerConfig {
   std::uint64_t seed = 1337;
@@ -28,7 +22,11 @@ class Scanner {
  public:
   explicit Scanner(ScannerConfig config);
 
-  std::vector<ScanRecord> scan(const CertStore& population) const;
+  /// The endpoints of `population` (in ascending IP order, as
+  /// build_tls_population returns it) that the scan sees, in the same
+  /// order. The population is consumed: seen endpoints move into the
+  /// records.
+  std::vector<TlsEndpoint> scan(std::vector<TlsEndpoint> population) const;
 
  private:
   ScannerConfig config_;

@@ -166,20 +166,20 @@ TlsCertificate decode_certificate(ByteReader& in) {
 
 // --- scan records ---
 
-void encode(ByteWriter& out, const std::vector<ScanRecord>& records) {
+void encode(ByteWriter& out, const std::vector<TlsEndpoint>& records) {
   out.u64(records.size());
-  for (const ScanRecord& record : records) {
+  for (const TlsEndpoint& record : records) {
     out.u32(record.ip.value());
     encode(out, record.cert);
   }
 }
 
-std::vector<ScanRecord> decode_scan_records(ByteReader& in) {
+std::vector<TlsEndpoint> decode_scan_records(ByteReader& in) {
   const std::uint64_t count = checked_count(in.u64(), "scan records");
-  std::vector<ScanRecord> records;
+  std::vector<TlsEndpoint> records;
   records.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    ScanRecord record;
+    TlsEndpoint record;
     record.ip = Ipv4(in.u32());
     record.cert = decode_certificate(in);
     records.push_back(std::move(record));

@@ -24,7 +24,6 @@
 
 #include "cluster/colocation.h"
 #include "fault/stage_health.h"
-#include "scan/scanner.h"
 #include "tls/certificate.h"
 #include "util/error.h"
 
@@ -120,8 +119,8 @@ class Fnv1a {
 void encode(ByteWriter& out, const TlsCertificate& cert);
 TlsCertificate decode_certificate(ByteReader& in);
 
-void encode(ByteWriter& out, const std::vector<ScanRecord>& records);
-std::vector<ScanRecord> decode_scan_records(ByteReader& in);
+void encode(ByteWriter& out, const std::vector<TlsEndpoint>& records);
+std::vector<TlsEndpoint> decode_scan_records(ByteReader& in);
 
 void encode(ByteWriter& out, const IspPlot& plot);
 /// Also throws SerdeError when the plot's shape is inconsistent: an

@@ -1,12 +1,16 @@
 // A simplified X.509 end-entity certificate: exactly the fields the offnet
 // discovery methodology inspects (Subject CN/Organization, SAN dNSNames,
-// Issuer), plus validity and serial for realism.
+// Issuer), plus validity and serial for realism. A TlsEndpoint pairs one
+// with the IP that serves it: a snapshot's TLS population and the scan
+// records drawn from it are both IP-sorted vectors of endpoints.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "ip/ipv4.h"
 
 namespace repro {
 
@@ -42,5 +46,13 @@ struct TlsCertificate {
 /// SHA-like stable fingerprint of the certificate contents (not
 /// cryptographic; a deterministic 64-bit digest for dedup and logging).
 std::uint64_t fingerprint(const TlsCertificate& cert) noexcept;
+
+/// One IP:443 endpoint and the certificate it serves.
+struct TlsEndpoint {
+  Ipv4 ip;
+  TlsCertificate cert;
+
+  bool operator==(const TlsEndpoint&) const = default;
+};
 
 }  // namespace repro

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <map>
@@ -215,9 +216,10 @@ TEST(StageHealth, SectionJsonParses) {
 
 // -------------------------------------------------------- Scan injection --
 
-/// A synthetic population spread over many /8 shards and /16 regions.
-CertStore synthetic_population(std::size_t count) {
-  CertStore store;
+/// A synthetic population spread over many /8 shards and /16 regions, in
+/// ascending IP order.
+std::vector<TlsEndpoint> synthetic_population(std::size_t count) {
+  std::vector<TlsEndpoint> population;
   for (std::size_t i = 0; i < count; ++i) {
     TlsCertificate cert;
     cert.subject.common_name = "host-" + std::to_string(i) + ".example.net";
@@ -226,21 +228,14 @@ CertStore synthetic_population(std::size_t count) {
     // Spread across 64 /8s and 16 /16s within each.
     const std::uint32_t ip = static_cast<std::uint32_t>(
         ((i % 64) << 24) | ((i % 16) << 16) | (i & 0xFFFF));
-    store.install(Ipv4(ip), std::move(cert));
+    population.push_back({Ipv4(ip), std::move(cert)});
   }
-  return store;
-}
-
-std::vector<ScanRecord> synthetic_records(std::size_t count) {
-  std::vector<ScanRecord> records;
-  for (const TlsEndpoint& endpoint : synthetic_population(count).all_sorted()) {
-    records.push_back({endpoint.ip, endpoint.cert});
-  }
-  return records;
+  std::ranges::sort(population, {}, &TlsEndpoint::ip);
+  return population;
 }
 
 TEST(ScanFaults, InactivePlanIsIdentity) {
-  const auto records = synthetic_records(500);
+  const auto records = synthetic_population(500);
   fault::ScanFaultOutcome outcome;
   const auto out =
       fault::inject_scan_faults(records, fault::FaultPlan::none(), &outcome);
@@ -252,7 +247,7 @@ TEST(ScanFaults, InactivePlanIsIdentity) {
 }
 
 TEST(ScanFaults, ShardTruncationDropsWholeShards) {
-  const auto records = synthetic_records(2000);
+  const auto records = synthetic_population(2000);
   fault::FaultPlan plan;
   plan.scan.shard_truncation = 0.4;
   fault::ScanFaultOutcome outcome;
@@ -279,7 +274,7 @@ TEST(ScanFaults, ShardTruncationDropsWholeShards) {
 }
 
 TEST(ScanFaults, MissBurstsConfinedToBurstRegions) {
-  const auto records = synthetic_records(2000);
+  const auto records = synthetic_population(2000);
   fault::FaultPlan plan;
   plan.scan.burst_coverage = 0.5;
   plan.scan.burst_miss_rate = 1.0;  // every record in a bursty /16 is lost
@@ -301,21 +296,23 @@ TEST(ScanFaults, MissBurstsConfinedToBurstRegions) {
 // -------------------------------------------------------- Cert injection --
 
 TEST(CertFaults, GarbledCertsLoseNamesAndChurnedKeepThem) {
-  CertStore store = synthetic_population(1000);
-  const CertStore original = store;
+  std::vector<TlsEndpoint> population = synthetic_population(1000);
+  const std::vector<TlsEndpoint> original = population;
   fault::FaultPlan plan;
   plan.cert.churn_rate = 0.3;
   plan.cert.garbled_cn_rate = 0.2;
   fault::CertFaultOutcome outcome;
-  fault::inject_cert_faults(store, plan, &outcome);
+  fault::inject_cert_faults(population, plan, &outcome);
   EXPECT_GT(outcome.churned, 0u);
   EXPECT_GT(outcome.garbled, 0u);
-  EXPECT_EQ(store.size(), original.size());  // rewritten, never removed
+  ASSERT_EQ(population.size(), original.size());  // rewritten, never removed
 
   std::size_t garbled = 0;
   std::size_t churned = 0;
-  for (const TlsEndpoint& endpoint : original.all_sorted()) {
-    const TlsCertificate mutated = *store.lookup(endpoint.ip);
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    const TlsEndpoint& endpoint = original[i];
+    ASSERT_EQ(population[i].ip, endpoint.ip);  // never reordered
+    const TlsCertificate& mutated = population[i].cert;
     if (mutated == endpoint.cert) continue;
     if (mutated.subject.common_name.starts_with("garbled-")) {
       ++garbled;
@@ -334,18 +331,16 @@ TEST(CertFaults, GarbledCertsLoseNamesAndChurnedKeepThem) {
 }
 
 TEST(CertFaults, InactivePlanNeverMutates) {
-  CertStore store = synthetic_population(200);
-  const CertStore original = store;
-  fault::inject_cert_faults(store, fault::FaultPlan::none());
-  for (const TlsEndpoint& endpoint : original.all_sorted()) {
-    EXPECT_EQ(*store.lookup(endpoint.ip), endpoint.cert);
-  }
+  std::vector<TlsEndpoint> population = synthetic_population(200);
+  const std::vector<TlsEndpoint> original = population;
+  fault::inject_cert_faults(population, fault::FaultPlan::none());
+  EXPECT_EQ(population, original);
 }
 
 // ------------------------------------------------------- Scanner replay --
 
 TEST(ScannerReplay, NonzeroMissRateIsDeterministic) {
-  const CertStore population = synthetic_population(3000);
+  const std::vector<TlsEndpoint> population = synthetic_population(3000);
   ScannerConfig config;
   config.seed = 77;
   config.miss_rate = 0.3;
@@ -604,16 +599,20 @@ TEST(FaultPipeline, ChaosPlanDegradesButCompletes) {
 
 TEST(FaultPipeline, PopulationAndScanCachedAcrossMethodologies) {
   const Pipeline pipeline(Scenario::tiny());
-  const CertStore& population = pipeline.population(Snapshot::k2023);
   const auto& records = pipeline.scan_records(Snapshot::k2023);
   pipeline.discovery(Snapshot::k2023, Methodology::k2023);
   pipeline.discovery(Snapshot::k2023, Methodology::k2021);
-  // Both methodologies classified the same cached scan of the same cached
-  // population -- no rebuild per (snapshot, methodology) pair.
-  EXPECT_EQ(&population, &pipeline.population(Snapshot::k2023));
+  // Both methodologies classified the same cached scan -- no rescan per
+  // (snapshot, methodology) pair.
   EXPECT_EQ(&records, &pipeline.scan_records(Snapshot::k2023));
+  // The population is not cached, but every rebuild is the same.
+  const std::vector<TlsEndpoint> population =
+      pipeline.population(Snapshot::k2023);
+  EXPECT_FALSE(population.empty());
+  EXPECT_EQ(population, pipeline.population(Snapshot::k2023));
   // A different snapshot is a different campaign.
-  EXPECT_NE(&population, &pipeline.population(Snapshot::k2021));
+  EXPECT_NE(&records, &pipeline.scan_records(Snapshot::k2021));
+  EXPECT_NE(population, pipeline.population(Snapshot::k2021));
 }
 
 }  // namespace

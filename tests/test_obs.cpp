@@ -32,6 +32,7 @@
 #include "obs/trend.h"
 #include "util/error.h"
 #include "util/rng.h"
+#include "util/simd.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
@@ -892,6 +893,34 @@ TEST_F(ObsTest, BenchLineStampsTheScaleThatRan) {
             "tiny,small");
 
   if (saved != nullptr) ::setenv("REPRO_SCALE", saved_value.c_str(), 1);
+}
+
+TEST_F(ObsTest, FooterStampsTheHost) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("repro-test-footer-" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const char* saved = std::getenv("REPRO_BENCH_OUT");
+  const std::string saved_value = saved == nullptr ? "" : saved;
+  ::setenv("REPRO_BENCH_OUT", dir.c_str(), 1);
+  set_tracing(false);  // no run report or trace beside the test
+  bench::print_footer("smoke", bench::Stopwatch{});
+  if (saved != nullptr) {
+    ::setenv("REPRO_BENCH_OUT", saved_value.c_str(), 1);
+  } else {
+    ::unsetenv("REPRO_BENCH_OUT");
+  }
+
+  std::ifstream in(dir / "BENCH_smoke.json");
+  std::stringstream line;
+  line << in.rdbuf();
+  const JsonValue doc = parse_json(line.str());
+  EXPECT_EQ(doc.at("hw_threads").number(),
+            static_cast<double>(hardware_thread_count()));
+  EXPECT_EQ(doc.at("simd_level").str(),
+            std::string(simd::to_string(simd::active_level())));
+  EXPECT_GT(doc.at("peak_rss_mb").number(), 0.0);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(ObsTest, SampleHzNanKeepsSamplerOff) {

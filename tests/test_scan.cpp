@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "hypergiant/background.h"
@@ -22,60 +23,67 @@ class ScanTest : public ::testing::Test {
     PopulationConfig population;
     population.onnet_servers_per_hg = 25;
     population.decoy_count = 20;
-    store_ = new CertStore(
+    population_ = new std::vector<TlsEndpoint>(
         build_tls_population(*net_, *registry_, Snapshot::k2023, population));
   }
   static void TearDownTestSuite() {
-    delete store_;
+    delete population_;
     delete registry_;
     delete net_;
   }
   static Internet* net_;
   static OffnetRegistry* registry_;
-  static CertStore* store_;
+  static std::vector<TlsEndpoint>* population_;
 };
 
 Internet* ScanTest::net_ = nullptr;
 OffnetRegistry* ScanTest::registry_ = nullptr;
-CertStore* ScanTest::store_ = nullptr;
+std::vector<TlsEndpoint>* ScanTest::population_ = nullptr;
 
 TEST_F(ScanTest, PopulationContainsAllGroundTruthServers) {
   for (const OffnetServer& server : registry_->servers()) {
-    EXPECT_TRUE(store_->contains(server.ip));
+    EXPECT_TRUE(std::ranges::binary_search(*population_, server.ip, {},
+                                           &TlsEndpoint::ip));
   }
   // Plus onnet + background + decoys beyond the offnet population.
-  EXPECT_GT(store_->size(), registry_->server_count());
+  EXPECT_GT(population_->size(), registry_->server_count());
 }
 
 TEST_F(ScanTest, ScannerMissRateZeroSeesEverything) {
   ScannerConfig config;
   config.miss_rate = 0.0;
-  const auto records = Scanner(config).scan(*store_);
-  EXPECT_EQ(records.size(), store_->size());
+  const auto records = Scanner(config).scan(*population_);
+  EXPECT_EQ(records.size(), population_->size());
 }
 
 TEST_F(ScanTest, ScannerMissRateApproximate) {
   ScannerConfig config;
   config.miss_rate = 0.2;
-  const auto records = Scanner(config).scan(*store_);
+  const auto records = Scanner(config).scan(*population_);
   const double observed =
-      1.0 - static_cast<double>(records.size()) / store_->size();
+      1.0 - static_cast<double>(records.size()) / population_->size();
   EXPECT_NEAR(observed, 0.2, 0.03);
 }
 
 TEST_F(ScanTest, ScannerOutputSortedDeterministic) {
   ScannerConfig config;
-  const auto a = Scanner(config).scan(*store_);
-  const auto b = Scanner(config).scan(*store_);
+  const auto a = Scanner(config).scan(*population_);
+  const auto b = Scanner(config).scan(*population_);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 1; i < a.size(); ++i) EXPECT_LT(a[i - 1].ip, a[i].ip);
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].ip, b[i].ip);
 }
 
+TEST_F(ScanTest, ScannerRejectsUnsortedPopulation) {
+  std::vector<TlsEndpoint> reversed(population_->rbegin(),
+                                    population_->rend());
+  EXPECT_THROW(Scanner(ScannerConfig{}).scan(std::move(reversed)), Error);
+}
+
 TEST_F(ScanTest, ClassifierRecallAndPrecisionPerfectWithoutMisses) {
   ScannerConfig config;
   config.miss_rate = 0.0;
-  const auto records = Scanner(config).scan(*store_);
+  const auto records = Scanner(config).scan(*population_);
   const DiscoveryReport report =
       OffnetClassifier(*net_, Methodology::k2023).classify(records);
 
@@ -97,7 +105,7 @@ TEST_F(ScanTest, ClassifierRecallAndPrecisionPerfectWithoutMisses) {
 TEST_F(ScanTest, ClassifierAttributesToCorrectIsp) {
   ScannerConfig config;
   config.miss_rate = 0.0;
-  const auto records = Scanner(config).scan(*store_);
+  const auto records = Scanner(config).scan(*population_);
   const DiscoveryReport report =
       OffnetClassifier(*net_, Methodology::k2023).classify(records);
   for (const Hypergiant hg : all_hypergiants()) {
@@ -115,7 +123,7 @@ TEST_F(ScanTest, ClassifierAttributesToCorrectIsp) {
 TEST_F(ScanTest, OnnetServersExcluded) {
   ScannerConfig config;
   config.miss_rate = 0.0;
-  const auto records = Scanner(config).scan(*store_);
+  const auto records = Scanner(config).scan(*population_);
   const DiscoveryReport report =
       OffnetClassifier(*net_, Methodology::k2023).classify(records);
   for (const Hypergiant hg : all_hypergiants()) {
@@ -130,7 +138,7 @@ TEST_F(ScanTest, OnnetServersExcluded) {
 TEST_F(ScanTest, OutdatedMethodologyMissesGoogleAndMeta) {
   ScannerConfig config;
   config.miss_rate = 0.0;
-  const auto records = Scanner(config).scan(*store_);
+  const auto records = Scanner(config).scan(*population_);
   const DiscoveryReport old_report =
       OffnetClassifier(*net_, Methodology::k2021).classify(records);
   EXPECT_EQ(old_report.footprint(Hypergiant::kGoogle).ip_count(), 0u);
@@ -142,7 +150,7 @@ TEST_F(ScanTest, OutdatedMethodologyMissesGoogleAndMeta) {
 
 TEST_F(ScanTest, HostingCountsMonotone) {
   ScannerConfig config;
-  const auto records = Scanner(config).scan(*store_);
+  const auto records = Scanner(config).scan(*population_);
   const DiscoveryReport report =
       OffnetClassifier(*net_, Methodology::k2023).classify(records);
   const auto ge1 = report.isps_hosting_at_least(1).size();
@@ -157,7 +165,7 @@ TEST_F(ScanTest, HostingCountsMonotone) {
 
 TEST_F(ScanTest, HypergiantsAtConsistentWithFootprints) {
   ScannerConfig config;
-  const auto records = Scanner(config).scan(*store_);
+  const auto records = Scanner(config).scan(*population_);
   const DiscoveryReport report =
       OffnetClassifier(*net_, Methodology::k2023).classify(records);
   for (const AsIndex isp : report.isps_hosting_at_least(1)) {

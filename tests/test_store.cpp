@@ -107,10 +107,10 @@ TlsCertificate random_cert(Rng& rng) {
 TEST_F(StoreTest, ScanRecordsRoundTripRandomized) {
   Rng rng(20230707);
   for (int round = 0; round < 20; ++round) {
-    std::vector<ScanRecord> records;
+    std::vector<TlsEndpoint> records;
     const int count = static_cast<int>(rng.uniform_int(0, 40));
     for (int i = 0; i < count; ++i) {
-      ScanRecord record;
+      TlsEndpoint record;
       record.ip = Ipv4(static_cast<std::uint32_t>(rng.next()));
       record.cert = random_cert(rng);
       records.push_back(std::move(record));
@@ -118,7 +118,7 @@ TEST_F(StoreTest, ScanRecordsRoundTripRandomized) {
     store::ByteWriter writer;
     store::encode(writer, records);
     store::ByteReader reader(writer.bytes());
-    const std::vector<ScanRecord> decoded = store::decode_scan_records(reader);
+    const std::vector<TlsEndpoint> decoded = store::decode_scan_records(reader);
     EXPECT_TRUE(reader.exhausted());
     ASSERT_EQ(decoded.size(), records.size()) << "round " << round;
     for (std::size_t i = 0; i < records.size(); ++i) {
@@ -222,9 +222,9 @@ TEST_F(StoreTest, ClusteringsAndHealthRoundTripRandomized) {
 
 TEST_F(StoreTest, TruncatedInputThrowsSerdeErrorAtEveryLength) {
   Rng rng(777);
-  std::vector<ScanRecord> records;
+  std::vector<TlsEndpoint> records;
   for (int i = 0; i < 3; ++i) {
-    ScanRecord record;
+    TlsEndpoint record;
     record.ip = Ipv4(static_cast<std::uint32_t>(rng.next()));
     record.cert = random_cert(rng);
     records.push_back(std::move(record));
@@ -591,7 +591,7 @@ void expect_identical(const IspClustering& a, const IspClustering& b,
 }
 
 struct PipelineOutputs {
-  std::vector<ScanRecord> scan;
+  std::vector<TlsEndpoint> scan;
   std::vector<IspClustering> xi01;
   std::vector<IspClustering> xi09;
   std::map<std::string, fault::StageHealth> health;
@@ -923,15 +923,12 @@ TEST_F(StoreTest, InMemoryCacheCountersDistinctFromStoreHits) {
   Pipeline pipeline(Scenario::tiny(), fault::FaultPlan::none(), nullptr);
   pipeline.scan_records(Snapshot::k2023);  // computes (and builds population)
   pipeline.scan_records(Snapshot::k2023);  // memo hit
-  pipeline.population(Snapshot::k2023);    // memo hit (built during the scan)
-  std::uint64_t scan_hits = 0, population_hits = 0, store_hits = 0;
+  std::uint64_t scan_hits = 0, store_hits = 0;
   for (const auto& [name, value] : obs::metrics().snapshot().counters) {
     if (name == "pipeline.scan_cache_hit") scan_hits = value;
-    if (name == "pipeline.population_cache_hit") population_hits = value;
     if (name == "store.hit") store_hits = value;
   }
   EXPECT_GE(scan_hits, 1u);
-  EXPECT_GE(population_hits, 1u);
   EXPECT_EQ(store_hits, 0u) << "no store attached: store.hit must stay 0";
 }
 

@@ -1,8 +1,14 @@
-#include "tls/cert_store.h"
+#include "tls/certificate.h"
 
 #include <gtest/gtest.h>
 
-#include "tls/certificate.h"
+#include <algorithm>
+#include <functional>
+#include <vector>
+
+#include "hypergiant/background.h"
+#include "hypergiant/profile.h"
+#include "topology/generator.h"
 
 namespace repro {
 namespace {
@@ -51,41 +57,91 @@ TEST(Fingerprint, SensitiveToEveryField) {
   EXPECT_NE(fingerprint(cert), base);
 }
 
-TEST(CertStore, InstallLookupRemove) {
-  CertStore store;
-  const Ipv4 ip = Ipv4::parse("10.0.0.1");
-  EXPECT_FALSE(store.contains(ip));
-  EXPECT_EQ(store.lookup(ip), std::nullopt);
-  store.install(ip, sample_cert());
-  EXPECT_TRUE(store.contains(ip));
-  ASSERT_TRUE(store.lookup(ip).has_value());
-  EXPECT_EQ(store.lookup(ip)->subject.common_name, "*.example.com");
-  store.remove(ip);
-  EXPECT_FALSE(store.contains(ip));
-  EXPECT_NO_THROW(store.remove(ip));  // idempotent
+// --------------------------------------------- build_tls_population --
+
+class TlsPopulation : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    net_ = new Internet(InternetGenerator(GeneratorConfig::tiny()).generate());
+    DeploymentConfig config;
+    config.footprint_scale = GeneratorConfig::tiny().scale;
+    registry_ = new OffnetRegistry(
+        DeploymentPolicy(*net_, config).deploy(Snapshot::k2023));
+  }
+  static void TearDownTestSuite() {
+    delete registry_;
+    delete net_;
+  }
+
+  static std::vector<TlsEndpoint> build(const OffnetRegistry& registry) {
+    return build_tls_population(*net_, registry, Snapshot::k2023,
+                                PopulationConfig{});
+  }
+
+  /// The endpoint at `ip`, or nullptr.
+  static const TlsEndpoint* find(const std::vector<TlsEndpoint>& population,
+                                 Ipv4 ip) {
+    const auto it = std::ranges::lower_bound(population, ip, {},
+                                             &TlsEndpoint::ip);
+    return it != population.end() && it->ip == ip ? &*it : nullptr;
+  }
+
+  static Internet* net_;
+  static OffnetRegistry* registry_;
+};
+
+Internet* TlsPopulation::net_ = nullptr;
+OffnetRegistry* TlsPopulation::registry_ = nullptr;
+
+TEST_F(TlsPopulation, IpsAscendingAndUnique) {
+  const std::vector<TlsEndpoint> population = build(*registry_);
+  ASSERT_GT(population.size(), registry_->server_count());
+  EXPECT_EQ(std::ranges::adjacent_find(population, std::greater_equal{},
+                                       &TlsEndpoint::ip),
+            population.end());
 }
 
-TEST(CertStore, InstallReplaces) {
-  CertStore store;
-  const Ipv4 ip = Ipv4::parse("10.0.0.1");
-  store.install(ip, sample_cert());
-  TlsCertificate updated = sample_cert();
-  updated.subject.common_name = "new.example.com";
-  store.install(ip, updated);
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.lookup(ip)->subject.common_name, "new.example.com");
+TEST_F(TlsPopulation, EveryRegistryServerPresent) {
+  const std::vector<TlsEndpoint> population = build(*registry_);
+  ASSERT_GT(registry_->server_count(), 0u);
+  for (const OffnetServer& server : registry_->servers()) {
+    const TlsEndpoint* endpoint = find(population, server.ip);
+    ASSERT_NE(endpoint, nullptr) << server.ip.to_string();
+    EXPECT_FALSE(endpoint->cert.subject.common_name.empty());
+  }
 }
 
-TEST(CertStore, AllSortedByIp) {
-  CertStore store;
-  store.install(Ipv4::parse("9.9.9.9"), sample_cert());
-  store.install(Ipv4::parse("1.1.1.1"), sample_cert());
-  store.install(Ipv4::parse("5.5.5.5"), sample_cert());
-  const auto endpoints = store.all_sorted();
-  ASSERT_EQ(endpoints.size(), 3u);
-  EXPECT_EQ(endpoints[0].ip.to_string(), "1.1.1.1");
-  EXPECT_EQ(endpoints[1].ip.to_string(), "5.5.5.5");
-  EXPECT_EQ(endpoints[2].ip.to_string(), "9.9.9.9");
+TEST_F(TlsPopulation, LastInstallWinsOnDuplicateIp) {
+  // A Netflix offnet placed on Google's first onnet IP: the onnet install
+  // comes later, so it replaces the offnet and the IP is listed once.
+  const AsIndex google = net_->as_by_asn(profile(Hypergiant::kGoogle).asn);
+  const Ipv4 onnet_ip = net_->ases[google].infra.pool().at(1000);
+  OffnetServer server = registry_->servers().front();
+  server.hg = Hypergiant::kNetflix;
+  const auto registry_with = [&](const OffnetServer& only) {
+    OffnetRegistry registry;
+    registry.add_deployment({.hg = only.hg, .isp = only.isp});
+    registry.add_server(only);
+    return registry;
+  };
+  const OffnetRegistry apart = registry_with(server);
+  server.ip = onnet_ip;
+  const OffnetRegistry colliding = registry_with(server);
+
+  const std::vector<TlsEndpoint> reference = build(OffnetRegistry{});
+  const std::vector<TlsEndpoint> separate = build(apart);
+  const std::vector<TlsEndpoint> replaced = build(colliding);
+  EXPECT_EQ(separate.size(), reference.size() + 1);
+  EXPECT_EQ(replaced.size(), reference.size());
+
+  const TlsEndpoint* onnet = find(reference, onnet_ip);
+  const TlsEndpoint* offnet = find(separate, registry_->servers().front().ip);
+  const TlsEndpoint* winner = find(replaced, onnet_ip);
+  ASSERT_NE(onnet, nullptr);
+  ASSERT_NE(offnet, nullptr);
+  ASSERT_NE(winner, nullptr);
+  ASSERT_NE(offnet->cert.subject, onnet->cert.subject);
+  EXPECT_EQ(winner->cert.subject, onnet->cert.subject);
 }
 
 }  // namespace
