@@ -5,7 +5,7 @@
 //   * bench_output/BENCH_<name>.json -- one JSON line per run (steady-clock
 //     seconds, scale, wall-clock unix_ms, peak_rss_mb from the resource
 //     sampler's max or the largest forked child's, and the host stamp
-//     hw_threads + simd_level), consumable by trend tooling;
+//     hw_threads + simd_level + cpu_model), consumable by trend tooling;
 //     directory overridable via REPRO_BENCH_OUT. The same line is appended
 //     to bench_output/HISTORY.jsonl so `repro-bench diff/trend` can compare
 //     runs over time (the history file is local-only, see .gitignore).
@@ -23,10 +23,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 
 #include "core/analyses.h"
 #include "core/pipeline.h"
+#include "obs/json.h"
 #include "obs/perfetto.h"
 #include "obs/report.h"
 #include "obs/sampler.h"
@@ -146,13 +148,28 @@ inline double peak_rss_mb_now() {
   return static_cast<double>(peak_kb) / 1024.0;
 }
 
-/// `"hw_threads":N,"simd_level":"<level>"` fields for a BENCH json line:
-/// the host a measurement came from, so a comparison can tell lines from
-/// different hosts apart.
+/// The `model name` line of /proc/cpuinfo, or "unknown" where there is none.
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const auto start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "" : line.substr(start);
+  }
+  return "unknown";
+}
+
+/// `"hw_threads":N,"simd_level":"<level>","cpu_model":"<model>"` fields for
+/// a BENCH json line: the host a measurement came from, so a comparison can
+/// tell lines from different hosts apart.
 inline std::string host_json_fields() {
   return "\"hw_threads\":" + std::to_string(hardware_thread_count()) +
          ",\"simd_level\":\"" +
-         std::string(simd::to_string(simd::active_level())) + "\"";
+         std::string(simd::to_string(simd::active_level())) +
+         "\",\"cpu_model\":\"" + obs::json_escape(cpu_model()) + "\"";
 }
 
 /// Prints the footer and emits the machine-readable artifacts described in

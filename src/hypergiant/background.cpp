@@ -125,14 +125,22 @@ std::vector<TlsEndpoint> build_tls_population(const Internet& internet,
     install(infra.at(offset), make_decoy_certificate(i, snapshot, rng));
   }
 
-  // Stable, so equal IPs keep install order; unique over the reversed range
-  // then keeps the last install of each IP.
-  std::ranges::stable_sort(endpoints, {}, &TlsEndpoint::ip);
-  const auto duplicates = std::ranges::unique(
-      endpoints.rbegin(), endpoints.rend(), {}, &TlsEndpoint::ip);
-  endpoints.erase(endpoints.begin(), duplicates.begin().base());
-  obs::metrics().counter("tls.population_endpoints").add(endpoints.size());
-  return endpoints;
+  // Sort (ip, install index) keys rather than the endpoints themselves:
+  // equal IPs keep install order, so the last key of each IP run is that
+  // IP's last install, which wins. Each kept endpoint is moved once.
+  std::vector<std::uint64_t> keys(endpoints.size());
+  for (std::size_t i = 0; i < endpoints.size(); ++i) {
+    keys[i] = std::uint64_t{endpoints[i].ip.value()} << 32 | i;
+  }
+  std::ranges::sort(keys);
+  std::vector<TlsEndpoint> population;
+  population.reserve(keys.size());
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    if (k + 1 < keys.size() && keys[k] >> 32 == keys[k + 1] >> 32) continue;
+    population.push_back(std::move(endpoints[keys[k] & 0xFFFFFFFFu]));
+  }
+  obs::metrics().counter("tls.population_endpoints").add(population.size());
+  return population;
 }
 
 }  // namespace repro

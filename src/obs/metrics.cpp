@@ -132,40 +132,6 @@ double HistogramSnapshot::percentile(double p) const noexcept {
   return max;
 }
 
-void HistogramSnapshot::merge(const HistogramSnapshot& other) {
-  // Merge-join the two index-sorted sparse bucket lists; counts add
-  // per index, so the result is bit-exact regardless of which shard
-  // recorded which value.
-  std::vector<HistogramBucket> merged;
-  merged.reserve(buckets.size() + other.buckets.size());
-  std::size_t a = 0;
-  std::size_t b = 0;
-  while (a < buckets.size() || b < other.buckets.size()) {
-    if (b >= other.buckets.size() ||
-        (a < buckets.size() && buckets[a].index < other.buckets[b].index)) {
-      merged.push_back(buckets[a++]);
-    } else if (a >= buckets.size() ||
-               other.buckets[b].index < buckets[a].index) {
-      merged.push_back(other.buckets[b++]);
-    } else {
-      HistogramBucket combined = buckets[a++];
-      combined.count += other.buckets[b++].count;
-      merged.push_back(combined);
-    }
-  }
-  buckets = std::move(merged);
-
-  if (other.count > 0) {
-    min = count == 0 ? other.min : std::min(min, other.min);
-    max = count == 0 ? other.max : std::max(max, other.max);
-  }
-  count += other.count;
-  sum += other.sum;
-  p50 = percentile(50.0);
-  p90 = percentile(90.0);
-  p99 = percentile(99.0);
-}
-
 struct MetricsRegistry::Impl {
   mutable std::mutex mutex;
   // less<> enables heterogeneous (string_view) lookup without allocating.

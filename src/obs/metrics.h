@@ -8,17 +8,16 @@
 // (ScopedTimer) are gated on the tracing toggle so the disabled path never
 // reads a clock.
 //
-// Histogram bucket scheme (fixed for every histogram in the process, which
-// is what makes snapshots mergeable):
+// Histogram bucket scheme (fixed for every histogram in the process, so
+// snapshots are comparable bucket for bucket):
 //   - values are milliseconds, quantized to 1 ns units (n = value / 1e-6);
 //   - n < 64 falls in exact unit buckets [n, n+1);
 //   - larger n falls in one of 32 equal sub-buckets of its octave
 //     [2^k, 2^(k+1)), i.e. a log-linear layout with ~3% relative width;
 //   - 1920 buckets cover the whole uint64 unit range (sub-ns .. ~213 days).
-// Because the boundaries are a pure function of the bucket index, snapshots
-// taken in different threads or processes can be merged by adding counts
-// per index (HistogramSnapshot::merge), and percentiles read straight off
-// the buckets (the report service's p50/p99 queries).
+// Because the boundaries are a pure function of the bucket index,
+// percentiles read straight off the buckets (the report service's p50/p99
+// queries).
 //
 // All metric objects are thread-safe and live for the process lifetime;
 // references returned by the registry stay valid forever, so hot paths can
@@ -74,7 +73,7 @@ struct HistogramBucket {
   std::uint64_t count = 0;
 };
 
-/// Point-in-time copy of a histogram for export and merging.
+/// Point-in-time copy of a histogram for export.
 /// Only occupied buckets are stored, sorted by index.
 struct HistogramSnapshot {
   std::uint64_t count = 0;
@@ -89,21 +88,11 @@ struct HistogramSnapshot {
   /// Estimated value at percentile `p` in [0, 100], monotone in p and
   /// within one bucket width of the exact value; 0 when empty.
   double percentile(double p) const noexcept;
-
-  /// Folds `other` into this snapshot: bucket counts add per index
-  /// (bit-exact -- boundaries are global so no re-binning happens), count
-  /// and min/max combine exactly, percentiles are recomputed. `sum` is a
-  /// float accumulation and is not guaranteed bit-exact across merge
-  /// orders. Merging snapshots recorded from a partition of one value
-  /// stream yields the same buckets/count/min/max as a single histogram
-  /// fed the whole stream.
-  void merge(const HistogramSnapshot& other);
 };
 
 /// Log-linear histogram with atomically updated dense bucket counts. All
 /// histograms share the same fixed bucket layout (see file comment), so
-/// there is nothing to configure at construction and snapshots from
-/// different instances, threads, or processes are mergeable.
+/// there is nothing to configure at construction.
 class Histogram {
  public:
   static constexpr std::size_t kSubBucketBits = 5;  // 32 sub-buckets/octave

@@ -10,9 +10,10 @@ namespace {
 /// block (offnet servers start above; see hypergiant/deployment.cpp).
 constexpr std::uint64_t kRouterSlots = 256;
 
-/// TTL budget of the flap walk in AS hops: flap detours can form transient
-/// forwarding loops (as on the real Internet during convergence), and the
-/// walk cuts them the way a real traceroute does -- by running out of TTL.
+/// TTL budget of the forwarding walk in AS hops: flap detours can form
+/// transient forwarding loops (as on the real Internet during convergence),
+/// and the walk cuts them the way a real traceroute does -- by running out
+/// of TTL. Clean best paths are far shorter.
 constexpr std::size_t kMaxAsHops = 32;
 
 // Flap hash-stream salts, independent of the ECMP/silence streams.
@@ -64,15 +65,10 @@ Traceroute TracerouteEngine::trace(AsIndex src, Ipv4 destination,
                                    const RoutingTable& table,
                                    std::uint64_t flow,
                                    std::uint64_t probe_time) const {
-  if (config_.flap_rate > 0.0) {
-    return trace_flapped(src, destination, table, flow, probe_time);
-  }
   Traceroute result;
   result.src = src;
   result.destination = destination;
-
-  const std::vector<AsIndex> as_path = table.as_path(src);
-  if (as_path.empty()) return result;  // unreachable: all probes time out
+  if (!table.entry(src).reachable) return result;  // all probes time out
 
   const auto push_router = [&](AsIndex as, Ipv4 address) {
     TracerouteHop hop;
@@ -81,88 +77,16 @@ Traceroute TracerouteEngine::trace(AsIndex src, Ipv4 destination,
     result.hops.push_back(hop);
   };
 
-  for (std::size_t i = 0; i < as_path.size(); ++i) {
-    const AsIndex as = as_path[i];
-    // Intra-AS hops: deterministic count of 1-3 from the AS identity.
-    const auto intra =
-        1 + mix64(mix64(config_.seed ^ 0x77) ^ mix64(as)) % 3;
-    for (std::uint64_t k = 0; k < intra; ++k) {
-      // Skip the source AS's ingress (the probe starts inside it) and give
-      // each position a stable interface slot.
-      if (i == 0 && k == 0) continue;
-      push_router(as,
-                  router_ip(as, mix64((as * 131ULL + k) ^ mix64(flow)) % 199));
-    }
-
-    if (i + 1 >= as_path.size()) break;
-    // Interdomain handoff to the next AS. BGP picks one best route, but the
-    // *link* used depends on where the flow enters the border (hot-potato /
-    // ECMP across parallel interconnects); model that by letting the flow id
-    // choose among the parallel peering links of the pair.
-    const AsIndex next = as_path[i + 1];
-    const RouteEntry& entry = table.entry(as);
-    LinkIndex via = entry.via_link;
-    if (entry.kind == RouteKind::kPeer) {
-      const auto parallel = internet_.peering_links_between(as, next);
-      if (parallel.size() > 1) {
-        via = parallel[mix64(flow ^ mix64(as * 31ULL + next)) % parallel.size()];
-      }
-    }
-    const InterdomainLink& link = internet_.links[via];
-    if (link.kind == LinkKind::kIxpPeering) {
-      // The next hop is the neighbor's port on the IXP peering LAN.
-      const Ixp& ixp = internet_.ixps[link.ixp];
-      Ipv4 port_address = ixp.peering_lan.at(2);  // fallback
-      // Find the registered port of `next` on this fabric.
-      for (std::uint64_t offset = 2; offset < ixp.peering_lan.size(); ++offset) {
-        const auto info = internet_.ixp_port_of_ip(ixp.peering_lan.at(offset));
-        if (info && info->ixp == link.ixp && info->member == next) {
-          port_address = ixp.peering_lan.at(offset);
-          break;
-        }
-      }
-      push_router(next, port_address);
-    } else {
-      // PNI / transit handoff: the neighbor's border interface.
-      push_router(next, router_ip(next, mix64(next * 131ULL ^ mix64(flow)) % 199));
-    }
-  }
-
-  // Destination host.
-  TracerouteHop final_hop;
-  final_hop.true_owner = as_path.back();
-  const bool responds =
-      hash_uniform(mix64(config_.seed ^ 0xD0) ^ mix64(destination.value())) <
-      config_.destination_responds;
-  if (responds) final_hop.ip = destination;
-  result.hops.push_back(final_hop);
-  result.destination_reached = responds;
-  return result;
-}
-
-Traceroute TracerouteEngine::trace_flapped(AsIndex src, Ipv4 destination,
-                                           const RoutingTable& table,
-                                           std::uint64_t flow,
-                                           std::uint64_t probe_time) const {
-  Traceroute result;
-  result.src = src;
-  result.destination = destination;
-  if (!table.entry(src).reachable) return result;
-
-  const auto push_router = [&](AsIndex as, Ipv4 address) {
-    TracerouteHop hop;
-    hop.true_owner = as;
-    if (!router_silent(as, address)) hop.ip = address;
-    result.hops.push_back(hop);
-  };
-
-  // Walk the forwarding graph hop by hop instead of materializing the best
-  // path up front: a flap-down AS forwards via its alternate route (path
-  // divergence) or, with no second route, blackholes the probe. With no AS
-  // flap-down this emits exactly what trace() emits.
+  // Walk the forwarding graph hop by hop: a flap-down AS forwards via its
+  // alternate route (path divergence) or, with no second route, blackholes
+  // the probe. At flap_rate 0 no AS is flap-prone and the walk follows the
+  // best path.
   AsIndex current = src;
   std::size_t visited = 0;
   while (true) {
+    // Intra-AS hops: deterministic count of 1-3 from the AS identity. Skip
+    // the source AS's ingress (the probe starts inside it) and give each
+    // position a stable interface slot.
     const auto intra =
         1 + mix64(mix64(config_.seed ^ 0x77) ^ mix64(current)) % 3;
     for (std::uint64_t k = 0; k < intra; ++k) {
@@ -210,6 +134,10 @@ Traceroute TracerouteEngine::trace_flapped(AsIndex src, Ipv4 destination,
       result.flap_truncated = true;
       return result;
     }
+    // Interdomain handoff to the next AS. BGP picks one route, but the
+    // *link* used depends on where the flow enters the border (hot-potato /
+    // ECMP across parallel interconnects); model that by letting the flow id
+    // choose among the parallel peering links of the pair.
     LinkIndex via = route->via_link;
     if (route->kind == RouteKind::kPeer) {
       const auto parallel = internet_.peering_links_between(current, next);
@@ -219,6 +147,8 @@ Traceroute TracerouteEngine::trace_flapped(AsIndex src, Ipv4 destination,
     }
     const InterdomainLink& link = internet_.links[via];
     if (link.kind == LinkKind::kIxpPeering) {
+      // The next hop is the neighbor's registered port on the IXP peering
+      // LAN.
       const Ixp& ixp = internet_.ixps[link.ixp];
       Ipv4 port_address = ixp.peering_lan.at(2);  // fallback
       for (std::uint64_t offset = 2; offset < ixp.peering_lan.size(); ++offset) {
@@ -230,6 +160,7 @@ Traceroute TracerouteEngine::trace_flapped(AsIndex src, Ipv4 destination,
       }
       push_router(next, port_address);
     } else {
+      // PNI / transit handoff: the neighbor's border interface.
       push_router(next, router_ip(next, mix64(next * 131ULL ^ mix64(flow)) % 199));
     }
     current = next;

@@ -1,12 +1,16 @@
-// IP-level traceroute simulation over AS-level BGP paths.
+// IP-level traceroute simulation over AS-level BGP routes.
 //
-// Each AS on the path contributes 1-3 router hops numbered from its infra
-// block. Interdomain handoffs are visible the way they are on the real
-// Internet: a private interconnect shows the neighbor's router address,
-// while an IXP crossing shows the neighbor's port address on the IXP
-// peering LAN -- which is exactly what the Euro-IX/PeeringDB mapping keys
-// on. Routers may be persistently unresponsive ('*' hops), and whole ASes
-// may filter traceroute.
+// A probe walks the routing table's forwarding graph one AS at a time,
+// with a TTL of 32 AS hops. Each AS it enters contributes 1-3 router hops
+// numbered from its infra block. Interdomain handoffs are visible the way
+// they are on the real Internet: a private interconnect shows the
+// neighbor's router address, while an IXP crossing shows the neighbor's
+// port address on the IXP peering LAN -- which is exactly what the
+// Euro-IX/PeeringDB mapping keys on. Routers may be persistently unresponsive ('*' hops), and whole ASes
+// may filter traceroute. Under BGP-flap faults a flap-down AS forwards via
+// its alternate route or blackholes the probe; the flap branch compares a
+// per-AS hash against flap_rate, so at a zero rate it never fires and every
+// probe follows the best path.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +50,7 @@ struct TracerouteConfig {
   double destination_responds = 0.85;
 
   // BGP flap faults (FaultPlan::route, folded in by apply_route_faults).
-  // Zero flap_rate is guaranteed bit-identical to the pre-fault engine.
+  // At zero flap_rate no AS is flap-prone and these knobs change no hop.
   /// Seed for the flap hash stream, independent of the ECMP/silence seeds.
   std::uint64_t fault_seed = 0;
   /// Per-AS probability of being flap-prone for the whole campaign.
@@ -85,10 +89,6 @@ class TracerouteEngine {
   Ipv4 router_ip(AsIndex as, std::uint64_t slot) const;
 
  private:
-  Traceroute trace_flapped(AsIndex src, Ipv4 destination,
-                           const RoutingTable& table, std::uint64_t flow,
-                           std::uint64_t probe_time) const;
-
   const Internet& internet_;
   TracerouteConfig config_;
 };

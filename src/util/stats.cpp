@@ -118,24 +118,4 @@ double Histogram::fraction(std::size_t i) const {
   return total_ > 0.0 ? count(i) / total_ : 0.0;
 }
 
-void RunningStats::add(double value) noexcept {
-  if (count_ == 0) {
-    min_ = value;
-    max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  ++count_;
-  const double delta = value - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (value - mean_);
-}
-
-double RunningStats::variance() const noexcept {
-  return count_ >= 2 ? m2_ / static_cast<double>(count_) : 0.0;
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
 }  // namespace repro

@@ -65,24 +65,4 @@ class Histogram {
   double total_ = 0.0;
 };
 
-/// Streaming accumulator for min/max/mean/M2 (Welford).
-class RunningStats {
- public:
-  void add(double value) noexcept;
-
-  std::size_t count() const noexcept { return count_; }
-  double mean() const noexcept { return mean_; }
-  double variance() const noexcept;
-  double stddev() const noexcept;
-  double min() const noexcept { return min_; }
-  double max() const noexcept { return max_; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 }  // namespace repro

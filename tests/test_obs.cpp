@@ -1,7 +1,7 @@
 // Tests for the observability layer: span nesting/ordering (including
 // cross-thread stitching through the thread pool), log-linear histogram
-// percentile accuracy and snapshot merging, counter thread-safety under a
-// std::thread fan-out, the run_report.json / trace.json round-trips
+// percentile accuracy, counter thread-safety under a std::thread fan-out,
+// the run_report.json / trace.json round-trips
 // through the bundled JSON parser, and the bench-trend diff logic.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -217,46 +217,6 @@ TEST_F(ObsTest, HistogramRandomizedPercentilesMonotoneAndAccurate) {
         Histogram::bucket_upper_ms(idx) - Histogram::bucket_lower_ms(idx);
     EXPECT_NEAR(estimate, exact, width + 1e-9) << "p=" << p;
   }
-}
-
-TEST_F(ObsTest, HistogramSnapshotMergeEqualsSingleProcess) {
-  // The same value stream partitioned across three shards and merged must
-  // be indistinguishable from one histogram fed everything: bit-exact
-  // bucket counts at identical boundaries, same count/min/max.
-  Rng rng(42);
-  Histogram all;
-  Histogram shards[3];
-  for (int i = 0; i < 3000; ++i) {
-    const double v = rng.lognormal(0.0, 1.5);
-    all.record(v);
-    shards[i % 3].record(v);
-  }
-
-  HistogramSnapshot merged = shards[0].snapshot();
-  merged.merge(shards[1].snapshot());
-  merged.merge(shards[2].snapshot());
-  const HistogramSnapshot single = all.snapshot();
-
-  EXPECT_EQ(merged.count, single.count);
-  EXPECT_DOUBLE_EQ(merged.min, single.min);
-  EXPECT_DOUBLE_EQ(merged.max, single.max);
-  ASSERT_EQ(merged.buckets.size(), single.buckets.size());
-  for (std::size_t i = 0; i < merged.buckets.size(); ++i) {
-    EXPECT_EQ(merged.buckets[i].index, single.buckets[i].index) << i;
-    EXPECT_EQ(merged.buckets[i].count, single.buckets[i].count) << i;
-    EXPECT_DOUBLE_EQ(merged.buckets[i].lo_ms, single.buckets[i].lo_ms) << i;
-    EXPECT_DOUBLE_EQ(merged.buckets[i].hi_ms, single.buckets[i].hi_ms) << i;
-  }
-  // sum is float-accumulated (not bit-exact across orders), but close.
-  EXPECT_NEAR(merged.sum, single.sum, 1e-6 * std::abs(single.sum));
-  // Percentiles recomputed from identical buckets are identical.
-  EXPECT_DOUBLE_EQ(merged.p50, single.p50);
-  EXPECT_DOUBLE_EQ(merged.p99, single.p99);
-  // Merging an empty snapshot is a no-op on the distribution.
-  HistogramSnapshot empty;
-  merged.merge(empty);
-  EXPECT_EQ(merged.count, single.count);
-  EXPECT_DOUBLE_EQ(merged.min, single.min);
 }
 
 TEST_F(ObsTest, CountersAndHistogramsAreThreadSafe) {
@@ -919,6 +879,7 @@ TEST_F(ObsTest, FooterStampsTheHost) {
             static_cast<double>(hardware_thread_count()));
   EXPECT_EQ(doc.at("simd_level").str(),
             std::string(simd::to_string(simd::active_level())));
+  EXPECT_EQ(doc.at("cpu_model").str(), bench::cpu_model());
   EXPECT_GT(doc.at("peak_rss_mb").number(), 0.0);
   std::filesystem::remove_all(dir);
 }

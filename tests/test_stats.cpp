@@ -126,26 +126,5 @@ TEST(Histogram, WeightsAndValidation) {
   EXPECT_THROW(hist.count(5), Error);
 }
 
-TEST(RunningStats, MatchesBatchComputation) {
-  const double values[] = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  RunningStats stats;
-  for (const double v : values) stats.add(v);
-  EXPECT_EQ(stats.count(), 8u);
-  EXPECT_DOUBLE_EQ(stats.mean(), mean(values));
-  EXPECT_NEAR(stats.variance(), variance(values), 1e-12);
-  EXPECT_DOUBLE_EQ(stats.min(), 2.0);
-  EXPECT_DOUBLE_EQ(stats.max(), 9.0);
-}
-
-TEST(RunningStats, EmptyAndSingle) {
-  RunningStats stats;
-  EXPECT_EQ(stats.count(), 0u);
-  EXPECT_DOUBLE_EQ(stats.variance(), 0.0);
-  stats.add(3.0);
-  EXPECT_DOUBLE_EQ(stats.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(stats.min(), 3.0);
-  EXPECT_DOUBLE_EQ(stats.max(), 3.0);
-}
-
 }  // namespace
 }  // namespace repro

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "store/serde.h"
 #include "topology/generator.h"
 
 namespace repro {
@@ -187,9 +188,51 @@ bool same_trace(const Traceroute& a, const Traceroute& b) {
   return true;
 }
 
+/// FNV-1a over every hop (IP or '*', true owner), the reach flag and the
+/// two flap flags of Google's traceroutes to each access ISP's first user
+/// IP, flows 0-2 (probe_time = flow).
+std::uint64_t campaign_digest(const Internet& net, const RoutingEngine& routing,
+                              const TracerouteEngine& tracer, AsIndex src) {
+  store::Fnv1a digest;
+  for (const AsIndex target : net.access_isps()) {
+    const RoutingTable table = routing.routes_to(target);
+    const Ipv4 dst = user_ip(net, target);
+    for (std::uint64_t flow = 0; flow < 3; ++flow) {
+      const Traceroute trace = tracer.trace(src, dst, table, flow, flow);
+      digest.mix(std::uint64_t{trace.hops.size()});
+      for (const TracerouteHop& hop : trace.hops) {
+        if (hop.ip) {
+          digest.mix(hop.ip->value());
+        } else {
+          digest.mix(std::string_view("*"));
+        }
+        digest.mix(hop.true_owner);
+      }
+      digest.mix(trace.destination_reached)
+          .mix(trace.flap_detoured)
+          .mix(trace.flap_truncated);
+    }
+  }
+  return digest.digest();
+}
+
+TEST_F(TracerouteTest, GoldenCampaignDigest) {
+  // Pins every hop of the tiny world's Google campaign, clean and under
+  // flap faults: any change to the forwarding walk, a hash salt or the
+  // hop numbering moves one of these digests.
+  EXPECT_EQ(campaign_digest(*net_, *engine_, *tracer_, google_),
+            0x68805a1be5cf685eULL);
+  TracerouteConfig config;
+  config.fault_seed = 4242;
+  config.flap_rate = 0.3;
+  const TracerouteEngine flapped(*net_, config);
+  EXPECT_EQ(campaign_digest(*net_, *engine_, flapped, google_),
+            0x49c8df79d8bd954cULL);
+}
+
 TEST_F(TracerouteTest, ZeroFlapRateBitIdenticalToCleanEngine) {
   // A nonzero fault seed with a zero flap rate must not perturb a single
-  // hop: the fault path is only entered when the rate is positive.
+  // hop: no AS is flap-prone at rate 0, so the flap branch never fires.
   TracerouteConfig config;
   config.fault_seed = 4242;
   config.flap_rate = 0.0;
@@ -205,9 +248,8 @@ TEST_F(TracerouteTest, ZeroFlapRateBitIdenticalToCleanEngine) {
 }
 
 TEST_F(TracerouteTest, FlapWalkMatchesCleanTraceWhenNothingFlaps) {
-  // The flapped walk is a different code path (hop-by-hop forwarding walk
-  // instead of a materialized path); on a path with no flap-prone AS it
-  // must still emit exactly what trace() emits.
+  // Arming flap faults must leave non-flapping paths alone: a probe whose
+  // path has no flap-prone AS emits exactly the clean engine's hops.
   TracerouteConfig config;
   config.fault_seed = 4242;
   config.flap_rate = 0.3;
