@@ -201,7 +201,9 @@ std::vector<TlsEndpoint> Pipeline::population(Snapshot snapshot) const {
       obs::metrics().counter("fault.cert_churned").add(outcome.churned);
       obs::metrics().counter("fault.cert_garbled").add(outcome.garbled);
       health.dropped = outcome.garbled;
-      if (outcome.churned + outcome.garbled > 0) {
+      // Churn re-keys a cert (serial, validity) and leaves its names, so
+      // the fingerprints absorb it; only garbled names degrade the stage.
+      if (outcome.garbled > 0) {
         health.status = fault::StageStatus::kDegraded;
         health.reasons.push_back(
             count_reason("certs garbled", outcome.garbled, health.total));

@@ -17,12 +17,6 @@ constexpr std::uint64_t kBurstRecordSalt = 0xB1B1;
 constexpr std::uint64_t kCertGarbleSalt = 0x6A6A;
 constexpr std::uint64_t kCertChurnSalt = 0xC4C4;
 
-/// Deterministic uniform in [0,1) from a key (same construction as the
-/// PingMesh pathology draws).
-double hash_uniform(std::uint64_t key) noexcept {
-  return static_cast<double>(mix64(key) >> 11) * 0x1.0p-53;
-}
-
 std::uint64_t ip_key(Ipv4 ip, std::uint64_t seed, std::uint64_t salt) noexcept {
   return mix64((std::uint64_t{ip.value()} << 8) ^ seed ^ salt);
 }

@@ -17,9 +17,7 @@ TlsCertificate make_isp_certificate(const As& as, Snapshot snapshot, Rng& rng) {
   TlsCertificate cert;
   cert.subject.common_name = "www." + to_lower(as.name) + ".example.net";
   cert.subject.organization = as.name + " Communications";
-  cert.subject.country = "";
-  cert.issuer.common_name = "R3";
-  cert.issuer.organization = "Let's Encrypt";
+  cert.issuer_organization = "Let's Encrypt";
   cert.san_dns = {cert.subject.common_name};
   cert.not_before_year = snapshot_year(snapshot) - 1;
   cert.not_after_year = snapshot_year(snapshot);
@@ -54,8 +52,7 @@ TlsCertificate make_decoy_certificate(int ordinal, Snapshot snapshot, Rng& rng) 
       break;
   }
   cert.san_dns = {cert.subject.common_name};
-  cert.issuer.common_name = "R3";
-  cert.issuer.organization = "Let's Encrypt";
+  cert.issuer_organization = "Let's Encrypt";
   cert.not_before_year = snapshot_year(snapshot) - 1;
   cert.not_after_year = snapshot_year(snapshot) + 1;
   cert.serial = rng.next();

@@ -35,18 +35,14 @@ TlsCertificate make_offnet_certificate(Hypergiant hg, Snapshot snapshot,
       // 2021: Organization present ("Google LLC"); 2023: removed.
       cert.subject.organization =
           snapshot == Snapshot::k2021 ? "Google LLC" : "";
-      cert.subject.country = "US";
-      cert.issuer.common_name = "GTS CA 1C3";
-      cert.issuer.organization = "Google Trust Services LLC";
+      cert.issuer_organization = "Google Trust Services LLC";
       return cert;
     case Hypergiant::kNetflix:
       // Open Connect appliances; convention unchanged across snapshots.
       cert.subject.common_name = "*.oca.nflxvideo.net";
       cert.san_dns = {"*.oca.nflxvideo.net"};
       cert.subject.organization = "Netflix, Inc.";
-      cert.subject.country = "US";
-      cert.issuer.common_name = "DigiCert TLS RSA SHA256 2020 CA1";
-      cert.issuer.organization = "DigiCert Inc";
+      cert.issuer_organization = "DigiCert Inc";
       return cert;
     case Hypergiant::kMeta: {
       // 2021: offnets carried the same wildcard as onnet caches.
@@ -63,9 +59,7 @@ TlsCertificate make_offnet_certificate(Hypergiant hg, Snapshot snapshot,
       }
       cert.subject.organization =
           snapshot == Snapshot::k2021 ? "Facebook, Inc." : "Meta Platforms, Inc.";
-      cert.subject.country = "US";
-      cert.issuer.common_name = "DigiCert SHA2 High Assurance Server CA";
-      cert.issuer.organization = "DigiCert Inc";
+      cert.issuer_organization = "DigiCert Inc";
       return cert;
     }
     case Hypergiant::kAkamai:
@@ -73,9 +67,7 @@ TlsCertificate make_offnet_certificate(Hypergiant hg, Snapshot snapshot,
       cert.san_dns = {"a248.e.akamai.net", "*.akamaized.net",
                       "*.akamaihd.net"};
       cert.subject.organization = "Akamai Technologies, Inc.";
-      cert.subject.country = "US";
-      cert.issuer.common_name = "GlobalSign RSA OV SSL CA 2018";
-      cert.issuer.organization = "GlobalSign nv-sa";
+      cert.issuer_organization = "GlobalSign nv-sa";
       return cert;
   }
   throw Error("make_offnet_certificate: bad hypergiant");
@@ -91,17 +83,13 @@ TlsCertificate make_onnet_certificate(Hypergiant hg, Snapshot snapshot, Rng& rng
       cert.san_dns = {"*.google.com", "*.googlevideo.com", "*.youtube.com"};
       cert.subject.organization =
           snapshot == Snapshot::k2021 ? "Google LLC" : "";
-      cert.subject.country = "US";
-      cert.issuer.common_name = "GTS CA 1C3";
-      cert.issuer.organization = "Google Trust Services LLC";
+      cert.issuer_organization = "Google Trust Services LLC";
       return cert;
     case Hypergiant::kNetflix:
       cert.subject.common_name = "*.nflxvideo.net";
       cert.san_dns = {"*.nflxvideo.net", "*.netflix.com"};
       cert.subject.organization = "Netflix, Inc.";
-      cert.subject.country = "US";
-      cert.issuer.common_name = "DigiCert TLS RSA SHA256 2020 CA1";
-      cert.issuer.organization = "DigiCert Inc";
+      cert.issuer_organization = "DigiCert Inc";
       return cert;
     case Hypergiant::kMeta:
       // Onnet caches keep the non-site-specific wildcard.
@@ -109,17 +97,13 @@ TlsCertificate make_onnet_certificate(Hypergiant hg, Snapshot snapshot, Rng& rng
       cert.san_dns = {"*.fna.fbcdn.net", "*.facebook.com", "*.fbcdn.net"};
       cert.subject.organization =
           snapshot == Snapshot::k2021 ? "Facebook, Inc." : "Meta Platforms, Inc.";
-      cert.subject.country = "US";
-      cert.issuer.common_name = "DigiCert SHA2 High Assurance Server CA";
-      cert.issuer.organization = "DigiCert Inc";
+      cert.issuer_organization = "DigiCert Inc";
       return cert;
     case Hypergiant::kAkamai:
       cert.subject.common_name = "a248.e.akamai.net";
       cert.san_dns = {"a248.e.akamai.net", "*.akamaiedge.net"};
       cert.subject.organization = "Akamai Technologies, Inc.";
-      cert.subject.country = "US";
-      cert.issuer.common_name = "GlobalSign RSA OV SSL CA 2018";
-      cert.issuer.organization = "GlobalSign nv-sa";
+      cert.issuer_organization = "GlobalSign nv-sa";
       return cert;
   }
   throw Error("make_onnet_certificate: bad hypergiant");

@@ -12,11 +12,6 @@ namespace repro {
 
 namespace {
 
-/// Deterministic uniform in [0,1) from a key (stateless hashing).
-double hash_uniform(std::uint64_t key) noexcept {
-  return static_cast<double>(mix64(key) >> 11) * 0x1.0p-53;
-}
-
 /// Deterministic exponential draw from a key.
 double hash_exponential(std::uint64_t key, double mean) noexcept {
   double u = hash_uniform(key);

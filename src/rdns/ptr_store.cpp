@@ -27,10 +27,6 @@ constexpr std::uint64_t kMissingPtrSalt = 0x9199;
 constexpr std::uint64_t kStalePtrSalt = 0x57A1;
 constexpr std::uint64_t kGarblePtrSalt = 0x6B1D;
 
-double hash_uniform(std::uint64_t key) noexcept {
-  return static_cast<double>(mix64(key) >> 11) * 0x1.0p-53;
-}
-
 std::uint64_t ip_key(Ipv4 ip, std::uint64_t seed, std::uint64_t salt) noexcept {
   return mix64((std::uint64_t{ip.value()} << 8) ^ seed ^ salt);
 }

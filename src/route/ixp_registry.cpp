@@ -4,14 +4,6 @@
 
 namespace repro {
 
-namespace {
-
-double hash_uniform(std::uint64_t key) noexcept {
-  return static_cast<double>(mix64(key) >> 11) * 0x1.0p-53;
-}
-
-}  // namespace
-
 IxpRegistry IxpRegistry::build(const Internet& internet,
                                const IxpRegistryConfig& config) {
   IxpRegistry registry;

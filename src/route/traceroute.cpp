@@ -20,10 +20,6 @@ constexpr std::size_t kMaxAsHops = 32;
 constexpr std::uint64_t kFlapAsSalt = 0xF1A9;
 constexpr std::uint64_t kFlapEpochSalt = 0xE70C;
 
-double hash_uniform(std::uint64_t key) noexcept {
-  return static_cast<double>(mix64(key) >> 11) * 0x1.0p-53;
-}
-
 }  // namespace
 
 TracerouteEngine::TracerouteEngine(const Internet& internet,

@@ -7,7 +7,7 @@ namespace repro {
 namespace {
 
 bool google_issuer(const TlsCertificate& cert) noexcept {
-  return cert.issuer.organization == "Google Trust Services LLC";
+  return cert.issuer_organization == "Google Trust Services LLC";
 }
 
 bool match_google(const TlsCertificate& cert, Methodology methodology) noexcept {

@@ -22,33 +22,11 @@ namespace {
 constexpr std::uint32_t kMagic = 0x4f525052;  // "RPRO"
 constexpr std::uint32_t kContainerVersion = 1;
 
-std::uint64_t fnv1a_bytes(std::span<const std::uint8_t> bytes) noexcept {
-  std::uint64_t state = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t b : bytes) {
-    state ^= b;
-    state *= 0x100000001b3ULL;
-  }
-  return state;
-}
-
 std::string hex16(std::uint64_t value) {
   char buffer[17];
   std::snprintf(buffer, sizeof(buffer), "%016llx",
                 static_cast<unsigned long long>(value));
   return buffer;
-}
-
-std::uint64_t fnv1a_str(std::string_view text) noexcept {
-  std::uint64_t state = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    state ^= static_cast<std::uint8_t>(c);
-    state *= 0x100000001b3ULL;
-  }
-  return state;
-}
-
-double hash_uniform(std::uint64_t key) noexcept {
-  return static_cast<double>(mix64(key) >> 11) * 0x1.0p-53;
 }
 
 /// Megabytes to bytes, saturating: zero, negative and NaN budgets give 0,
@@ -202,8 +180,10 @@ void ArtifactStore::set_chaos(const StoreChaos& chaos) {
 void ArtifactStore::maybe_inject_chaos(const std::string& filename) {
   if (!chaos_.active() || config_.read_only) return;
   if (chaos_done_.contains(filename)) return;
-  const std::uint64_t key = mix64(fnv1a_str(filename) ^
-                                  chaos_.seed * 0x9E3779B97F4A7C15ULL);
+  const std::uint64_t name_hash =
+      Fnv1a().mix_bytes(filename.data(), filename.size()).digest();
+  const std::uint64_t key =
+      mix64(name_hash ^ chaos_.seed * 0x9E3779B97F4A7C15ULL);
   if (hash_uniform(key) >= chaos_.corrupt_rate) return;
 
   const fs::path path = fs::path(config_.root) / filename;
@@ -293,7 +273,8 @@ LoadResult ArtifactStore::load(const ArtifactKey& key) {
       ByteReader tail(std::span<const std::uint8_t>(
           bytes.data() + bytes.size() - sizeof(std::uint64_t),
           sizeof(std::uint64_t)));
-      if (tail.u64() != fnv1a_bytes(payload)) {
+      if (tail.u64() !=
+          Fnv1a().mix_bytes(payload.data(), payload.size()).digest()) {
         throw SerdeError("checksum mismatch");
       }
       result.status = LoadStatus::kHit;
@@ -362,7 +343,7 @@ bool ArtifactStore::save(const ArtifactKey& key,
     out.write(reinterpret_cast<const char*>(payload.data()),
               static_cast<std::streamsize>(payload.size()));
     ByteWriter checksum;
-    checksum.u64(fnv1a_bytes(payload));
+    checksum.u64(Fnv1a().mix_bytes(payload.data(), payload.size()).digest());
     out.write(reinterpret_cast<const char*>(checksum.bytes().data()),
               static_cast<std::streamsize>(checksum.bytes().size()));
     if (!out) {

@@ -44,15 +44,6 @@ std::uint64_t checksum_offset(std::uint64_t rows,
   return rtt_offset(rows) + rows * vp_count * 8;
 }
 
-std::uint64_t fnv1a_bytes(const std::uint8_t* data, std::uint64_t count) {
-  std::uint64_t state = 0xcbf29ce484222325ULL;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    state ^= data[i];
-    state *= 0x100000001b3ULL;
-  }
-  return state;
-}
-
 void put_u32(std::vector<std::uint8_t>& out, std::uint64_t offset,
              std::uint32_t value) {
   std::memcpy(out.data() + offset, &value, sizeof value);
@@ -92,8 +83,8 @@ void write_matrix_file(const std::string& path, const LatencyMatrix& matrix) {
     std::memcpy(bytes.data() + rtt_offset(rows), matrix.rtt.data(),
                 matrix.rtt.size() * sizeof(double));
   }
-  put_u64(bytes, checksum_offset(rows, matrix.vp_count),
-          fnv1a_bytes(bytes.data(), checksum_offset(rows, matrix.vp_count)));
+  const std::uint64_t body = checksum_offset(rows, matrix.vp_count);
+  put_u64(bytes, body, Fnv1a().mix_bytes(bytes.data(), body).digest());
 
   // Atomic publish: temp file next to the target, then one rename. The
   // temp name carries the PID so concurrent writers (two processes over
@@ -200,7 +191,7 @@ MappedLatencyMatrix MappedLatencyMatrix::open(const std::string& path) {
                      std::to_string(rows) + "x" + std::to_string(vps));
   }
   const std::uint64_t body = checksum_offset(rows, vps);
-  if (read_u64(body) != fnv1a_bytes(bytes, body)) {
+  if (read_u64(body) != Fnv1a().mix_bytes(bytes, body).digest()) {
     throw SerdeError("matrix spill checksum mismatch: " + path);
   }
   out.rows_ = static_cast<std::size_t>(rows);

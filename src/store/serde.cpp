@@ -114,36 +114,24 @@ Fnv1a& Fnv1a::mix(double value) noexcept {
 
 Fnv1a& Fnv1a::mix(std::string_view value) noexcept {
   mix(static_cast<std::uint64_t>(value.size()));
-  for (const char c : value) {
-    state_ ^= static_cast<std::uint8_t>(c);
-    state_ *= 0x100000001b3ULL;
+  return mix_bytes(value.data(), value.size());
+}
+
+Fnv1a& Fnv1a::mix_bytes(const void* data, std::size_t size) noexcept {
+  const auto* bytes = static_cast<const std::uint8_t*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    state_ ^= bytes[i];
+    state_ *= 0x100000001b3ULL;  // FNV prime
   }
   return *this;
 }
 
 // --- TlsCertificate ---
 
-namespace {
-
-void encode_dn(ByteWriter& out, const DistinguishedName& dn) {
-  out.str(dn.common_name);
-  out.str(dn.organization);
-  out.str(dn.country);
-}
-
-DistinguishedName decode_dn(ByteReader& in) {
-  DistinguishedName dn;
-  dn.common_name = in.str();
-  dn.organization = in.str();
-  dn.country = in.str();
-  return dn;
-}
-
-}  // namespace
-
 void encode(ByteWriter& out, const TlsCertificate& cert) {
-  encode_dn(out, cert.subject);
-  encode_dn(out, cert.issuer);
+  out.str(cert.subject.common_name);
+  out.str(cert.subject.organization);
+  out.str(cert.issuer_organization);
   out.u32(static_cast<std::uint32_t>(cert.san_dns.size()));
   for (const std::string& san : cert.san_dns) out.str(san);
   out.i32(cert.not_before_year);
@@ -153,8 +141,9 @@ void encode(ByteWriter& out, const TlsCertificate& cert) {
 
 TlsCertificate decode_certificate(ByteReader& in) {
   TlsCertificate cert;
-  cert.subject = decode_dn(in);
-  cert.issuer = decode_dn(in);
+  cert.subject.common_name = in.str();
+  cert.subject.organization = in.str();
+  cert.issuer_organization = in.str();
   const std::uint64_t sans = checked_count(in.u32(), "certificate SANs");
   cert.san_dns.reserve(sans);
   for (std::uint64_t i = 0; i < sans; ++i) cert.san_dns.push_back(in.str());

@@ -37,7 +37,7 @@ class SerdeError : public Error {
 };
 
 // --- per-type schema versions (see docs/PERSISTENCE.md for bump rules) ---
-inline constexpr std::uint32_t kScanRecordsSchema = 1;
+inline constexpr std::uint32_t kScanRecordsSchema = 2;
 inline constexpr std::uint32_t kPlotSchema = 1;
 /// Header version of the .mmx latency-matrix spill format
 /// (store/matrix_file.h), which only perfbench's clustering replay still
@@ -87,9 +87,11 @@ class ByteReader {
   std::size_t cursor_ = 0;
 };
 
-/// FNV-1a 64-bit hasher for artifact key derivation: mixes scalar config
-/// fields, strings and doubles into one digest. Not cryptographic -- it only
-/// needs to make distinct configurations land on distinct file names.
+/// FNV-1a 64-bit hasher for artifact key derivation (mixes scalar config
+/// fields, strings and doubles into one digest) and for the store's payload
+/// checksums (raw bytes). Not cryptographic -- it only needs to make
+/// distinct configurations land on distinct file names and catch torn or
+/// flipped bytes.
 class Fnv1a {
  public:
   Fnv1a& mix(std::uint64_t value) noexcept;
@@ -105,7 +107,11 @@ class Fnv1a {
   Fnv1a& mix(bool value) noexcept { return mix(std::uint64_t{value}); }
   /// Raw bit pattern, so -0.0 != +0.0 and NaNs mix deterministically.
   Fnv1a& mix(double value) noexcept;
+  /// Length-prefixed, so ("ab", "c") and ("a", "bc") differ.
   Fnv1a& mix(std::string_view value) noexcept;
+  /// Exactly `size` raw bytes, no length prefix: the plain FNV-1a of a
+  /// byte range (payload checksums, chaos keys).
+  Fnv1a& mix_bytes(const void* data, std::size_t size) noexcept;
 
   std::uint64_t digest() const noexcept { return state_; }
 

@@ -1,6 +1,5 @@
 #include "tls/certificate.h"
 
-#include "util/rng.h"
 #include "util/strings.h"
 
 namespace repro {
@@ -19,24 +18,6 @@ bool TlsCertificate::has_exact_name(std::string_view name) const {
     if (to_lower(san) == to_lower(name)) return true;
   }
   return false;
-}
-
-std::uint64_t fingerprint(const TlsCertificate& cert) noexcept {
-  std::uint64_t h = 0x243f6a8885a308d3ULL;
-  const auto fold = [&h](std::string_view text) {
-    for (const char c : text) h = mix64(h ^ static_cast<std::uint64_t>(c));
-    h = mix64(h ^ 0x1f);  // field separator
-  };
-  fold(cert.subject.common_name);
-  fold(cert.subject.organization);
-  fold(cert.subject.country);
-  fold(cert.issuer.common_name);
-  fold(cert.issuer.organization);
-  for (const auto& san : cert.san_dns) fold(san);
-  h = mix64(h ^ static_cast<std::uint64_t>(cert.not_before_year));
-  h = mix64(h ^ static_cast<std::uint64_t>(cert.not_after_year));
-  h = mix64(h ^ cert.serial);
-  return h;
 }
 
 }  // namespace repro

@@ -1,8 +1,9 @@
 // A simplified X.509 end-entity certificate: exactly the fields the offnet
 // discovery methodology inspects (Subject CN/Organization, SAN dNSNames,
-// Issuer), plus validity and serial for realism. A TlsEndpoint pairs one
-// with the IP that serves it: a snapshot's TLS population and the scan
-// records drawn from it are both IP-sorted vectors of endpoints.
+// Issuer Organization), plus the validity years and serial that the
+// cert-churn fault rewrites. A TlsEndpoint pairs one with the IP that serves
+// it: a snapshot's TLS population and the scan records drawn from it are
+// both IP-sorted vectors of endpoints.
 #pragma once
 
 #include <cstdint>
@@ -14,11 +15,10 @@
 
 namespace repro {
 
-/// Subject or issuer distinguished-name fields we model.
+/// The subject distinguished-name fields discovery reads.
 struct DistinguishedName {
   std::string common_name;    // CN
   std::string organization;   // O (may be empty; Google dropped it in 2023)
-  std::string country;        // C
 
   bool operator==(const DistinguishedName&) const = default;
 };
@@ -26,7 +26,7 @@ struct DistinguishedName {
 /// An end-entity TLS certificate as seen by an Internet-wide scanner.
 struct TlsCertificate {
   DistinguishedName subject;
-  DistinguishedName issuer;
+  std::string issuer_organization;   // Issuer O
   std::vector<std::string> san_dns;  // subjectAltName dNSName entries
   int not_before_year = 2020;
   int not_after_year = 2025;
@@ -42,10 +42,6 @@ struct TlsCertificate {
 
   bool operator==(const TlsCertificate&) const = default;
 };
-
-/// SHA-like stable fingerprint of the certificate contents (not
-/// cryptographic; a deterministic 64-bit digest for dedup and logging).
-std::uint64_t fingerprint(const TlsCertificate& cert) noexcept;
 
 /// One IP:443 endpoint and the certificate it serves.
 struct TlsEndpoint {

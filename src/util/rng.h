@@ -21,6 +21,12 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept;
 /// Stateless 64-bit mix of a value (one splitmix64 round).
 std::uint64_t mix64(std::uint64_t value) noexcept;
 
+/// Deterministic uniform double in [0, 1) from a key: the top 53 bits of
+/// mix64(key). The stateless draw behind every keyed pathology and fault.
+inline double hash_uniform(std::uint64_t key) noexcept {
+  return static_cast<double>(mix64(key) >> 11) * 0x1.0p-53;
+}
+
 /// Deterministic xoshiro256** generator with convenience distributions.
 ///
 /// Not a std-style URBG on purpose: the distribution implementations in

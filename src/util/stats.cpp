@@ -1,30 +1,10 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
 
 #include "util/error.h"
 
 namespace repro {
-
-double mean(std::span<const double> values) noexcept {
-  if (values.empty()) return 0.0;
-  const double total = std::accumulate(values.begin(), values.end(), 0.0);
-  return total / static_cast<double>(values.size());
-}
-
-double variance(std::span<const double> values) noexcept {
-  if (values.size() < 2) return 0.0;
-  const double m = mean(values);
-  double sum_sq = 0.0;
-  for (const double v : values) sum_sq += (v - m) * (v - m);
-  return sum_sq / static_cast<double>(values.size());
-}
-
-double stddev(std::span<const double> values) noexcept {
-  return std::sqrt(variance(values));
-}
 
 double median(std::span<const double> values) {
   return percentile(values, 50.0);
@@ -80,42 +60,6 @@ double ccdf_at(const std::vector<CcdfPoint>& ccdf, double x) noexcept {
     if (point.x >= x) return point.fraction;
   }
   return 0.0;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi) {
-  require(hi > lo, "Histogram: hi must exceed lo");
-  require(bins >= 1, "Histogram: need at least one bin");
-  counts_.assign(bins, 0.0);
-}
-
-void Histogram::add(double value, double weight) noexcept {
-  const double span = hi_ - lo_;
-  auto bin = static_cast<std::ptrdiff_t>((value - lo_) / span *
-                                         static_cast<double>(counts_.size()));
-  bin = std::clamp<std::ptrdiff_t>(bin, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(bin)] += weight;
-  total_ += weight;
-}
-
-double Histogram::bucket_low(std::size_t i) const {
-  require(i < counts_.size(), "Histogram::bucket_low: out of range");
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bucket_high(std::size_t i) const {
-  require(i < counts_.size(), "Histogram::bucket_high: out of range");
-  return lo_ + (hi_ - lo_) * static_cast<double>(i + 1) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::count(std::size_t i) const {
-  require(i < counts_.size(), "Histogram::count: out of range");
-  return counts_[i];
-}
-
-double Histogram::fraction(std::size_t i) const {
-  return total_ > 0.0 ? count(i) / total_ : 0.0;
 }
 
 }  // namespace repro

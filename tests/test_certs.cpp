@@ -17,7 +17,7 @@ TEST(GoogleCerts, OrganizationDroppedIn2023) {
   EXPECT_TRUE(cert_2023.subject.organization.empty());
   // The CN remains googlevideo in both eras (the 2023 methodology's anchor).
   EXPECT_TRUE(glob_match("*.googlevideo.com", cert_2023.subject.common_name));
-  EXPECT_EQ(cert_2023.issuer.organization, "Google Trust Services LLC");
+  EXPECT_EQ(cert_2023.issuer_organization, "Google Trust Services LLC");
 }
 
 TEST(MetaCerts, SiteSpecificNamesIn2023) {

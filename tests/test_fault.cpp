@@ -597,6 +597,30 @@ TEST(FaultPipeline, ChaosPlanDegradesButCompletes) {
   EXPECT_TRUE(found);
 }
 
+TEST(FaultPipeline, CertChurnOnlyLeavesPopulationOkAndDiscoveryUnchanged) {
+  fault::FaultPlan churn_only = fault::FaultPlan::none();
+  churn_only.cert.churn_rate = 0.3;
+  const Pipeline clean(Scenario::tiny());
+  const Pipeline churned(Scenario::tiny(), churn_only);
+  for (const Methodology method : {Methodology::k2021, Methodology::k2023}) {
+    const DiscoveryReport& want = clean.discovery(Snapshot::k2023, method);
+    const DiscoveryReport& got = churned.discovery(Snapshot::k2023, method);
+    for (const Hypergiant hg : all_hypergiants()) {
+      EXPECT_EQ(got.footprint(hg).by_isp, want.footprint(hg).by_isp)
+          << to_string(hg) << " under " << to_string(method);
+    }
+  }
+  // Churn happened, and the fingerprints absorbed it.
+  const std::vector<TlsEndpoint> population =
+      churned.population(Snapshot::k2023);
+  EXPECT_NE(population, clean.population(Snapshot::k2023));
+  const fault::StageHealth& health =
+      churned.stage_health().at("tls_population");
+  EXPECT_EQ(health.status, fault::StageStatus::kOk);
+  EXPECT_EQ(health.dropped, 0u);
+  EXPECT_EQ(churned.overall_status(), fault::StageStatus::kOk);
+}
+
 TEST(FaultPipeline, PopulationAndScanCachedAcrossMethodologies) {
   const Pipeline pipeline(Scenario::tiny());
   const auto& records = pipeline.scan_records(Snapshot::k2023);

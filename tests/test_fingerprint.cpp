@@ -73,7 +73,7 @@ TEST(Fingerprint, DecoysRejected) {
   TlsCertificate decoy;
   decoy.subject.common_name = "cache.googlevideo.com.cdn-mirror.example";
   decoy.subject.organization = "Totally Not Google Ltd";
-  decoy.issuer.organization = "Let's Encrypt";
+  decoy.issuer_organization = "Let's Encrypt";
   decoy.san_dns = {decoy.subject.common_name};
   for (const Methodology m : {Methodology::k2021, Methodology::k2023}) {
     EXPECT_FALSE(certificate_matches(decoy, Hypergiant::kGoogle, m));
@@ -99,7 +99,7 @@ TEST(Fingerprint, GoogleRequiresGoogleIssuer) {
   TlsCertificate forged;
   forged.subject.common_name = "*.googlevideo.com";
   forged.subject.organization = "Google LLC";
-  forged.issuer.organization = "Let's Encrypt";
+  forged.issuer_organization = "Let's Encrypt";
   forged.san_dns = {"*.googlevideo.com"};
   EXPECT_FALSE(certificate_matches(forged, Hypergiant::kGoogle, Methodology::k2021));
   EXPECT_FALSE(certificate_matches(forged, Hypergiant::kGoogle, Methodology::k2023));

@@ -2,30 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "util/error.h"
 
 namespace repro {
 namespace {
-
-TEST(Mean, BasicAndEmpty) {
-  const double values[] = {1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(mean(values), 2.5);
-  EXPECT_DOUBLE_EQ(mean({}), 0.0);
-}
-
-TEST(Variance, KnownValues) {
-  const double values[] = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  EXPECT_DOUBLE_EQ(variance(values), 4.0);
-  EXPECT_DOUBLE_EQ(stddev(values), 2.0);
-}
-
-TEST(Variance, DegenerateInputs) {
-  const double one[] = {5.0};
-  EXPECT_DOUBLE_EQ(variance(one), 0.0);
-  EXPECT_DOUBLE_EQ(variance({}), 0.0);
-}
 
 TEST(Median, OddAndEven) {
   const double odd[] = {3.0, 1.0, 2.0};
@@ -101,29 +81,6 @@ TEST(CcdfAt, EvaluatesBetweenPoints) {
   EXPECT_DOUBLE_EQ(ccdf_at(ccdf, 2.0), 0.75);  // 2,3,4
   EXPECT_DOUBLE_EQ(ccdf_at(ccdf, 2.5), 0.5);   // 3,4
   EXPECT_DOUBLE_EQ(ccdf_at(ccdf, 9.0), 0.0);
-}
-
-TEST(Histogram, BucketsAndClamping) {
-  Histogram hist(0.0, 10.0, 5);
-  hist.add(0.5);
-  hist.add(9.5);
-  hist.add(-3.0);   // clamps into first bucket
-  hist.add(100.0);  // clamps into last bucket
-  EXPECT_DOUBLE_EQ(hist.count(0), 2.0);
-  EXPECT_DOUBLE_EQ(hist.count(4), 2.0);
-  EXPECT_DOUBLE_EQ(hist.total(), 4.0);
-  EXPECT_DOUBLE_EQ(hist.fraction(0), 0.5);
-  EXPECT_DOUBLE_EQ(hist.bucket_low(1), 2.0);
-  EXPECT_DOUBLE_EQ(hist.bucket_high(1), 4.0);
-}
-
-TEST(Histogram, WeightsAndValidation) {
-  Histogram hist(0.0, 1.0, 2);
-  hist.add(0.25, 3.0);
-  EXPECT_DOUBLE_EQ(hist.count(0), 3.0);
-  EXPECT_THROW(Histogram(1.0, 0.0, 2), Error);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), Error);
-  EXPECT_THROW(hist.count(5), Error);
 }
 
 }  // namespace

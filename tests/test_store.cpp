@@ -93,9 +93,7 @@ TlsCertificate random_cert(Rng& rng) {
   TlsCertificate cert;
   cert.subject.common_name = random_name(rng);
   if (rng.chance(0.7)) cert.subject.organization = random_name(rng);
-  cert.subject.country = rng.chance(0.5) ? "US" : "DE";
-  cert.issuer.common_name = random_name(rng);
-  cert.issuer.organization = random_name(rng);
+  cert.issuer_organization = random_name(rng);
   const int sans = static_cast<int>(rng.uniform_int(0, 6));
   for (int i = 0; i < sans; ++i) cert.san_dns.push_back(random_name(rng));
   cert.not_before_year = static_cast<int>(rng.uniform_int(2015, 2023));
