@@ -58,6 +58,14 @@ std::uint64_t cell_key(Snapshot snapshot) {
   return static_cast<std::uint64_t>(snapshot);
 }
 
+/// The rules a snapshot's discovery classifies its scan with, in order: its
+/// own year's, then each older year's (Table 1's 2023-scan/2021-rules
+/// column). No snapshot is classified with rules newer than itself.
+std::vector<Methodology> methodologies_for(Snapshot snapshot) {
+  if (snapshot == Snapshot::k2021) return {Methodology::k2021};
+  return {Methodology::k2023, Methodology::k2021};
+}
+
 }  // namespace
 
 struct Pipeline::PeeringTools {
@@ -220,90 +228,105 @@ std::vector<TlsEndpoint> Pipeline::population(Snapshot snapshot) const {
   return endpoints;
 }
 
-const std::vector<TlsEndpoint>& Pipeline::scan_records(
-    Snapshot snapshot) const {
-  return *scans_.get(cell_key(snapshot), [&] {
-    return std::make_shared<const std::vector<TlsEndpoint>>(persisted_stage(
-        "scan", "pipeline.scan",
-        make_key("scan", store::kScanRecordsSchema, world_digest_,
-                 {static_cast<std::uint64_t>(snapshot)}),
-        store::encode, store::decode_scan_records, [&] {
-          StageOutput<std::vector<TlsEndpoint>> out;
-          fault::StageHealth& health = out.health;
-          std::vector<TlsEndpoint>& records = out.value;
-          try {
-            std::vector<TlsEndpoint> endpoints = population(snapshot);
-            health.total = endpoints.size();
-            const Scanner scanner(scenario_.scanner);
-            records = scanner.scan(std::move(endpoints));
-            if (plan_.active()) {
-              fault::ScanFaultOutcome outcome;
-              records = fault::inject_scan_faults(std::move(records), plan_,
-                                                  &outcome);
-              obs::metrics().counter("fault.scan_truncated")
-                  .add(outcome.truncated);
-              obs::metrics().counter("fault.scan_burst_missed")
-                  .add(outcome.burst_missed);
-              health.dropped = outcome.dropped();
-              if (outcome.dropped() > 0) {
-                health.status = fault::StageStatus::kDegraded;
-                health.reasons.push_back(
-                    count_reason("records lost to shard truncation",
-                                 outcome.truncated, health.total));
-                health.reasons.push_back(
-                    count_reason("records lost to miss bursts",
-                                 outcome.burst_missed, health.total));
-              }
+std::vector<TlsEndpoint> Pipeline::scan_records(Snapshot snapshot) const {
+  return persisted_stage(
+      "scan", "pipeline.scan",
+      make_key("scan", store::kScanRecordsSchema, world_digest_,
+               {static_cast<std::uint64_t>(snapshot)}),
+      store::encode, store::decode_scan_records, [&] {
+        StageOutput<std::vector<TlsEndpoint>> out;
+        fault::StageHealth& health = out.health;
+        std::vector<TlsEndpoint>& records = out.value;
+        try {
+          std::vector<TlsEndpoint> endpoints = population(snapshot);
+          health.total = endpoints.size();
+          const Scanner scanner(scenario_.scanner);
+          records = scanner.scan(std::move(endpoints));
+          if (plan_.active()) {
+            fault::ScanFaultOutcome outcome;
+            records =
+                fault::inject_scan_faults(std::move(records), plan_, &outcome);
+            obs::metrics().counter("fault.scan_truncated")
+                .add(outcome.truncated);
+            obs::metrics().counter("fault.scan_burst_missed")
+                .add(outcome.burst_missed);
+            health.dropped = outcome.dropped();
+            if (outcome.dropped() > 0) {
+              health.status = fault::StageStatus::kDegraded;
+              health.reasons.push_back(
+                  count_reason("records lost to shard truncation",
+                               outcome.truncated, health.total));
+              health.reasons.push_back(
+                  count_reason("records lost to miss bursts",
+                               outcome.burst_missed, health.total));
             }
-          } catch (const Error& error) {
-            health.status = fault::StageStatus::kFailed;
-            health.reasons.push_back(std::string("scan: ") + error.what());
-            records.clear();
           }
-          return out;
-        }));
-  });
+        } catch (const Error& error) {
+          health.status = fault::StageStatus::kFailed;
+          health.reasons.push_back(std::string("scan: ") + error.what());
+          records.clear();
+        }
+        return out;
+      });
 }
 
 const DiscoveryReport& Pipeline::discovery(Snapshot snapshot,
                                            Methodology methodology) const {
-  const std::uint64_t key =
-      cell_key(snapshot) << 32 | static_cast<std::uint64_t>(methodology);
-  return *reports_.get(key, [&] {
-    obs::ScopedSpan span("pipeline.discovery");
-    fault::StageHealth health;
-    DiscoveryReport report;
-    try {
-      const std::vector<TlsEndpoint>& records = scan_records(snapshot);
-      health.total = records.size();
-      const OffnetClassifier classifier(internet_, methodology);
-      report = classifier.classify(records);
-      if (report.total_offnet_ips() == 0 &&
-          registry(snapshot).server_count() > 0) {
-        // Quality gate: the ground truth deployed offnets but discovery came
-        // back empty -- downstream studies would silently report nothing.
-        health.status = fault::StageStatus::kFailed;
-        health.reasons.push_back("no offnet IPs discovered");
-      }
-    } catch (const Error& error) {
-      health.status = fault::StageStatus::kFailed;
-      health.reasons.push_back(std::string("discovery: ") + error.what());
-      report = DiscoveryReport();
-      report.methodology = methodology;
-    }
+  require(static_cast<int>(methodology) <= static_cast<int>(snapshot),
+          "Pipeline::discovery: a snapshot is never classified with rules "
+          "newer than itself");
+  const std::vector<DiscoveryReport>& reports =
+      *reports_.get(cell_key(snapshot), [&] {
+        obs::ScopedSpan span("pipeline.discovery");
+        // The scan lives only as long as this build: every methodology
+        // classifies it, then it is dropped. (A failed scan records its
+        // own health and yields no records.)
+        const std::vector<TlsEndpoint> records = scan_records(snapshot);
+        std::vector<DiscoveryReport> built;
+        for (const Methodology rules : methodologies_for(snapshot)) {
+          built.push_back(classify(snapshot, rules, records));
+        }
+        return std::make_shared<const std::vector<DiscoveryReport>>(
+            std::move(built));
+      });
+  return *std::ranges::find(reports, methodology,
+                            &DiscoveryReport::methodology);
+}
 
-    for (const auto& footprint : report.footprints) {
-      obs::metrics()
-          .counter(hg_counter_name("discovery.offnet_ips", footprint.hg))
-          .add(footprint.ip_count());
+DiscoveryReport Pipeline::classify(
+    Snapshot snapshot, Methodology methodology,
+    const std::vector<TlsEndpoint>& records) const {
+  fault::StageHealth health;
+  health.total = records.size();
+  DiscoveryReport report;
+  try {
+    const OffnetClassifier classifier(internet_, methodology);
+    report = classifier.classify(records);
+    if (report.total_offnet_ips() == 0 &&
+        registry(snapshot).server_count() > 0) {
+      // Quality gate: the ground truth deployed offnets but discovery came
+      // back empty -- downstream studies would silently report nothing.
+      health.status = fault::StageStatus::kFailed;
+      health.reasons.push_back("no offnet IPs discovered");
     }
-    obs::metrics().counter("discovery.offnet_ips_total")
-        .add(report.total_offnet_ips());
-    obs::metrics().gauge("discovery.hosting_isps").set(
-        static_cast<double>(report.isps_hosting_at_least(1).size()));
-    record_health("discovery", health);
-    return std::make_shared<const DiscoveryReport>(std::move(report));
-  });
+  } catch (const Error& error) {
+    health.status = fault::StageStatus::kFailed;
+    health.reasons.push_back(std::string("discovery: ") + error.what());
+    report = DiscoveryReport();
+    report.methodology = methodology;
+  }
+
+  for (const auto& footprint : report.footprints) {
+    obs::metrics()
+        .counter(hg_counter_name("discovery.offnet_ips", footprint.hg))
+        .add(footprint.ip_count());
+  }
+  obs::metrics().counter("discovery.offnet_ips_total")
+      .add(report.total_offnet_ips());
+  obs::metrics().gauge("discovery.hosting_isps").set(
+      static_cast<double>(report.isps_hosting_at_least(1).size()));
+  record_health("discovery", health);
+  return report;
 }
 
 const VantagePointSet& Pipeline::vantage_points() const {

@@ -1,10 +1,12 @@
 // The end-to-end reproduction pipeline. Owns the generated world and lazily
 // builds (and caches) each stage: ground-truth deployments per snapshot,
-// scans (cached per snapshot, shared across methodologies), discovery
-// reports, the ping mesh, the per-ISP OPTICS plots (xi-independent) and the
-// clusterings extracted from them at any xi, routing, and the traffic
-// models. A snapshot's TLS population is not a stage: the scan builds it,
-// consumes it and drops it.
+// discovery reports per snapshot (one per methodology), the ping mesh, the
+// per-ISP OPTICS plots (xi-independent) and the clusterings extracted from
+// them at any xi, routing, and the traffic models. A snapshot's TLS
+// population and scan are not stages: discovery scans once per snapshot
+// (the scan builds the population, consumes it and drops it), classifies
+// the records with every methodology the snapshot is read with, and drops
+// them.
 //
 // Degraded-mode execution: a Pipeline can carry a fault::FaultPlan. The
 // plan's pathologies are injected at each stage boundary, every stage
@@ -40,8 +42,8 @@
 // stages build side by side, so a resident service world does not serialize
 // a peering study against a discovery. Stages force each other only along
 // an acyclic graph (capacity -> demand, registry; plots -> discovery ->
-// scan -> population -> registry; peering -> routing, traceroute tools), so
-// no build ever waits on its own cell.
+// registry, with the uncached scan and population in between; peering ->
+// routing, traceroute tools), so no build ever waits on its own cell.
 // Pool workers only *read* stages already computed: the clustering fan-out
 // and the peering study's per-target workers run on references their caller
 // forced first, as does perfbench's clustering replay. With concurrent
@@ -139,11 +141,18 @@ class Pipeline {
   /// "tls_population" health, and the scan is its only in-pipeline caller.
   std::vector<TlsEndpoint> population(Snapshot snapshot) const;
 
-  /// Scan records for a snapshot (cached; the scan and its faults run once
-  /// per snapshot, not once per (snapshot, methodology) pair).
-  const std::vector<TlsEndpoint>& scan_records(Snapshot snapshot) const;
+  /// Scan records for a snapshot, with scan faults applied. Uncached: every
+  /// call is one store consult-or-compute (a cold compute scans a fresh
+  /// population) and records its "scan" health, and discovery is its only
+  /// in-pipeline caller.
+  std::vector<TlsEndpoint> scan_records(Snapshot snapshot) const;
 
-  /// Scan + classify with a methodology (cached per pair).
+  /// Discovery from a snapshot's scan with a methodology. Cached per
+  /// snapshot: the first call scans once and classifies the records with
+  /// every methodology up to the snapshot's year (2021: the 2021 rules;
+  /// 2023: the 2023 rules, then the 2021 rules), recording "discovery"
+  /// health once per methodology. The 2021 snapshot with the 2023 rules is
+  /// not a Table 1 column and fails a require.
   const DiscoveryReport& discovery(Snapshot snapshot,
                                    Methodology methodology) const;
 
@@ -198,6 +207,11 @@ class Pipeline {
                     void (*encode)(store::ByteWriter&, const T&),
                     T (*decode)(store::ByteReader&), Compute&& compute) const;
 
+  /// Classifies a snapshot's scan with one methodology and records its
+  /// "discovery" health, counters and gauge.
+  DiscoveryReport classify(Snapshot snapshot, Methodology methodology,
+                           const std::vector<TlsEndpoint>& records) const;
+
   /// The world's OPTICS plots, one per 2023 hosting ISP (the clustering
   /// stage's persisted half; cached).
   const std::vector<IspPlot>& plots() const;
@@ -234,15 +248,13 @@ class Pipeline {
   std::uint64_t world_digest_ = 0;
 
   /// One unbounded single-flight cell per lazy stage, keyed by Snapshot,
-  /// (Snapshot, Methodology), Hypergiant, xi_key, or 0 for a per-world
-  /// stage. `hit` names the stage's memo-hit counter, if it has one (an
-  /// in-process hit, distinct from a store warm hit, store.hit).
+  /// Hypergiant, xi_key, or 0 for a per-world stage.
   template <class T>
   struct StageCell : SingleFlightLru<std::shared_ptr<const T>> {
-    explicit StageCell(const char* hit = nullptr)
+    StageCell()
         : SingleFlightLru<std::shared_ptr<const T>>(
               static_cast<std::size_t>(-1),
-              {.hit = hit, .inflight_wait = "pipeline.stage_waits"}) {}
+              {.inflight_wait = "pipeline.stage_waits"}) {}
   };
 
   /// The traceroute engine and IXP registry every peering study shares.
@@ -251,9 +263,8 @@ class Pipeline {
   mutable std::mutex health_mutex_;
   mutable std::map<std::string, fault::StageHealth> health_;
   mutable StageCell<OffnetRegistry> registries_;
-  mutable StageCell<std::vector<TlsEndpoint>> scans_{
-      "pipeline.scan_cache_hit"};
-  mutable StageCell<DiscoveryReport> reports_;
+  /// Per snapshot, one report per methodology in classify order.
+  mutable StageCell<std::vector<DiscoveryReport>> reports_;
   mutable StageCell<VantagePointSet> vps_;
   mutable StageCell<PingMesh> mesh_;
   mutable StageCell<std::vector<IspPlot>> plots_;

@@ -129,14 +129,6 @@ std::vector<AsIndex> DeploymentPolicy::eligible_sorted(Hypergiant hg) const {
   return out;
 }
 
-int DeploymentPolicy::target_isps(Hypergiant hg, Snapshot snapshot) const {
-  const auto& prof = profile(hg);
-  const int paper_target =
-      snapshot == Snapshot::k2021 ? prof.isps_2021 : prof.isps_2023;
-  return std::max(1, static_cast<int>(std::lround(
-                         paper_target * config_.footprint_scale)));
-}
-
 int DeploymentPolicy::target_isps_for_year(Hypergiant hg, int year) const {
   const auto& prof = profile(hg);
   // Annual growth implied by the two Table-1 anchors; Akamai is flat.
@@ -149,14 +141,6 @@ int DeploymentPolicy::target_isps_for_year(Hypergiant hg, int year) const {
                          target * config_.footprint_scale)));
 }
 
-std::vector<AsIndex> DeploymentPolicy::footprint(Hypergiant hg,
-                                                 Snapshot snapshot) const {
-  auto ranked = eligible_sorted(hg);
-  const auto target = static_cast<std::size_t>(target_isps(hg, snapshot));
-  if (ranked.size() > target) ranked.resize(target);
-  return ranked;
-}
-
 std::vector<AsIndex> DeploymentPolicy::footprint_for_year(Hypergiant hg,
                                                           int year) const {
   auto ranked = eligible_sorted(hg);
@@ -165,24 +149,11 @@ std::vector<AsIndex> DeploymentPolicy::footprint_for_year(Hypergiant hg,
   return ranked;
 }
 
-OffnetRegistry DeploymentPolicy::deploy_for_year(int year) const {
-  std::array<std::vector<AsIndex>, kHypergiantCount> footprints;
-  for (const Hypergiant hg : all_hypergiants()) {
-    footprints[static_cast<std::size_t>(hg)] = footprint_for_year(hg, year);
-  }
-  return deploy_from(footprints);
-}
-
 OffnetRegistry DeploymentPolicy::deploy(Snapshot snapshot) const {
-  std::array<std::vector<AsIndex>, kHypergiantCount> footprints;
-  for (const Hypergiant hg : all_hypergiants()) {
-    footprints[static_cast<std::size_t>(hg)] = footprint(hg, snapshot);
-  }
-  return deploy_from(footprints);
+  return deploy_for_year(snapshot_year(snapshot));
 }
 
-OffnetRegistry DeploymentPolicy::deploy_from(
-    const std::array<std::vector<AsIndex>, kHypergiantCount>& footprints) const {
+OffnetRegistry DeploymentPolicy::deploy_for_year(int year) const {
   OffnetRegistry registry;
   // Per-ISP cursor into the infra block, shared by all hypergiants hosted
   // there so server addresses never collide.
@@ -190,7 +161,7 @@ OffnetRegistry DeploymentPolicy::deploy_from(
 
   for (const Hypergiant hg : all_hypergiants()) {
     const auto& prof = profile(hg);
-    for (const AsIndex isp : footprints[static_cast<std::size_t>(hg)]) {
+    for (const AsIndex isp : footprint_for_year(hg, year)) {
       const As& as = internet_.ases[isp];
       Rng rng = keyed_rng(config_.seed, isp, hg, /*salt=*/2);
       // ISP-level style is keyed only by the ISP so all its deployments

@@ -10,7 +10,6 @@
 // *rediscover* this ground truth; tests compare inferences against it.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -110,13 +109,8 @@ class DeploymentPolicy {
  public:
   DeploymentPolicy(const Internet& internet, DeploymentConfig config);
 
+  /// Ground truth at a Table-1 snapshot: deploy_for_year of its year.
   OffnetRegistry deploy(Snapshot snapshot) const;
-
-  /// The ISPs that would host `hg` at `snapshot` (adoption order).
-  std::vector<AsIndex> footprint(Hypergiant hg, Snapshot snapshot) const;
-
-  /// The effective (scaled) Table-1 target for `hg` at `snapshot`.
-  int target_isps(Hypergiant hg, Snapshot snapshot) const;
 
   // --- longitudinal extension (the 2021 foundation paper tracked offnet
   // footprints over seven years; the growth model anchors on the Table-1
@@ -136,8 +130,6 @@ class DeploymentPolicy {
   const Internet& internet_;
   DeploymentConfig config_;
   std::vector<AsIndex> eligible_sorted(Hypergiant hg) const;
-  OffnetRegistry deploy_from(
-      const std::array<std::vector<AsIndex>, kHypergiantCount>& footprints) const;
 };
 
 }  // namespace repro

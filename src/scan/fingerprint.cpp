@@ -27,10 +27,13 @@ bool match_meta(const TlsCertificate& cert, Methodology methodology) noexcept {
            cert.has_exact_name("*.fbcdn.net");
   }
   // 2023: any name under fbcdn.net (site-specific offnet names included).
-  // Note ends_with on the registered domain, not a one-label wildcard: the
-  // offnet names have several labels (f<site>.fna.fbcdn.net).
+  // Note a case-insensitive suffix match on the registered domain, not a
+  // one-label wildcard: the offnet names have several labels
+  // (f<site>.fna.fbcdn.net).
   const auto name_ok = [](std::string_view name) {
-    return ends_with(to_lower(name), ".fbcdn.net");
+    constexpr std::string_view kSuffix = ".fbcdn.net";
+    return name.size() >= kSuffix.size() &&
+           iequals(name.substr(name.size() - kSuffix.size()), kSuffix);
   };
   if (name_ok(cert.subject.common_name)) return true;
   for (const auto& san : cert.san_dns) {

@@ -13,9 +13,9 @@ bool TlsCertificate::matches_name_glob(std::string_view name_pattern) const {
 }
 
 bool TlsCertificate::has_exact_name(std::string_view name) const {
-  if (to_lower(subject.common_name) == to_lower(name)) return true;
+  if (iequals(subject.common_name, name)) return true;
   for (const auto& san : san_dns) {
-    if (to_lower(san) == to_lower(name)) return true;
+    if (iequals(san, name)) return true;
   }
   return false;
 }

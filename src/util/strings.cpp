@@ -20,6 +20,14 @@ std::string to_lower(std::string_view input) {
   return out;
 }
 
+bool iequals(std::string_view a, std::string_view b) noexcept {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (lower_char(a[i]) != lower_char(b[i])) return false;
+  }
+  return true;
+}
+
 bool starts_with(std::string_view text, std::string_view prefix) noexcept {
   return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
 }
@@ -83,9 +91,9 @@ bool tls_name_match(std::string_view pattern, std::string_view name) noexcept {
     const std::size_t dot = name.find('.');
     if (dot == std::string_view::npos || dot == 0) return false;
     const std::string_view rest = name.substr(dot + 1);
-    return to_lower(rest) == to_lower(base);
+    return iequals(rest, base);
   }
-  return to_lower(pattern) == to_lower(name);
+  return iequals(pattern, name);
 }
 
 std::string with_commas(long long value) {

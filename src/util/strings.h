@@ -12,6 +12,10 @@ namespace repro {
 /// ASCII lowercase copy.
 std::string to_lower(std::string_view input);
 
+/// True if `a` and `b` are equal ignoring ASCII case: to_lower(a) ==
+/// to_lower(b), without the copies.
+bool iequals(std::string_view a, std::string_view b) noexcept;
+
 /// True if `text` starts with / ends with `affix` (ASCII, case-sensitive).
 bool starts_with(std::string_view text, std::string_view prefix) noexcept;
 bool ends_with(std::string_view text, std::string_view suffix) noexcept;

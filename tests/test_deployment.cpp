@@ -62,7 +62,8 @@ TEST_F(DeploymentTest, FootprintsHitScaledTargets) {
   for (const Hypergiant hg : all_hypergiants()) {
     for (const Snapshot snapshot : {Snapshot::k2021, Snapshot::k2023}) {
       const auto target =
-          static_cast<std::size_t>(policy_->target_isps(hg, snapshot));
+          static_cast<std::size_t>(policy_->target_isps_for_year(
+              hg, snapshot_year(snapshot)));
       const auto& registry =
           snapshot == Snapshot::k2021 ? *reg_2021_ : *reg_2023_;
       // Eligible pools are larger than targets in the tiny world.

@@ -519,8 +519,9 @@ TEST(FaultPipeline, ZeroFaultPlanIsBitIdenticalToNoPlan) {
   const Pipeline bare(Scenario::tiny());
   const Pipeline with_plan(Scenario::tiny(), fault::FaultPlan::none());
 
-  const auto& records_a = bare.scan_records(Snapshot::k2023);
-  const auto& records_b = with_plan.scan_records(Snapshot::k2023);
+  const std::vector<TlsEndpoint> records_a = bare.scan_records(Snapshot::k2023);
+  const std::vector<TlsEndpoint> records_b =
+      with_plan.scan_records(Snapshot::k2023);
   ASSERT_EQ(records_a.size(), records_b.size());
   for (std::size_t i = 0; i < records_a.size(); ++i) {
     ASSERT_EQ(records_a[i].ip, records_b[i].ip);
@@ -621,21 +622,29 @@ TEST(FaultPipeline, CertChurnOnlyLeavesPopulationOkAndDiscoveryUnchanged) {
   EXPECT_EQ(churned.overall_status(), fault::StageStatus::kOk);
 }
 
-TEST(FaultPipeline, PopulationAndScanCachedAcrossMethodologies) {
+TEST(FaultPipeline, OneScanPerSnapshotAcrossMethodologies) {
   const Pipeline pipeline(Scenario::tiny());
-  const auto& records = pipeline.scan_records(Snapshot::k2023);
-  pipeline.discovery(Snapshot::k2023, Methodology::k2023);
-  pipeline.discovery(Snapshot::k2023, Methodology::k2021);
-  // Both methodologies classified the same cached scan -- no rescan per
+  const auto scanned = [] {
+    return obs::metrics().counter("scan.endpoints_total").value();
+  };
+  const std::uint64_t before = scanned();
+  const DiscoveryReport& current =
+      pipeline.discovery(Snapshot::k2023, Methodology::k2023);
+  const std::uint64_t one_scan = scanned() - before;
+  EXPECT_GT(one_scan, 0u);
+  const DiscoveryReport& old_rules =
+      pipeline.discovery(Snapshot::k2023, Methodology::k2021);
+  // Both methodologies classified the one 2023 scan -- no rescan per
   // (snapshot, methodology) pair.
-  EXPECT_EQ(&records, &pipeline.scan_records(Snapshot::k2023));
+  EXPECT_EQ(scanned() - before, one_scan);
+  EXPECT_EQ(current.methodology, Methodology::k2023);
+  EXPECT_EQ(old_rules.methodology, Methodology::k2021);
   // The population is not cached, but every rebuild is the same.
   const std::vector<TlsEndpoint> population =
       pipeline.population(Snapshot::k2023);
   EXPECT_FALSE(population.empty());
   EXPECT_EQ(population, pipeline.population(Snapshot::k2023));
   // A different snapshot is a different campaign.
-  EXPECT_NE(&records, &pipeline.scan_records(Snapshot::k2021));
   EXPECT_NE(population, pipeline.population(Snapshot::k2021));
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 namespace repro {
 namespace {
 
@@ -18,15 +21,25 @@ class LongitudinalTest : public ::testing::Test {
 Pipeline* LongitudinalTest::pipeline_ = nullptr;
 
 TEST_F(LongitudinalTest, YearTargetsAnchorOnTable1) {
-  const DeploymentPolicy policy(pipeline_->internet(),
-                                pipeline_->scenario().deployment);
-  for (const Hypergiant hg : all_hypergiants()) {
-    EXPECT_EQ(policy.target_isps_for_year(hg, 2021),
-              policy.target_isps(hg, Snapshot::k2021))
-        << to_string(hg);
-    EXPECT_EQ(policy.target_isps_for_year(hg, 2023),
-              policy.target_isps(hg, Snapshot::k2023))
-        << to_string(hg);
+  // The growth curve passes through both Table-1 anchors exactly, at the
+  // world's footprint scale and at scales from well below tiny to 10x.
+  for (const double scale :
+       {pipeline_->scenario().deployment.footprint_scale, 0.02, 0.15, 1.0,
+        10.0}) {
+    DeploymentConfig config = pipeline_->scenario().deployment;
+    config.footprint_scale = scale;
+    const DeploymentPolicy policy(pipeline_->internet(), config);
+    const auto anchor = [scale](int isps) {
+      return std::max(1, static_cast<int>(std::lround(isps * scale)));
+    };
+    for (const Hypergiant hg : all_hypergiants()) {
+      EXPECT_EQ(policy.target_isps_for_year(hg, 2021),
+                anchor(profile(hg).isps_2021))
+          << to_string(hg) << " at scale " << scale;
+      EXPECT_EQ(policy.target_isps_for_year(hg, 2023),
+                anchor(profile(hg).isps_2023))
+          << to_string(hg) << " at scale " << scale;
+    }
   }
 }
 
@@ -56,17 +69,6 @@ TEST_F(LongitudinalTest, FootprintsMonotoneOverYears) {
     for (std::size_t i = 0; i < earlier.size(); ++i) {
       EXPECT_EQ(earlier[i], later[i]) << to_string(hg);
     }
-  }
-}
-
-TEST_F(LongitudinalTest, DeployForYearMatchesSnapshots) {
-  const DeploymentPolicy policy(pipeline_->internet(),
-                                pipeline_->scenario().deployment);
-  const OffnetRegistry by_year = policy.deploy_for_year(2023);
-  const OffnetRegistry by_snapshot = policy.deploy(Snapshot::k2023);
-  ASSERT_EQ(by_year.server_count(), by_snapshot.server_count());
-  for (std::size_t i = 0; i < by_year.server_count(); ++i) {
-    EXPECT_EQ(by_year.servers()[i].ip, by_snapshot.servers()[i].ip);
   }
 }
 

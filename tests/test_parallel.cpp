@@ -506,14 +506,13 @@ constexpr std::pair<Snapshot, Methodology> kDiscoveryPairs[] = {
     {Snapshot::k2023, Methodology::k2023},
     {Snapshot::k2023, Methodology::k2021}};
 
-/// Every lazy Pipeline accessor, once each, in one fixed order. population()
-/// is not one: it rebuilds on every call, so only the scan forces it here.
+/// Every lazy Pipeline accessor, once each, in one fixed order.
+/// population() and scan_records() are not ones: they rebuild on every
+/// call, so only discovery forces them here.
 std::vector<std::function<void(const Pipeline&)>> stage_accessors() {
   std::vector<std::function<void(const Pipeline&)>> all;
   for (const Snapshot snapshot : {Snapshot::k2021, Snapshot::k2023}) {
     all.emplace_back([snapshot](const Pipeline& p) { p.registry(snapshot); });
-    all.emplace_back(
-        [snapshot](const Pipeline& p) { p.scan_records(snapshot); });
   }
   for (const auto& [snapshot, methodology] : kDiscoveryPairs) {
     all.emplace_back([snapshot, methodology](const Pipeline& p) {
@@ -648,13 +647,10 @@ TEST_F(ParallelTest, PipelineClusteringBitIdenticalUnderFaults) {
 
 /// What concurrent callers may legitimately change: the order in which a
 /// stage's snapshots merge their health reasons, and how often a caller
-/// hits a memo or parks on another caller's build.
+/// parks on another caller's build.
 void drop_call_order(PipelineRun& run) {
   for (auto& [stage, health] : run.health) std::ranges::sort(health.reasons);
-  for (const char* name :
-       {"pipeline.scan_cache_hit", "pipeline.stage_waits"}) {
-    run.counters.erase(name);
-  }
+  run.counters.erase("pipeline.stage_waits");
 }
 
 TEST_F(ParallelTest, ConcurrentStageCallersMatchSerial) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+#include "util/error.h"
+
 namespace repro {
 namespace {
 
@@ -50,6 +53,29 @@ TEST_F(PipelineTest, DiscoveryCached) {
   const DiscoveryReport& b =
       pipeline_->discovery(Snapshot::k2023, Methodology::k2023);
   EXPECT_EQ(&a, &b);
+}
+
+TEST_F(PipelineTest, DiscoveryRejects2021SnapshotWith2023Rules) {
+  // Table 1 reads the 2021 scan with the 2021 rules only.
+  EXPECT_THROW(pipeline_->discovery(Snapshot::k2021, Methodology::k2023),
+               Error);
+  EXPECT_EQ(pipeline_->discovery(Snapshot::k2021, Methodology::k2021)
+                .methodology,
+            Methodology::k2021);
+}
+
+TEST_F(PipelineTest, ScanRecordsRescanOnEveryCall) {
+  // Scan records are discovery's transient input: nothing keeps them, so
+  // each call without a store scans a fresh population again.
+  const auto scanned = [] {
+    return obs::metrics().counter("scan.endpoints_total").value();
+  };
+  const std::uint64_t before = scanned();
+  const std::vector<TlsEndpoint> first = pipeline_->scan_records(Snapshot::k2023);
+  const std::uint64_t one_scan = scanned() - before;
+  EXPECT_GT(one_scan, 0u);
+  EXPECT_EQ(pipeline_->scan_records(Snapshot::k2023), first);
+  EXPECT_EQ(scanned() - before, 2 * one_scan);
 }
 
 TEST_F(PipelineTest, VantagePointsMatchScenario) {

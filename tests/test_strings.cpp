@@ -41,6 +41,16 @@ TEST(ToLower, Ascii) {
   EXPECT_EQ(to_lower(""), "");
 }
 
+TEST(ToLower, IequalsMatchesLoweredCopies) {
+  EXPECT_TRUE(iequals("FbCdN.NeT", "fbcdn.NET"));
+  EXPECT_TRUE(iequals("", ""));
+  EXPECT_FALSE(iequals("fbcdn.net", "fbcdn.ne"));
+  EXPECT_FALSE(iequals("fbcdn.net", "fbcdn.nex"));
+  for (const char* a : {"A.b", "a.B", "a.c", "ab"}) {
+    EXPECT_EQ(iequals(a, "a.b"), to_lower(a) == to_lower("a.b")) << a;
+  }
+}
+
 TEST(Affixes, StartsEndsWith) {
   EXPECT_TRUE(starts_with("googlevideo.com", "google"));
   EXPECT_FALSE(starts_with("go", "google"));
