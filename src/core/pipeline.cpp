@@ -416,40 +416,40 @@ std::vector<Pipeline::IspOutcome> Pipeline::cluster_isps(
   // Fan the per-ISP plots across the thread pool. Each ISP's outcome lands
   // in its own preallocated slot, and the health/result merge walks the
   // slots in ISP order on one thread, so results, health records and
-  // counters are bit-identical to the serial loop for any thread count.
+  // counters are bit-identical to the serial loop for any thread count and
+  // any dispatch order. ISPs go out one at a time, largest first: the
+  // distance kernel grows with the square of an ISP's server count, so the
+  // biggest matrices start early instead of ending the stage alone.
   std::vector<IspOutcome> outcomes(isps.size());
   const std::size_t threads =
       std::min(default_thread_count(), std::max<std::size_t>(isps.size(), 1));
   obs::metrics().gauge("cluster.threads").set(static_cast<double>(threads));
   obs::metrics().gauge("cluster.tasks").set(static_cast<double>(isps.size()));
-  const std::size_t block =
-      std::max<std::size_t>(1, isps.size() / (threads * 4));
-  parallel_for_blocks(
-      isps.size(), block,
-      [&](std::size_t begin, std::size_t end) {
-        // Shard-level aggregation: each worker's contiguous run of ISPs is
-        // one sample of cluster.shard_ms, next to the per-ISP wall times.
+  std::vector<std::size_t> servers;
+  servers.reserve(isps.size());
+  for (const AsIndex isp : isps) servers.push_back(reg.servers_at(isp).size());
+  const std::vector<std::size_t> order = largest_first(servers);
+  parallel_for(
+      isps.size(),
+      [&](std::size_t k) {
         // The spans ride the task-context propagation in the pool, so they
         // render under pipeline.clustering in the exported trace instead of
         // as orphan roots.
-        obs::ScopedSpan shard_span("cluster.shard");
-        obs::ScopedTimer shard_timer("cluster.shard_ms");
-        for (std::size_t i = begin; i < end; ++i) {
-          obs::ScopedSpan isp_span("cluster.isp");
-          obs::ScopedTimer timer("cluster.isp_wall_ms");
-          IspOutcome& out = outcomes[i];
-          try {
-            out.plot = clusterer.plot(isps[i], mesh.measure_isp(reg, isps[i]));
-          } catch (const Error& error) {
-            // Quality gate: one pathological ISP matrix must not abort the
-            // other few thousand -- keep an unusable placeholder, move on.
-            out.failed = true;
-            out.error = error.what();
-            out.plot = IspPlot();
-            out.plot.isp = isps[i];
-          }
-          obs::metrics().counter("cluster.isps_clustered").add(1);
+        const std::size_t i = order[k];
+        obs::ScopedSpan isp_span("cluster.isp");
+        obs::ScopedTimer timer("cluster.isp_wall_ms");
+        IspOutcome& out = outcomes[i];
+        try {
+          out.plot = clusterer.plot(isps[i], mesh.measure_isp(reg, isps[i]));
+        } catch (const Error& error) {
+          // Quality gate: one pathological ISP matrix must not abort the
+          // other few thousand -- keep an unusable placeholder, move on.
+          out.failed = true;
+          out.error = error.what();
+          out.plot = IspPlot();
+          out.plot.isp = isps[i];
         }
+        obs::metrics().counter("cluster.isps_clustered").add(1);
       },
       threads);
   return outcomes;

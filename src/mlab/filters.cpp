@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "obs/metrics.h"
+#include "util/error.h"
 
 namespace repro {
 
@@ -11,32 +12,45 @@ namespace {
 
 bool finite(double value) noexcept { return std::isfinite(value); }
 
-}  // namespace
-
-bool violates_speed_of_light(const std::vector<double>& rtts,
-                             const VantagePointSet& vps,
-                             const FilterConfig& config) {
-  // Gather finite measurements sorted ascending; test pairs among the lowest.
-  std::vector<std::size_t> cols;
-  cols.reserve(rtts.size());
-  for (std::size_t i = 0; i < rtts.size(); ++i) {
+/// violates_speed_of_light over `vp_count` RTTs, with `cols` as a reusable
+/// scratch buffer. The candidates are the `sol_check_candidates` lowest
+/// finite RTTs ordered by (rtt, col), so ties select the same columns
+/// whatever the selection algorithm; each pair (i < j in that order) is
+/// checked against the precomputed bound at [cols[i]][cols[j]].
+bool violates(const double* rtts, std::size_t vp_count,
+              const VantagePointSet& vps, const FilterConfig& config,
+              std::vector<std::size_t>& cols) {
+  cols.clear();
+  for (std::size_t i = 0; i < vp_count; ++i) {
     if (finite(rtts[i])) cols.push_back(i);
   }
   if (cols.size() < 2) return false;
-  std::sort(cols.begin(), cols.end(),
-            [&](std::size_t a, std::size_t b) { return rtts[a] < rtts[b]; });
   const std::size_t limit = std::min(cols.size(), config.sol_check_candidates);
+  std::partial_sort(cols.begin(), cols.begin() + limit, cols.end(),
+                    [&](std::size_t a, std::size_t b) {
+                      return rtts[a] < rtts[b] ||
+                             (rtts[a] == rtts[b] && a < b);
+                    });
   for (std::size_t i = 0; i < limit; ++i) {
     for (std::size_t j = i + 1; j < limit; ++j) {
-      const double bound =
-          propagation_ms(haversine_km(vps[cols[i]].location, vps[cols[j]].location));
       if (rtts[cols[i]] / 2.0 + rtts[cols[j]] / 2.0 + config.sol_tolerance_ms <
-          bound) {
+          vps.light_bound_ms(cols[i], cols[j])) {
         return true;
       }
     }
   }
   return false;
+}
+
+}  // namespace
+
+bool violates_speed_of_light(const std::vector<double>& rtts,
+                             const VantagePointSet& vps,
+                             const FilterConfig& config) {
+  require(rtts.size() <= vps.size(),
+          "violates_speed_of_light: more RTTs than vantage points");
+  std::vector<std::size_t> cols;
+  return violates(rtts.data(), rtts.size(), vps, config, cols);
 }
 
 FilteredMatrix clean_matrix(const LatencyMatrix& matrix,
@@ -49,21 +63,19 @@ FilteredMatrix clean_matrix(const LatencyRows& rows, const VantagePointSet& vps,
                             const FilterConfig& config, bool materialize) {
   FilteredMatrix out;
   const std::size_t vp_count = rows.vp_count();
+  require(vp_count <= vps.size(),
+          "clean_matrix: more columns than vantage points");
 
   // Pass 1: drop unresponsive and physically impossible rows.
-  std::vector<double> rtts(vp_count);
+  std::vector<std::size_t> cols;
+  cols.reserve(vp_count);
   for (std::size_t row = 0; row < rows.row_count(); ++row) {
     const double* values = rows.row(row);
-    bool any = false;
-    for (std::size_t col = 0; col < vp_count; ++col) {
-      rtts[col] = values[col];
-      any = any || finite(rtts[col]);
-    }
-    if (!any) {
+    if (std::none_of(values, values + vp_count, finite)) {
       ++out.dropped_unresponsive;
       continue;
     }
-    if (violates_speed_of_light(rtts, vps, config)) {
+    if (violates(values, vp_count, vps, config, cols)) {
       ++out.dropped_impossible;
       continue;
     }

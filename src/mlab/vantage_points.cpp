@@ -1,6 +1,7 @@
 #include "mlab/vantage_points.h"
 
 #include "util/error.h"
+#include "util/geo.h"
 #include "util/rng.h"
 
 namespace repro {
@@ -24,6 +25,14 @@ VantagePointSet::VantagePointSet(const Internet& internet, std::size_t count,
     vp.metro = metro_index;
     vp.location = jitter_point(metro.location, 20.0, rng.uniform(), rng.uniform());
     points_.push_back(std::move(vp));
+  }
+
+  light_bound_ms_.reserve(count * count);
+  for (const VantagePoint& a : points_) {
+    for (const VantagePoint& b : points_) {
+      light_bound_ms_.push_back(
+          propagation_ms(haversine_km(a.location, b.location)));
+    }
   }
 }
 

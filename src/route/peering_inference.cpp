@@ -206,7 +206,7 @@ std::map<AsIndex, IspPeeringEvidence> PeeringStudy::run(
       std::max<std::size_t>(1, targets.size() / (default_thread_count() * 8));
   parallel_for_blocks(
       targets.size(), block, [&](std::size_t begin, std::size_t end) {
-        // One span and one shard_ms sample per block, as cluster.shard.
+        // One span and one shard_ms sample per block of targets.
         obs::ScopedSpan shard_span("route.peering_shard");
         obs::ScopedTimer shard_timer("route.peering_shard_ms");
         for (std::size_t i = begin; i < end; ++i) {

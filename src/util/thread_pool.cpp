@@ -8,6 +8,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -232,6 +233,16 @@ void parallel_for(std::size_t count,
         for (std::size_t i = begin; i < end; ++i) body(i);
       },
       threads);
+}
+
+std::vector<std::size_t> largest_first(const std::vector<std::size_t>& costs) {
+  std::vector<std::size_t> order(costs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&costs](std::size_t a, std::size_t b) {
+                     return costs[a] > costs[b];
+                   });
+  return order;
 }
 
 }  // namespace repro

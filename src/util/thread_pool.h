@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <vector>
 
 namespace repro {
 
@@ -103,5 +104,11 @@ void parallel_for_blocks(std::size_t count, std::size_t block,
 void parallel_for(std::size_t count,
                   const std::function<void(std::size_t)>& body,
                   std::size_t threads = 0);
+
+/// Dispatch order for tasks of uneven cost: the positions of `costs` by
+/// descending cost, equal costs by ascending position. Handed out one at
+/// a time through parallel_for, the costliest tasks start first instead of
+/// one of them starting last and ending the loop alone.
+std::vector<std::size_t> largest_first(const std::vector<std::size_t>& costs);
 
 }  // namespace repro

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 
 #include "core/scenario.h"
 #include "topology/generator.h"
+#include "util/rng.h"
 
 namespace repro {
 namespace {
@@ -65,6 +67,94 @@ TEST_F(FiltersTest, TooFewMeasurementsNeverViolate) {
   EXPECT_FALSE(violates_speed_of_light(rtts, *vps_, FilterConfig{}));
   rtts[0] = 1.0;
   EXPECT_FALSE(violates_speed_of_light(rtts, *vps_, FilterConfig{}));
+}
+
+/// Every ordered pair of the table against the direct computation, bit for
+/// bit; (i, j) and (j, i) are checked separately, so the test holds whether
+/// or not haversine is bit-symmetric.
+void expect_light_bounds_exact(const VantagePointSet& vps) {
+  for (std::size_t i = 0; i < vps.size(); ++i) {
+    for (std::size_t j = 0; j < vps.size(); ++j) {
+      const double direct =
+          propagation_ms(haversine_km(vps[i].location, vps[j].location));
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(vps.light_bound_ms(i, j)),
+                std::bit_cast<std::uint64_t>(direct))
+          << "pair (" << i << "," << j << ") of " << vps.size();
+    }
+  }
+}
+
+TEST_F(FiltersTest, LightBoundTableMatchesHaversineBitForBit) {
+  expect_light_bounds_exact(*vps_);
+  expect_light_bounds_exact(VantagePointSet(*net_, 163, 7));
+}
+
+/// The speed-of-light screen spelled out: every finite column stable-sorted
+/// by RTT (so equal RTTs keep ascending column order), then every pair among
+/// the lowest `sol_check_candidates` against the direct haversine bound.
+bool reference_violates(const std::vector<double>& rtts,
+                        const VantagePointSet& vps,
+                        const FilterConfig& config) {
+  std::vector<std::size_t> cols;
+  for (std::size_t i = 0; i < rtts.size(); ++i) {
+    if (std::isfinite(rtts[i])) cols.push_back(i);
+  }
+  std::stable_sort(cols.begin(), cols.end(), [&](std::size_t a, std::size_t b) {
+    return rtts[a] < rtts[b];
+  });
+  const std::size_t limit = std::min(cols.size(), config.sol_check_candidates);
+  for (std::size_t i = 0; i < limit; ++i) {
+    for (std::size_t j = i + 1; j < limit; ++j) {
+      const double bound = propagation_ms(
+          haversine_km(vps[cols[i]].location, vps[cols[j]].location));
+      if (rtts[cols[i]] / 2.0 + rtts[cols[j]] / 2.0 +
+              config.sol_tolerance_ms <
+          bound) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+TEST_F(FiltersTest, CandidateSelectionMatchesStableSortUnderTies) {
+  // Each row draws a base level and adds one of three offsets, with NaN
+  // holes: dozens of columns share each RTT, so ties straddle the
+  // candidate boundary. Bases span never-violating (above the ~100 ms
+  // antipodal bound) to always-violating, so both verdicts occur.
+  const VantagePointSet wide(*net_, 163, 7);
+  constexpr double kBases[] = {3.0, 20.0, 35.0, 50.0, 70.0, 120.0};
+  constexpr double kOffsets[] = {0.0, 1.5, 3.0};
+  Rng rng(0x50117);
+  std::size_t rows = 0;
+  std::size_t violating = 0;
+  const VantagePointSet* const sets[] = {vps_, &wide};
+  for (const VantagePointSet* vps : sets) {
+    for (const std::size_t candidates : {std::size_t{2}, std::size_t{24},
+                                         vps->size() + 5}) {
+      for (const double tolerance : {0.0, 2.5}) {
+        FilterConfig config;
+        config.sol_check_candidates = candidates;
+        config.sol_tolerance_ms = tolerance;
+        for (int trial = 0; trial < 200; ++trial) {
+          const double base = kBases[rng.uniform_int(0, 5)];
+          std::vector<double> rtts(vps->size());
+          for (double& rtt : rtts) {
+            rtt = rng.chance(0.15) ? kNoMeasurement
+                                   : base + kOffsets[rng.uniform_int(0, 2)];
+          }
+          const bool expected = reference_violates(rtts, *vps, config);
+          ASSERT_EQ(violates_speed_of_light(rtts, *vps, config), expected)
+              << vps->size() << " VPs, " << candidates << " candidates, "
+              << "tolerance " << tolerance << ", trial " << trial;
+          ++rows;
+          if (expected) ++violating;
+        }
+      }
+    }
+  }
+  EXPECT_GT(violating, rows / 10);
+  EXPECT_LT(violating, rows - rows / 10);
 }
 
 LatencyMatrix make_matrix(std::size_t rows, std::size_t cols, double value) {

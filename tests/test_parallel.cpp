@@ -21,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -226,6 +227,45 @@ void await(const std::function<bool()>& done) {
   while (!done() && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+}
+
+TEST_F(ParallelTest, LargestFirstBreaksTiesByPosition) {
+  EXPECT_TRUE(largest_first({}).empty());
+  EXPECT_EQ(largest_first({3, 9, 3, 1, 9, 0, 3}),
+            (std::vector<std::size_t>{1, 4, 0, 2, 6, 3, 5}));
+  EXPECT_EQ(largest_first({5, 5, 5, 5}),
+            (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(largest_first({1, 2, 3}), (std::vector<std::size_t>{2, 1, 0}));
+}
+
+TEST_F(ParallelTest, LargestFirstDispatchKeepsHostingIspOrder) {
+  // The clustering fan-out hands ISPs out by descending server count, but
+  // each outcome lands in its ISP's slot: at 4 threads the plots (one
+  // clustering each) still come back in hosting_isps_2023() order, slot
+  // for slot equal to the serial run.
+  std::vector<std::vector<AsIndex>> runs;
+  for (const std::size_t threads : {1u, 4u}) {
+    set_default_thread_count(threads);
+    Pipeline pipeline(Scenario::tiny());
+    const std::vector<AsIndex> hosting = pipeline.hosting_isps_2023();
+    const OffnetRegistry& registry = pipeline.registry(Snapshot::k2023);
+    std::vector<std::size_t> servers;
+    for (const AsIndex isp : hosting) {
+      servers.push_back(registry.servers_at(isp).size());
+    }
+    std::vector<std::size_t> identity(hosting.size());
+    std::iota(identity.begin(), identity.end(), std::size_t{0});
+    ASSERT_NE(largest_first(servers), identity)
+        << "tiny's dispatch order is ISP order; the fence shows nothing";
+
+    std::vector<AsIndex> plotted;
+    for (const IspClustering& clustering : pipeline.clusterings(0.1)) {
+      plotted.push_back(clustering.isp);
+    }
+    EXPECT_EQ(plotted, hosting) << "threads=" << threads;
+    runs.push_back(std::move(plotted));
+  }
+  EXPECT_EQ(runs[1], runs[0]);
 }
 
 TEST(SingleFlight, ConcurrentMissBuildsOnce) {
@@ -491,8 +531,8 @@ void expect_identical_health(
 }
 
 /// Counter name -> value map from the registry (gauges and histograms are
-/// deliberately excluded: cluster.threads and the shard timings legitimately
-/// vary with the thread count; counters never may).
+/// deliberately excluded: cluster.threads and the timings legitimately vary
+/// with the thread count; counters never may).
 std::map<std::string, std::uint64_t> counter_map() {
   std::map<std::string, std::uint64_t> out;
   for (const auto& [name, value] : obs::metrics().snapshot().counters) {
