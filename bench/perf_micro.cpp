@@ -156,7 +156,7 @@ BENCHMARK(BM_Traceroute);
 void BM_ScanAndClassify(benchmark::State& state) {
   PopulationConfig population;
   population.background_per_isp = 1;
-  const std::vector<TlsEndpoint> endpoints =
+  const TlsEndpoints endpoints =
       build_tls_population(world(), registry(), Snapshot::k2023, population);
   const Scanner scanner(ScannerConfig{});
   const OffnetClassifier classifier(world(), Methodology::k2023);

@@ -195,10 +195,10 @@ const OffnetRegistry& Pipeline::registry(Snapshot snapshot) const {
   });
 }
 
-std::vector<TlsEndpoint> Pipeline::population(Snapshot snapshot) const {
+TlsEndpoints Pipeline::population(Snapshot snapshot) const {
   obs::ScopedSpan span("pipeline.tls_population");
   fault::StageHealth health;
-  std::vector<TlsEndpoint> endpoints;
+  TlsEndpoints endpoints;
   try {
     endpoints = build_tls_population(internet_, registry(snapshot), snapshot,
                                      scenario_.population);
@@ -222,23 +222,23 @@ std::vector<TlsEndpoint> Pipeline::population(Snapshot snapshot) const {
   } catch (const Error& error) {
     health.status = fault::StageStatus::kFailed;
     health.reasons.push_back(std::string("tls_population: ") + error.what());
-    endpoints.clear();
+    endpoints = {};
   }
   record_health("tls_population", std::move(health));
   return endpoints;
 }
 
-std::vector<TlsEndpoint> Pipeline::scan_records(Snapshot snapshot) const {
+TlsEndpoints Pipeline::scan_records(Snapshot snapshot) const {
   return persisted_stage(
       "scan", "pipeline.scan",
       make_key("scan", store::kScanRecordsSchema, world_digest_,
                {static_cast<std::uint64_t>(snapshot)}),
       store::encode, store::decode_scan_records, [&] {
-        StageOutput<std::vector<TlsEndpoint>> out;
+        StageOutput<TlsEndpoints> out;
         fault::StageHealth& health = out.health;
-        std::vector<TlsEndpoint>& records = out.value;
+        TlsEndpoints& records = out.value;
         try {
-          std::vector<TlsEndpoint> endpoints = population(snapshot);
+          TlsEndpoints endpoints = population(snapshot);
           health.total = endpoints.size();
           const Scanner scanner(scenario_.scanner);
           records = scanner.scan(std::move(endpoints));
@@ -264,7 +264,7 @@ std::vector<TlsEndpoint> Pipeline::scan_records(Snapshot snapshot) const {
         } catch (const Error& error) {
           health.status = fault::StageStatus::kFailed;
           health.reasons.push_back(std::string("scan: ") + error.what());
-          records.clear();
+          records = {};
         }
         return out;
       });
@@ -281,7 +281,7 @@ const DiscoveryReport& Pipeline::discovery(Snapshot snapshot,
         // The scan lives only as long as this build: every methodology
         // classifies it, then it is dropped. (A failed scan records its
         // own health and yields no records.)
-        const std::vector<TlsEndpoint> records = scan_records(snapshot);
+        const TlsEndpoints records = scan_records(snapshot);
         std::vector<DiscoveryReport> built;
         for (const Methodology rules : methodologies_for(snapshot)) {
           built.push_back(classify(snapshot, rules, records));
@@ -293,9 +293,8 @@ const DiscoveryReport& Pipeline::discovery(Snapshot snapshot,
                             &DiscoveryReport::methodology);
 }
 
-DiscoveryReport Pipeline::classify(
-    Snapshot snapshot, Methodology methodology,
-    const std::vector<TlsEndpoint>& records) const {
+DiscoveryReport Pipeline::classify(Snapshot snapshot, Methodology methodology,
+                                   const TlsEndpoints& records) const {
   fault::StageHealth health;
   health.total = records.size();
   DiscoveryReport report;

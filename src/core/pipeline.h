@@ -6,7 +6,9 @@
 // population and scan are not stages: discovery scans once per snapshot
 // (the scan builds the population, consumes it and drops it), classifies
 // the records with every methodology the snapshot is read with, and drops
-// them.
+// them. Both are interned (tls/certificate.h): one certificate table per
+// snapshot plus (ip, cert id, serial) endpoints, so classification matches
+// each distinct certificate once per methodology.
 //
 // Degraded-mode execution: a Pipeline can carry a fault::FaultPlan. The
 // plan's pathologies are injected at each stage boundary, every stage
@@ -136,16 +138,19 @@ class Pipeline {
   /// Ground truth (what the measurements must rediscover).
   const OffnetRegistry& registry(Snapshot snapshot) const;
 
-  /// TLS population for a snapshot, in ascending IP order, with cert faults
-  /// applied. Uncached: every call rebuilds it and records its
+  /// TLS population for a snapshot: its certificate table and its
+  /// endpoints in ascending IP order (size() counts endpoints), with cert
+  /// faults applied. Uncached: every call rebuilds it and records its
   /// "tls_population" health, and the scan is its only in-pipeline caller.
-  std::vector<TlsEndpoint> population(Snapshot snapshot) const;
+  TlsEndpoints population(Snapshot snapshot) const;
 
-  /// Scan records for a snapshot, with scan faults applied. Uncached: every
-  /// call is one store consult-or-compute (a cold compute scans a fresh
-  /// population) and records its "scan" health, and discovery is its only
-  /// in-pipeline caller.
-  std::vector<TlsEndpoint> scan_records(Snapshot snapshot) const;
+  /// Scan records for a snapshot, with scan faults applied: the
+  /// population's certificate table and the endpoints the scan saw
+  /// (size() counts records). Uncached: every call is one store
+  /// consult-or-compute (a cold compute scans a fresh population) and
+  /// records its "scan" health, and discovery is its only in-pipeline
+  /// caller.
+  TlsEndpoints scan_records(Snapshot snapshot) const;
 
   /// Discovery from a snapshot's scan with a methodology. Cached per
   /// snapshot: the first call scans once and classifies the records with
@@ -210,7 +215,7 @@ class Pipeline {
   /// Classifies a snapshot's scan with one methodology and records its
   /// "discovery" health, counters and gauge.
   DiscoveryReport classify(Snapshot snapshot, Methodology methodology,
-                           const std::vector<TlsEndpoint>& records) const;
+                           const TlsEndpoints& records) const;
 
   /// The world's OPTICS plots, one per 2023 hosting ISP (the clustering
   /// stage's persisted half; cached).

@@ -23,18 +23,16 @@ std::uint64_t ip_key(Ipv4 ip, std::uint64_t seed, std::uint64_t salt) noexcept {
 
 }  // namespace
 
-std::vector<TlsEndpoint> inject_scan_faults(
-    std::vector<TlsEndpoint> records, const FaultPlan& plan,
-    ScanFaultOutcome* outcome) {
+TlsEndpoints inject_scan_faults(TlsEndpoints records, const FaultPlan& plan,
+                                ScanFaultOutcome* outcome) {
   const ScanFaults& faults = plan.scan;
   const bool truncating = faults.shard_truncation > 0.0;
   const bool bursting =
       faults.burst_coverage > 0.0 && faults.burst_miss_rate > 0.0;
   if (!truncating && !bursting) return records;
 
-  std::vector<TlsEndpoint> kept;
-  kept.reserve(records.size());
-  for (TlsEndpoint& record : records) {
+  auto kept = records.endpoints.begin();
+  for (const TlsEndpoint& record : records.endpoints) {
     const std::uint32_t ip = record.ip.value();
     if (truncating) {
       const std::uint64_t shard = ip >> 24;
@@ -54,18 +52,24 @@ std::vector<TlsEndpoint> inject_scan_faults(
         continue;
       }
     }
-    kept.push_back(std::move(record));
+    *kept++ = record;
   }
-  return kept;
+  records.endpoints.erase(kept, records.endpoints.end());
+  return records;
 }
 
-void inject_cert_faults(std::vector<TlsEndpoint>& population,
-                        const FaultPlan& plan, CertFaultOutcome* outcome) {
+void inject_cert_faults(TlsEndpoints& population, const FaultPlan& plan,
+                        CertFaultOutcome* outcome) {
   const CertFaults& faults = plan.cert;
   if (faults.churn_rate <= 0.0 && faults.garbled_cn_rate <= 0.0) return;
 
-  for (TlsEndpoint& endpoint : population) {
-    TlsCertificate& cert = endpoint.cert;
+  std::vector<TlsCertificate>& table = population.certs;
+  CertInterner interner(table);
+  // Churn re-keys every endpoint of a template alike, so each template's
+  // churned entry is interned once.
+  constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  std::vector<std::uint32_t> churned_ids(table.size(), kNone);
+  for (TlsEndpoint& endpoint : population.endpoints) {
     if (faults.garbled_cn_rate > 0.0 &&
         hash_uniform(ip_key(endpoint.ip, plan.seed, kCertGarbleSalt)) <
             faults.garbled_cn_rate) {
@@ -73,18 +77,26 @@ void inject_cert_faults(std::vector<TlsEndpoint>& population,
       std::snprintf(junk, sizeof(junk), "garbled-%016llx",
                     static_cast<unsigned long long>(
                         mix64(endpoint.ip.value() ^ plan.seed)));
+      TlsCertificate cert = table[endpoint.cert];
       cert.subject.common_name = junk;
       cert.subject.organization.clear();
       cert.san_dns.clear();
+      endpoint.cert = interner.intern(std::move(cert));
       if (outcome != nullptr) ++outcome->garbled;
       continue;
     }
     if (faults.churn_rate > 0.0 &&
         hash_uniform(ip_key(endpoint.ip, plan.seed, kCertChurnSalt)) <
             faults.churn_rate) {
-      cert.serial = mix64(cert.serial + 1);
-      cert.not_before_year = 2023;
-      cert.not_after_year = 2026;
+      endpoint.serial = mix64(endpoint.serial + 1);
+      std::uint32_t& churned = churned_ids[endpoint.cert];
+      if (churned == kNone) {
+        TlsCertificate cert = table[endpoint.cert];
+        cert.not_before_year = 2023;
+        cert.not_after_year = 2026;
+        churned = interner.intern(std::move(cert));
+      }
+      endpoint.cert = churned;
       if (outcome != nullptr) ++outcome->churned;
     }
   }

@@ -23,11 +23,11 @@ struct ScanFaultOutcome {
   std::size_t dropped() const noexcept { return truncated + burst_missed; }
 };
 
-/// Drops records per the plan's ScanFaults. Preserves order; returns the
-/// input unchanged when those faults are inactive.
-std::vector<TlsEndpoint> inject_scan_faults(
-    std::vector<TlsEndpoint> records, const FaultPlan& plan,
-    ScanFaultOutcome* outcome = nullptr);
+/// Drops records per the plan's ScanFaults. Preserves order and the
+/// certificate table; returns the input unchanged when those faults are
+/// inactive.
+TlsEndpoints inject_scan_faults(TlsEndpoints records, const FaultPlan& plan,
+                                ScanFaultOutcome* outcome = nullptr);
 
 /// What inject_cert_faults rewrote.
 struct CertFaultOutcome {
@@ -35,10 +35,12 @@ struct CertFaultOutcome {
   std::size_t garbled = 0;  // names destroyed -> invisible to classification
 };
 
-/// Rewrites certificates in place per the plan's CertFaults; never adds,
-/// removes or reorders an endpoint.
-void inject_cert_faults(std::vector<TlsEndpoint>& population,
-                        const FaultPlan& plan,
+/// Rewrites certificates per the plan's CertFaults; never adds, removes or
+/// reorders an endpoint, and never changes an existing table entry. A
+/// churned endpoint gets a new serial and moves to the entry with its
+/// names and validity 2023-2026; a garbled endpoint moves to an entry of
+/// its own, with a garbled CN and no organization or SANs.
+void inject_cert_faults(TlsEndpoints& population, const FaultPlan& plan,
                         CertFaultOutcome* outcome = nullptr);
 
 /// Folds the plan's ping + anycast faults into a PingConfig: vantage-point

@@ -25,10 +25,12 @@ struct PopulationConfig {
 
 /// The endpoints a Censys-style scan of this snapshot would see, in
 /// ascending IP order, one per IP: where two installs share an IP, the later
-/// one replaces the earlier.
-std::vector<TlsEndpoint> build_tls_population(const Internet& internet,
-                                              const OffnetRegistry& registry,
-                                              Snapshot snapshot,
-                                              const PopulationConfig& config);
+/// one replaces the earlier. Certificates are interned as they are issued:
+/// each distinct template is built and stored once, and each endpoint
+/// carries its id and its own serial.
+TlsEndpoints build_tls_population(const Internet& internet,
+                                  const OffnetRegistry& registry,
+                                  Snapshot snapshot,
+                                  const PopulationConfig& config);
 
 }  // namespace repro

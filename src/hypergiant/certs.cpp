@@ -8,11 +8,10 @@ namespace repro {
 
 namespace {
 
-TlsCertificate base_cert(Rng& rng, int snapshot_year_value) {
+TlsCertificate base_cert(int snapshot_year_value) {
   TlsCertificate cert;
   cert.not_before_year = snapshot_year_value - 1;
   cert.not_after_year = snapshot_year_value + 1;
-  cert.serial = rng.next();
   return cert;
 }
 
@@ -24,10 +23,20 @@ std::string meta_site_name(std::string_view metro_iata, int site_ordinal,
          std::to_string(rack_ordinal) + ".fna.fbcdn.net";
 }
 
-TlsCertificate make_offnet_certificate(Hypergiant hg, Snapshot snapshot,
-                                       std::string_view metro_iata,
-                                       int site_ordinal, Rng& rng) {
-  TlsCertificate cert = base_cert(rng, snapshot_year(snapshot));
+OffnetCertDraws draw_offnet_certificate(Hypergiant hg, Snapshot snapshot,
+                                        Rng& rng) {
+  OffnetCertDraws draws;
+  draws.serial = rng.next();
+  if (hg == Hypergiant::kMeta && snapshot == Snapshot::k2023) {
+    draws.rack_ordinal = 1 + static_cast<int>(rng.uniform_int(1, 6));
+  }
+  return draws;
+}
+
+TlsCertificate offnet_certificate(Hypergiant hg, Snapshot snapshot,
+                                  std::string_view metro_iata,
+                                  int site_ordinal, int rack_ordinal) {
+  TlsCertificate cert = base_cert(snapshot_year(snapshot));
   switch (hg) {
     case Hypergiant::kGoogle:
       cert.subject.common_name = "*.googlevideo.com";
@@ -51,9 +60,8 @@ TlsCertificate make_offnet_certificate(Hypergiant hg, Snapshot snapshot,
         cert.subject.common_name = "*.fna.fbcdn.net";
         cert.san_dns = {"*.fna.fbcdn.net"};
       } else {
-        const std::string name = meta_site_name(
-            metro_iata, 10 + site_ordinal,
-            1 + static_cast<int>(rng.uniform_int(1, 6)));
+        const std::string name =
+            meta_site_name(metro_iata, 10 + site_ordinal, rack_ordinal);
         cert.subject.common_name = name;
         cert.san_dns = {name};
       }
@@ -70,11 +78,11 @@ TlsCertificate make_offnet_certificate(Hypergiant hg, Snapshot snapshot,
       cert.issuer_organization = "GlobalSign nv-sa";
       return cert;
   }
-  throw Error("make_offnet_certificate: bad hypergiant");
+  throw Error("offnet_certificate: bad hypergiant");
 }
 
-TlsCertificate make_onnet_certificate(Hypergiant hg, Snapshot snapshot, Rng& rng) {
-  TlsCertificate cert = base_cert(rng, snapshot_year(snapshot));
+TlsCertificate onnet_certificate(Hypergiant hg, Snapshot snapshot) {
+  TlsCertificate cert = base_cert(snapshot_year(snapshot));
   switch (hg) {
     case Hypergiant::kGoogle:
       // Onnet video caches also present googlevideo names; the classifier
@@ -106,7 +114,7 @@ TlsCertificate make_onnet_certificate(Hypergiant hg, Snapshot snapshot, Rng& rng
       cert.issuer_organization = "GlobalSign nv-sa";
       return cert;
   }
-  throw Error("make_onnet_certificate: bad hypergiant");
+  throw Error("onnet_certificate: bad hypergiant");
 }
 
 }  // namespace repro

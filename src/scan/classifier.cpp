@@ -52,8 +52,7 @@ OffnetClassifier::OffnetClassifier(const Internet& internet,
                                    Methodology methodology)
     : internet_(internet), methodology_(methodology) {}
 
-DiscoveryReport OffnetClassifier::classify(
-    const std::vector<TlsEndpoint>& records) const {
+DiscoveryReport OffnetClassifier::classify(const TlsEndpoints& records) const {
   obs::ScopedSpan span("scan.classify");
   DiscoveryReport report;
   report.methodology = methodology_;
@@ -71,7 +70,18 @@ DiscoveryReport OffnetClassifier::classify(
     hg_as[static_cast<std::size_t>(hg)] = internet_.as_by_asn(profile(hg).asn);
   }
 
-  for (const TlsEndpoint& record : records) {
+  // Bit h of a certificate's mask: hypergiant h's fingerprint accepts it.
+  static_assert(kHypergiantCount <= 8);
+  std::vector<std::uint8_t> masks(records.certs.size(), 0);
+  for (std::size_t id = 0; id < masks.size(); ++id) {
+    for (const Hypergiant hg : all_hypergiants()) {
+      if (certificate_matches(records.certs[id], hg, methodology_)) {
+        masks[id] |= static_cast<std::uint8_t>(1u << static_cast<unsigned>(hg));
+      }
+    }
+  }
+
+  for (const TlsEndpoint& record : records.endpoints) {
     const auto owner = internet_.as_of_ip(record.ip);
     if (!owner) {  // unrouted space
       ++unrouted;
@@ -83,8 +93,10 @@ DiscoveryReport OffnetClassifier::classify(
       ++in_hg_as_count;
       continue;
     }
+    const std::uint8_t mask = masks[record.cert];
+    if (mask == 0) continue;
     for (const Hypergiant hg : all_hypergiants()) {
-      if (!certificate_matches(record.cert, hg, methodology_)) continue;
+      if ((mask >> static_cast<unsigned>(hg) & 1u) == 0) continue;
       ++matched[static_cast<std::size_t>(hg)];
       report.footprints[static_cast<std::size_t>(hg)].by_isp[*owner].push_back(
           record.ip);

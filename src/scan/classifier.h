@@ -41,12 +41,15 @@ struct DiscoveryReport {
   int hypergiants_at(AsIndex isp) const noexcept;
 };
 
-/// Applies a methodology's fingerprints to scan records.
+/// Applies a methodology's fingerprints to scan records. The fingerprints
+/// read only the certificate, so each distinct certificate of the records'
+/// table is matched once; the per-record pass attributes IPs to ASes.
 class OffnetClassifier {
  public:
   OffnetClassifier(const Internet& internet, Methodology methodology);
 
-  DiscoveryReport classify(const std::vector<TlsEndpoint>& records) const;
+  /// Every endpoint's cert id must index `records.certs`.
+  DiscoveryReport classify(const TlsEndpoints& records) const;
 
  private:
   const Internet& internet_;

@@ -14,23 +14,22 @@ Scanner::Scanner(ScannerConfig config) : config_(config) {
           "ScannerConfig: miss_rate outside [0, 1)");
 }
 
-std::vector<TlsEndpoint> Scanner::scan(
-    std::vector<TlsEndpoint> population) const {
+TlsEndpoints Scanner::scan(TlsEndpoints population) const {
   obs::ScopedSpan span("scan.scan");
+  std::vector<TlsEndpoint>& seen = population.endpoints;
   // The miss draws follow IP order, so the order is what makes a scan
   // deterministic.
-  require(std::ranges::adjacent_find(population, std::greater_equal{},
-                                     &TlsEndpoint::ip) == population.end(),
+  require(std::ranges::adjacent_find(seen, std::greater_equal{},
+                                     &TlsEndpoint::ip) == seen.end(),
           "Scanner: population not in ascending IP order");
   Rng rng(config_.seed);
-  const std::size_t endpoints = population.size();
-  auto kept = population.begin();
-  for (auto it = population.begin(); it != population.end(); ++it) {
+  const std::size_t endpoints = seen.size();
+  auto kept = seen.begin();
+  for (const TlsEndpoint& endpoint : seen) {
     if (rng.chance(config_.miss_rate)) continue;
-    if (kept != it) *kept = std::move(*it);
-    ++kept;
+    *kept++ = endpoint;
   }
-  population.erase(kept, population.end());
+  seen.erase(kept, seen.end());
   obs::metrics().counter("scan.endpoints_total").add(endpoints);
   obs::metrics().counter("scan.records_total").add(population.size());
   obs::metrics().counter("scan.missed").add(endpoints - population.size());

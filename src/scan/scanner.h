@@ -24,9 +24,9 @@ class Scanner {
 
   /// The endpoints of `population` (in ascending IP order, as
   /// build_tls_population returns it) that the scan sees, in the same
-  /// order. The population is consumed: seen endpoints move into the
-  /// records.
-  std::vector<TlsEndpoint> scan(std::vector<TlsEndpoint> population) const;
+  /// order, with the population's certificate table. The population is
+  /// consumed: the records reuse its storage.
+  TlsEndpoints scan(TlsEndpoints population) const;
 
  private:
   ScannerConfig config_;

@@ -225,6 +225,7 @@ LoadResult ArtifactStore::load(const ArtifactKey& key) {
   LoadResult result;
 
   std::vector<std::uint8_t> bytes;
+  std::uint64_t file_bytes = 0;
   {
     std::ifstream in(path, std::ios::binary);
     if (!in) {
@@ -236,6 +237,7 @@ LoadResult ArtifactStore::load(const ArtifactKey& key) {
     const std::streamoff size = in.tellg();
     in.seekg(0, std::ios::beg);
     bytes.resize(static_cast<std::size_t>(std::max<std::streamoff>(size, 0)));
+    file_bytes = bytes.size();
     if (!bytes.empty()) {
       in.read(reinterpret_cast<char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
@@ -268,17 +270,23 @@ LoadResult ArtifactStore::load(const ArtifactKey& key) {
       if (payload_size != reader.remaining() - sizeof(std::uint64_t)) {
         throw SerdeError("payload size mismatch");
       }
-      std::vector<std::uint8_t> payload(bytes.end() - reader.remaining(),
-                                        bytes.end() - sizeof(std::uint64_t));
+      const std::size_t payload_offset = bytes.size() - reader.remaining();
       ByteReader tail(std::span<const std::uint8_t>(
           bytes.data() + bytes.size() - sizeof(std::uint64_t),
           sizeof(std::uint64_t)));
-      if (tail.u64() !=
-          Fnv1a().mix_bytes(payload.data(), payload.size()).digest()) {
+      if (tail.u64() != Fnv1a()
+                            .mix_bytes(bytes.data() + payload_offset,
+                                       payload_size)
+                            .digest()) {
         throw SerdeError("checksum mismatch");
       }
+      // Hand the file buffer over as the payload: drop the checksum and
+      // shift out the header in place, with no second allocation.
+      bytes.resize(bytes.size() - sizeof(std::uint64_t));
+      bytes.erase(bytes.begin(),
+                  bytes.begin() + static_cast<std::ptrdiff_t>(payload_offset));
       result.status = LoadStatus::kHit;
-      result.payload = std::move(payload);
+      result.payload = std::move(bytes);
     } catch (const Error& error) {
       result.status = LoadStatus::kCorrupt;
       result.detail = filename + ": " + error.what();
@@ -299,9 +307,9 @@ LoadResult ArtifactStore::load(const ArtifactKey& key) {
   } else {
     // Present on disk but unknown to this instance (written by another
     // process since startup): adopt it.
-    recency_.push_front({filename, static_cast<std::uint64_t>(bytes.size())});
+    recency_.push_front({filename, file_bytes});
     index_[filename] = recency_.begin();
-    used_bytes_ += bytes.size();
+    used_bytes_ += file_bytes;
   }
   if (!config_.read_only) {
     std::error_code ec;

@@ -10,7 +10,8 @@ namespace {
 
 /// Decode-side sanity cap on element counts: a corrupted length prefix must
 /// not turn into a multi-gigabyte allocation before the checksum mismatch
-/// is noticed. Generous (the paper-scale scan is ~300K records).
+/// is noticed. Generous: the paper-scale scans hold 274,129 and 293,185
+/// records over 7,378 and 9,988 distinct certificates.
 constexpr std::uint64_t kMaxElements = 1u << 28;
 
 std::uint64_t checked_count(std::uint64_t count, const char* what) {
@@ -136,7 +137,6 @@ void encode(ByteWriter& out, const TlsCertificate& cert) {
   for (const std::string& san : cert.san_dns) out.str(san);
   out.i32(cert.not_before_year);
   out.i32(cert.not_after_year);
-  out.u64(cert.serial);
 }
 
 TlsCertificate decode_certificate(ByteReader& in) {
@@ -145,34 +145,47 @@ TlsCertificate decode_certificate(ByteReader& in) {
   cert.subject.organization = in.str();
   cert.issuer_organization = in.str();
   const std::uint64_t sans = checked_count(in.u32(), "certificate SANs");
-  cert.san_dns.reserve(sans);
   for (std::uint64_t i = 0; i < sans; ++i) cert.san_dns.push_back(in.str());
   cert.not_before_year = in.i32();
   cert.not_after_year = in.i32();
-  cert.serial = in.u64();
   return cert;
 }
 
 // --- scan records ---
 
-void encode(ByteWriter& out, const std::vector<TlsEndpoint>& records) {
-  out.u64(records.size());
-  for (const TlsEndpoint& record : records) {
-    out.u32(record.ip.value());
-    encode(out, record.cert);
-  }
+void encode(ByteWriter& out, const TlsEndpoints& records) {
+  out.u64(records.certs.size());
+  for (const TlsCertificate& cert : records.certs) encode(out, cert);
+  out.u64(records.endpoints.size());
+  for (const TlsEndpoint& record : records.endpoints) out.u32(record.ip.value());
+  for (const TlsEndpoint& record : records.endpoints) out.u32(record.cert);
+  for (const TlsEndpoint& record : records.endpoints) out.u64(record.serial);
 }
 
-std::vector<TlsEndpoint> decode_scan_records(ByteReader& in) {
-  const std::uint64_t count = checked_count(in.u64(), "scan records");
-  std::vector<TlsEndpoint> records;
-  records.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    TlsEndpoint record;
-    record.ip = Ipv4(in.u32());
-    record.cert = decode_certificate(in);
-    records.push_back(std::move(record));
+TlsEndpoints decode_scan_records(ByteReader& in) {
+  TlsEndpoints records;
+  const std::uint64_t certs = checked_count(in.u64(), "scan certificates");
+  for (std::uint64_t i = 0; i < certs; ++i) {
+    records.certs.push_back(decode_certificate(in));
   }
+  const std::uint64_t count = checked_count(in.u64(), "scan records");
+  // Each record is 16 bytes of columns: check they are there before
+  // allocating them.
+  if (in.remaining() / 16 < count) {
+    throw SerdeError("truncated input: " + std::to_string(count) +
+                     " scan records need " + std::to_string(count * 16) +
+                     " bytes, have " + std::to_string(in.remaining()));
+  }
+  records.endpoints.resize(count);
+  for (TlsEndpoint& record : records.endpoints) record.ip = Ipv4(in.u32());
+  for (TlsEndpoint& record : records.endpoints) {
+    record.cert = in.u32();
+    if (record.cert >= certs) {
+      throw SerdeError("scan record cert id " + std::to_string(record.cert) +
+                       " outside a table of " + std::to_string(certs));
+    }
+  }
+  for (TlsEndpoint& record : records.endpoints) record.serial = in.u64();
   return records;
 }
 

@@ -37,7 +37,7 @@ class SerdeError : public Error {
 };
 
 // --- per-type schema versions (see docs/PERSISTENCE.md for bump rules) ---
-inline constexpr std::uint32_t kScanRecordsSchema = 2;
+inline constexpr std::uint32_t kScanRecordsSchema = 3;
 inline constexpr std::uint32_t kPlotSchema = 1;
 /// Header version of the .mmx latency-matrix spill format
 /// (store/matrix_file.h), which only perfbench's clustering replay still
@@ -125,8 +125,11 @@ class Fnv1a {
 void encode(ByteWriter& out, const TlsCertificate& cert);
 TlsCertificate decode_certificate(ByteReader& in);
 
-void encode(ByteWriter& out, const std::vector<TlsEndpoint>& records);
-std::vector<TlsEndpoint> decode_scan_records(ByteReader& in);
+/// Scan records (schema 3): the certificate table, then the endpoint
+/// count and the ip, cert-id and serial columns. Decoding also throws
+/// SerdeError when a cert id does not index the table.
+void encode(ByteWriter& out, const TlsEndpoints& records);
+TlsEndpoints decode_scan_records(ByteReader& in);
 
 void encode(ByteWriter& out, const IspPlot& plot);
 /// Also throws SerdeError when the plot's shape is inconsistent: an

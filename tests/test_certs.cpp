@@ -2,17 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "util/strings.h"
 
 namespace repro {
 namespace {
 
+/// One offnet server's certificate template, drawn as the population
+/// builder draws it.
+TlsCertificate issue_offnet(Hypergiant hg, Snapshot snapshot,
+                            std::string_view metro_iata, int site_ordinal,
+                            Rng& rng) {
+  const OffnetCertDraws draws = draw_offnet_certificate(hg, snapshot, rng);
+  return offnet_certificate(hg, snapshot, metro_iata, site_ordinal,
+                            draws.rack_ordinal);
+}
+
 TEST(GoogleCerts, OrganizationDroppedIn2023) {
   Rng rng(1);
   const TlsCertificate cert_2021 =
-      make_offnet_certificate(Hypergiant::kGoogle, Snapshot::k2021, "nyc", 0, rng);
+      issue_offnet(Hypergiant::kGoogle, Snapshot::k2021, "nyc", 0, rng);
   const TlsCertificate cert_2023 =
-      make_offnet_certificate(Hypergiant::kGoogle, Snapshot::k2023, "nyc", 0, rng);
+      issue_offnet(Hypergiant::kGoogle, Snapshot::k2023, "nyc", 0, rng);
   EXPECT_EQ(cert_2021.subject.organization, "Google LLC");
   EXPECT_TRUE(cert_2023.subject.organization.empty());
   // The CN remains googlevideo in both eras (the 2023 methodology's anchor).
@@ -23,9 +35,9 @@ TEST(GoogleCerts, OrganizationDroppedIn2023) {
 TEST(MetaCerts, SiteSpecificNamesIn2023) {
   Rng rng(2);
   const TlsCertificate cert_2021 =
-      make_offnet_certificate(Hypergiant::kMeta, Snapshot::k2021, "han", 4, rng);
+      issue_offnet(Hypergiant::kMeta, Snapshot::k2021, "han", 4, rng);
   const TlsCertificate cert_2023 =
-      make_offnet_certificate(Hypergiant::kMeta, Snapshot::k2023, "han", 4, rng);
+      issue_offnet(Hypergiant::kMeta, Snapshot::k2023, "han", 4, rng);
   EXPECT_EQ(cert_2021.subject.common_name, "*.fna.fbcdn.net");
   EXPECT_NE(cert_2023.subject.common_name, "*.fna.fbcdn.net");
   // Site names look like *.fhan14-4.fna.fbcdn.net: metro code embedded.
@@ -42,7 +54,7 @@ TEST(NetflixCerts, ConventionStableAcrossSnapshots) {
   Rng rng(3);
   for (const Snapshot snapshot : {Snapshot::k2021, Snapshot::k2023}) {
     const TlsCertificate cert =
-        make_offnet_certificate(Hypergiant::kNetflix, snapshot, "ams", 0, rng);
+        issue_offnet(Hypergiant::kNetflix, snapshot, "ams", 0, rng);
     EXPECT_EQ(cert.subject.common_name, "*.oca.nflxvideo.net");
     EXPECT_EQ(cert.subject.organization, "Netflix, Inc.");
   }
@@ -51,26 +63,25 @@ TEST(NetflixCerts, ConventionStableAcrossSnapshots) {
 TEST(AkamaiCerts, OrganizationAnchored) {
   Rng rng(4);
   const TlsCertificate cert =
-      make_offnet_certificate(Hypergiant::kAkamai, Snapshot::k2023, "fra", 0, rng);
+      issue_offnet(Hypergiant::kAkamai, Snapshot::k2023, "fra", 0, rng);
   EXPECT_EQ(cert.subject.organization, "Akamai Technologies, Inc.");
 }
 
 TEST(OnnetCerts, DifferFromOffnetForMeta2023) {
   Rng rng(5);
   const TlsCertificate onnet =
-      make_onnet_certificate(Hypergiant::kMeta, Snapshot::k2023, rng);
+      onnet_certificate(Hypergiant::kMeta, Snapshot::k2023);
   const TlsCertificate offnet =
-      make_offnet_certificate(Hypergiant::kMeta, Snapshot::k2023, "han", 1, rng);
+      issue_offnet(Hypergiant::kMeta, Snapshot::k2023, "han", 1, rng);
   EXPECT_EQ(onnet.subject.common_name, "*.fna.fbcdn.net");
   EXPECT_NE(onnet.subject.common_name, offnet.subject.common_name);
 }
 
 TEST(OnnetCerts, GoogleOrgFollowsEra) {
-  Rng rng(6);
-  EXPECT_EQ(make_onnet_certificate(Hypergiant::kGoogle, Snapshot::k2021, rng)
+  EXPECT_EQ(onnet_certificate(Hypergiant::kGoogle, Snapshot::k2021)
                 .subject.organization,
             "Google LLC");
-  EXPECT_TRUE(make_onnet_certificate(Hypergiant::kGoogle, Snapshot::k2023, rng)
+  EXPECT_TRUE(onnet_certificate(Hypergiant::kGoogle, Snapshot::k2023)
                   .subject.organization.empty());
 }
 
@@ -79,7 +90,7 @@ TEST(Certs, ValidityCoversSnapshotYear) {
   for (const Hypergiant hg : all_hypergiants()) {
     for (const Snapshot snapshot : {Snapshot::k2021, Snapshot::k2023}) {
       const TlsCertificate cert =
-          make_offnet_certificate(hg, snapshot, "nyc", 0, rng);
+          issue_offnet(hg, snapshot, "nyc", 0, rng);
       EXPECT_LE(cert.not_before_year, snapshot_year(snapshot));
       EXPECT_GE(cert.not_after_year, snapshot_year(snapshot));
     }
@@ -87,11 +98,10 @@ TEST(Certs, ValidityCoversSnapshotYear) {
 }
 
 TEST(Certs, SerialsVary) {
+  // Two servers of one template share its names but not their serials.
   Rng rng(8);
-  const auto a = make_offnet_certificate(Hypergiant::kGoogle, Snapshot::k2023,
-                                         "nyc", 0, rng);
-  const auto b = make_offnet_certificate(Hypergiant::kGoogle, Snapshot::k2023,
-                                         "nyc", 0, rng);
+  const auto a = draw_offnet_certificate(Hypergiant::kGoogle, Snapshot::k2023, rng);
+  const auto b = draw_offnet_certificate(Hypergiant::kGoogle, Snapshot::k2023, rng);
   EXPECT_NE(a.serial, b.serial);
 }
 

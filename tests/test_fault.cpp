@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <set>
 
@@ -217,20 +218,25 @@ TEST(StageHealth, SectionJsonParses) {
 // -------------------------------------------------------- Scan injection --
 
 /// A synthetic population spread over many /8 shards and /16 regions, in
-/// ascending IP order.
-std::vector<TlsEndpoint> synthetic_population(std::size_t count) {
-  std::vector<TlsEndpoint> population;
-  for (std::size_t i = 0; i < count; ++i) {
+/// ascending IP order. Endpoints share 16 certificate templates, each
+/// endpoint with its own serial.
+TlsEndpoints synthetic_population(std::size_t count) {
+  TlsEndpoints population;
+  for (int t = 0; t < 16; ++t) {
     TlsCertificate cert;
-    cert.subject.common_name = "host-" + std::to_string(i) + ".example.net";
+    cert.subject.common_name = "host-" + std::to_string(t) + ".example.net";
+    cert.subject.organization = "Example " + std::to_string(t);
     cert.san_dns = {cert.subject.common_name};
-    cert.serial = 1000 + i;
+    population.certs.push_back(std::move(cert));
+  }
+  for (std::size_t i = 0; i < count; ++i) {
     // Spread across 64 /8s and 16 /16s within each.
     const std::uint32_t ip = static_cast<std::uint32_t>(
         ((i % 64) << 24) | ((i % 16) << 16) | (i & 0xFFFF));
-    population.push_back({Ipv4(ip), std::move(cert)});
+    population.endpoints.push_back(
+        {Ipv4(ip), static_cast<std::uint32_t>(i * 7 % 16), 1000 + i});
   }
-  std::ranges::sort(population, {}, &TlsEndpoint::ip);
+  std::ranges::sort(population.endpoints, {}, &TlsEndpoint::ip);
   return population;
 }
 
@@ -239,11 +245,8 @@ TEST(ScanFaults, InactivePlanIsIdentity) {
   fault::ScanFaultOutcome outcome;
   const auto out =
       fault::inject_scan_faults(records, fault::FaultPlan::none(), &outcome);
-  EXPECT_EQ(out.size(), records.size());
+  EXPECT_EQ(out, records);
   EXPECT_EQ(outcome.dropped(), 0u);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].ip, records[i].ip);
-  }
 }
 
 TEST(ScanFaults, ShardTruncationDropsWholeShards) {
@@ -255,22 +258,19 @@ TEST(ScanFaults, ShardTruncationDropsWholeShards) {
   EXPECT_GT(outcome.truncated, 0u);
   EXPECT_EQ(outcome.burst_missed, 0u);
   EXPECT_EQ(out.size() + outcome.truncated, records.size());
+  EXPECT_EQ(out.certs, records.certs);  // the table travels whole
 
   // All-or-nothing per /8: every surviving shard must be complete.
   std::map<std::uint32_t, std::size_t> before, after;
-  for (const auto& record : records) ++before[record.ip.value() >> 24];
-  for (const auto& record : out) ++after[record.ip.value() >> 24];
+  for (const auto& record : records.endpoints) ++before[record.ip.value() >> 24];
+  for (const auto& record : out.endpoints) ++after[record.ip.value() >> 24];
   for (const auto& [shard, count] : after) {
     EXPECT_EQ(count, before.at(shard)) << "shard " << shard << " truncated "
                                        << "partially, not wholesale";
   }
 
   // Deterministic replay.
-  const auto again = fault::inject_scan_faults(records, plan);
-  ASSERT_EQ(again.size(), out.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(again[i].ip, out[i].ip);
-  }
+  EXPECT_EQ(fault::inject_scan_faults(records, plan), out);
 }
 
 TEST(ScanFaults, MissBurstsConfinedToBurstRegions) {
@@ -285,8 +285,8 @@ TEST(ScanFaults, MissBurstsConfinedToBurstRegions) {
 
   // With miss rate 1.0 a /16 region is either untouched or emptied.
   std::map<std::uint32_t, std::size_t> before, after;
-  for (const auto& record : records) ++before[record.ip.value() >> 16];
-  for (const auto& record : out) ++after[record.ip.value() >> 16];
+  for (const auto& record : records.endpoints) ++before[record.ip.value() >> 16];
+  for (const auto& record : out.endpoints) ++after[record.ip.value() >> 16];
   for (const auto& [region, count] : after) {
     EXPECT_EQ(count, before.at(region));
   }
@@ -296,8 +296,8 @@ TEST(ScanFaults, MissBurstsConfinedToBurstRegions) {
 // -------------------------------------------------------- Cert injection --
 
 TEST(CertFaults, GarbledCertsLoseNamesAndChurnedKeepThem) {
-  std::vector<TlsEndpoint> population = synthetic_population(1000);
-  const std::vector<TlsEndpoint> original = population;
+  TlsEndpoints population = synthetic_population(1000);
+  const TlsEndpoints original = population;
   fault::FaultPlan plan;
   plan.cert.churn_rate = 0.3;
   plan.cert.garbled_cn_rate = 0.2;
@@ -306,33 +306,69 @@ TEST(CertFaults, GarbledCertsLoseNamesAndChurnedKeepThem) {
   EXPECT_GT(outcome.churned, 0u);
   EXPECT_GT(outcome.garbled, 0u);
   ASSERT_EQ(population.size(), original.size());  // rewritten, never removed
+  // Existing entries are never rewritten: faults only append entries.
+  ASSERT_GE(population.certs.size(), original.certs.size());
+  EXPECT_TRUE(std::equal(original.certs.begin(), original.certs.end(),
+                         population.certs.begin()));
+  EXPECT_EQ(std::set<TlsCertificate>(population.certs.begin(),
+                                     population.certs.end())
+                .size(),
+            population.certs.size())
+      << "duplicate template in the faulted table";
 
+  std::map<std::uint32_t, std::size_t> readers;  // cert id -> endpoints
+  for (const TlsEndpoint& endpoint : population.endpoints) {
+    ++readers[endpoint.cert];
+  }
   std::size_t garbled = 0;
   std::size_t churned = 0;
+  std::set<std::uint32_t> garbled_templates;  // their original ids
+  std::set<std::uint32_t> untouched_templates;
   for (std::size_t i = 0; i < original.size(); ++i) {
-    const TlsEndpoint& endpoint = original[i];
-    ASSERT_EQ(population[i].ip, endpoint.ip);  // never reordered
-    const TlsCertificate& mutated = population[i].cert;
-    if (mutated == endpoint.cert) continue;
-    if (mutated.subject.common_name.starts_with("garbled-")) {
+    const TlsEndpoint& before = original.endpoints[i];
+    const TlsEndpoint& after = population.endpoints[i];
+    ASSERT_EQ(after.ip, before.ip);  // never reordered
+    const TlsCertificate& was = original.cert_of(before);
+    const TlsCertificate& now = population.cert_of(after);
+    if (after == before) {
+      untouched_templates.insert(before.cert);
+      continue;
+    }
+    if (now.subject.common_name.starts_with("garbled-")) {
+      // Garbled: an entry of its own, names gone, serial kept.
       ++garbled;
-      EXPECT_TRUE(mutated.san_dns.empty());
-      EXPECT_TRUE(mutated.subject.organization.empty());
+      garbled_templates.insert(before.cert);
+      EXPECT_GE(after.cert, original.certs.size());
+      EXPECT_EQ(readers.at(after.cert), 1u);
+      EXPECT_TRUE(now.san_dns.empty());
+      EXPECT_TRUE(now.subject.organization.empty());
+      EXPECT_EQ(now.issuer_organization, was.issuer_organization);
+      EXPECT_EQ(after.serial, before.serial);
     } else {
-      // Churn: new serial/validity, names intact.
+      // Churn: new serial and validity, names intact.
       ++churned;
-      EXPECT_EQ(mutated.subject.common_name, endpoint.cert.subject.common_name);
-      EXPECT_EQ(mutated.san_dns, endpoint.cert.san_dns);
-      EXPECT_NE(mutated.serial, endpoint.cert.serial);
+      EXPECT_NE(after.cert, before.cert);
+      EXPECT_EQ(now.subject, was.subject);
+      EXPECT_EQ(now.issuer_organization, was.issuer_organization);
+      EXPECT_EQ(now.san_dns, was.san_dns);
+      EXPECT_EQ(now.not_before_year, 2023);
+      EXPECT_EQ(now.not_after_year, 2026);
+      EXPECT_NE(after.serial, before.serial);
     }
   }
   EXPECT_EQ(garbled, outcome.garbled);
   EXPECT_EQ(churned, outcome.churned);
+  // Untouched endpoints that shared a garbled endpoint's template still
+  // read it (the check above: their id and the entry are both unchanged).
+  std::vector<std::uint32_t> shared;
+  std::ranges::set_intersection(garbled_templates, untouched_templates,
+                                std::back_inserter(shared));
+  EXPECT_FALSE(shared.empty());
 }
 
 TEST(CertFaults, InactivePlanNeverMutates) {
-  std::vector<TlsEndpoint> population = synthetic_population(200);
-  const std::vector<TlsEndpoint> original = population;
+  TlsEndpoints population = synthetic_population(200);
+  const TlsEndpoints original = population;
   fault::inject_cert_faults(population, fault::FaultPlan::none());
   EXPECT_EQ(population, original);
 }
@@ -340,26 +376,22 @@ TEST(CertFaults, InactivePlanNeverMutates) {
 // ------------------------------------------------------- Scanner replay --
 
 TEST(ScannerReplay, NonzeroMissRateIsDeterministic) {
-  const std::vector<TlsEndpoint> population = synthetic_population(3000);
+  const TlsEndpoints population = synthetic_population(3000);
   ScannerConfig config;
   config.seed = 77;
   config.miss_rate = 0.3;
   const Scanner scanner(config);
   const auto a = scanner.scan(population);
   const auto b = scanner.scan(population);
-  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(a, b);
   EXPECT_LT(a.size(), population.size());  // misses actually happened
   EXPECT_GT(a.size(), population.size() / 2);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].ip, b[i].ip);
-    EXPECT_EQ(a[i].cert, b[i].cert);
-  }
   // A different seed must miss a different subset.
   config.seed = 78;
   const auto c = Scanner(config).scan(population);
   std::set<std::uint32_t> ips_a, ips_c;
-  for (const auto& record : a) ips_a.insert(record.ip.value());
-  for (const auto& record : c) ips_c.insert(record.ip.value());
+  for (const auto& record : a.endpoints) ips_a.insert(record.ip.value());
+  for (const auto& record : c.endpoints) ips_c.insert(record.ip.value());
   EXPECT_NE(ips_a, ips_c);
 }
 
@@ -519,14 +551,10 @@ TEST(FaultPipeline, ZeroFaultPlanIsBitIdenticalToNoPlan) {
   const Pipeline bare(Scenario::tiny());
   const Pipeline with_plan(Scenario::tiny(), fault::FaultPlan::none());
 
-  const std::vector<TlsEndpoint> records_a = bare.scan_records(Snapshot::k2023);
-  const std::vector<TlsEndpoint> records_b =
-      with_plan.scan_records(Snapshot::k2023);
-  ASSERT_EQ(records_a.size(), records_b.size());
-  for (std::size_t i = 0; i < records_a.size(); ++i) {
-    ASSERT_EQ(records_a[i].ip, records_b[i].ip);
-    ASSERT_EQ(records_a[i].cert, records_b[i].cert);
-  }
+  const TlsEndpoints records_a = bare.scan_records(Snapshot::k2023);
+  const TlsEndpoints records_b = with_plan.scan_records(Snapshot::k2023);
+  ASSERT_EQ(records_a.certs, records_b.certs);
+  ASSERT_EQ(records_a.endpoints, records_b.endpoints);
 
   const Table1Study t1_a = table1_study(bare);
   const Table1Study t1_b = table1_study(with_plan);
@@ -612,8 +640,7 @@ TEST(FaultPipeline, CertChurnOnlyLeavesPopulationOkAndDiscoveryUnchanged) {
     }
   }
   // Churn happened, and the fingerprints absorbed it.
-  const std::vector<TlsEndpoint> population =
-      churned.population(Snapshot::k2023);
+  const TlsEndpoints population = churned.population(Snapshot::k2023);
   EXPECT_NE(population, clean.population(Snapshot::k2023));
   const fault::StageHealth& health =
       churned.stage_health().at("tls_population");
@@ -640,8 +667,7 @@ TEST(FaultPipeline, OneScanPerSnapshotAcrossMethodologies) {
   EXPECT_EQ(current.methodology, Methodology::k2023);
   EXPECT_EQ(old_rules.methodology, Methodology::k2021);
   // The population is not cached, but every rebuild is the same.
-  const std::vector<TlsEndpoint> population =
-      pipeline.population(Snapshot::k2023);
+  const TlsEndpoints population = pipeline.population(Snapshot::k2023);
   EXPECT_FALSE(population.empty());
   EXPECT_EQ(population, pipeline.population(Snapshot::k2023));
   // A different snapshot is a different campaign.

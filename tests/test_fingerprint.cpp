@@ -2,10 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "hypergiant/certs.h"
 
 namespace repro {
 namespace {
+
+/// One offnet server's certificate template, drawn as the population
+/// builder draws it.
+TlsCertificate issue_offnet(Hypergiant hg, Snapshot snapshot,
+                            std::string_view metro_iata, int site_ordinal,
+                            Rng& rng) {
+  const OffnetCertDraws draws = draw_offnet_certificate(hg, snapshot, rng);
+  return offnet_certificate(hg, snapshot, metro_iata, site_ordinal,
+                            draws.rack_ordinal);
+}
 
 /// Every (hypergiant certificate, methodology) combination: an offnet cert
 /// of hypergiant X issued at snapshot S must match exactly the fingerprints
@@ -23,7 +35,7 @@ TEST_P(FingerprintMatrix, OffnetCertDetection) {
   const MatchCase& c = GetParam();
   Rng rng(99);
   const TlsCertificate cert =
-      make_offnet_certificate(c.cert_of, c.snapshot, "nyc", 3, rng);
+      issue_offnet(c.cert_of, c.snapshot, "nyc", 3, rng);
   EXPECT_EQ(certificate_matches(cert, c.cert_of, c.methodology), c.expected)
       << to_string(c.cert_of) << " snapshot " << to_string(c.snapshot)
       << " methodology " << to_string(c.methodology);
@@ -55,7 +67,7 @@ TEST(Fingerprint, NoCrossHypergiantMatches) {
   for (const Hypergiant owner : all_hypergiants()) {
     for (const Snapshot snapshot : {Snapshot::k2021, Snapshot::k2023}) {
       const TlsCertificate cert =
-          make_offnet_certificate(owner, snapshot, "lhr", 1, rng);
+          issue_offnet(owner, snapshot, "lhr", 1, rng);
       for (const Hypergiant other : all_hypergiants()) {
         if (other == owner) continue;
         for (const Methodology methodology :
@@ -108,9 +120,8 @@ TEST(Fingerprint, GoogleRequiresGoogleIssuer) {
 TEST(Fingerprint, OnnetCertsAlsoMatch) {
   // Onnet certs match fingerprints too -- exclusion happens via IP-to-AS,
   // not via the certificate itself.
-  Rng rng(8);
   const TlsCertificate onnet =
-      make_onnet_certificate(Hypergiant::kGoogle, Snapshot::k2023, rng);
+      onnet_certificate(Hypergiant::kGoogle, Snapshot::k2023);
   EXPECT_TRUE(certificate_matches(onnet, Hypergiant::kGoogle, Methodology::k2023));
 }
 

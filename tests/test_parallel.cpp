@@ -577,7 +577,8 @@ std::vector<std::uint64_t> stage_outputs(const Pipeline& pipeline) {
   for (const Snapshot snapshot : {Snapshot::k2021, Snapshot::k2023}) {
     out.push_back(pipeline.registry(snapshot).server_count());
     out.push_back(pipeline.population(snapshot).size());
-    for (const TlsEndpoint& record : pipeline.scan_records(snapshot)) {
+    const TlsEndpoints records = pipeline.scan_records(snapshot);
+    for (const TlsEndpoint& record : records.endpoints) {
       out.push_back(record.ip.value());
     }
   }

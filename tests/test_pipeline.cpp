@@ -71,7 +71,7 @@ TEST_F(PipelineTest, ScanRecordsRescanOnEveryCall) {
     return obs::metrics().counter("scan.endpoints_total").value();
   };
   const std::uint64_t before = scanned();
-  const std::vector<TlsEndpoint> first = pipeline_->scan_records(Snapshot::k2023);
+  const TlsEndpoints first = pipeline_->scan_records(Snapshot::k2023);
   const std::uint64_t one_scan = scanned() - before;
   EXPECT_GT(one_scan, 0u);
   EXPECT_EQ(pipeline_->scan_records(Snapshot::k2023), first);

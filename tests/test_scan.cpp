@@ -3,9 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "core/pipeline.h"
 #include "hypergiant/background.h"
+#include "obs/metrics.h"
 #include "scan/scanner.h"
 #include "topology/generator.h"
 
@@ -23,7 +30,7 @@ class ScanTest : public ::testing::Test {
     PopulationConfig population;
     population.onnet_servers_per_hg = 25;
     population.decoy_count = 20;
-    population_ = new std::vector<TlsEndpoint>(
+    population_ = new TlsEndpoints(
         build_tls_population(*net_, *registry_, Snapshot::k2023, population));
   }
   static void TearDownTestSuite() {
@@ -33,17 +40,17 @@ class ScanTest : public ::testing::Test {
   }
   static Internet* net_;
   static OffnetRegistry* registry_;
-  static std::vector<TlsEndpoint>* population_;
+  static TlsEndpoints* population_;
 };
 
 Internet* ScanTest::net_ = nullptr;
 OffnetRegistry* ScanTest::registry_ = nullptr;
-std::vector<TlsEndpoint>* ScanTest::population_ = nullptr;
+TlsEndpoints* ScanTest::population_ = nullptr;
 
 TEST_F(ScanTest, PopulationContainsAllGroundTruthServers) {
   for (const OffnetServer& server : registry_->servers()) {
-    EXPECT_TRUE(std::ranges::binary_search(*population_, server.ip, {},
-                                           &TlsEndpoint::ip));
+    EXPECT_TRUE(std::ranges::binary_search(population_->endpoints, server.ip,
+                                           {}, &TlsEndpoint::ip));
   }
   // Plus onnet + background + decoys beyond the offnet population.
   EXPECT_GT(population_->size(), registry_->server_count());
@@ -70,13 +77,15 @@ TEST_F(ScanTest, ScannerOutputSortedDeterministic) {
   const auto a = Scanner(config).scan(*population_);
   const auto b = Scanner(config).scan(*population_);
   ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 1; i < a.size(); ++i) EXPECT_LT(a[i - 1].ip, a[i].ip);
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].ip, b[i].ip);
+  for (std::size_t i = 1; i < a.size(); ++i) {
+    EXPECT_LT(a.endpoints[i - 1].ip, a.endpoints[i].ip);
+  }
+  EXPECT_EQ(a, b);
 }
 
 TEST_F(ScanTest, ScannerRejectsUnsortedPopulation) {
-  std::vector<TlsEndpoint> reversed(population_->rbegin(),
-                                    population_->rend());
+  TlsEndpoints reversed = *population_;
+  std::ranges::reverse(reversed.endpoints);
   EXPECT_THROW(Scanner(ScannerConfig{}).scan(std::move(reversed)), Error);
 }
 
@@ -175,6 +184,116 @@ TEST_F(ScanTest, HypergiantsAtConsistentWithFootprints) {
     }
     EXPECT_EQ(report.hypergiants_at(isp), count);
   }
+}
+
+// ------------------------------------------------------ Interning fence --
+
+/// The per-record classification interning replaced: every record's
+/// expanded certificate is matched on its own. Footprints and the counts
+/// the classifier publishes, under its counter names.
+struct ExpandedDiscovery {
+  std::array<std::map<AsIndex, std::vector<Ipv4>>, kHypergiantCount> by_isp;
+  std::map<std::string, std::uint64_t> counters;
+};
+
+ExpandedDiscovery classify_expanded(
+    const Internet& internet,
+    const std::vector<std::pair<Ipv4, TlsCertificate>>& records,
+    Methodology methodology) {
+  ExpandedDiscovery out;
+  std::set<AsIndex> hg_ases;
+  for (const Hypergiant hg : all_hypergiants()) {
+    hg_ases.insert(internet.as_by_asn(profile(hg).asn));
+    out.counters["certs.matched." + std::string(to_string(hg))] = 0;
+  }
+  out.counters["classify.records_unrouted"] = 0;
+  out.counters["classify.records_in_hypergiant_as"] = 0;
+  for (const auto& [ip, cert] : records) {
+    const auto owner = internet.as_of_ip(ip);
+    if (!owner) {
+      ++out.counters["classify.records_unrouted"];
+      continue;
+    }
+    if (hg_ases.contains(*owner)) {
+      ++out.counters["classify.records_in_hypergiant_as"];
+      continue;
+    }
+    for (const Hypergiant hg : all_hypergiants()) {
+      if (!certificate_matches(cert, hg, methodology)) continue;
+      ++out.counters["certs.matched." + std::string(to_string(hg))];
+      out.by_isp[static_cast<std::size_t>(hg)][*owner].push_back(ip);
+    }
+  }
+  return out;
+}
+
+/// The certs.matched.* and classify.* counters, by name.
+std::map<std::string, std::uint64_t> classify_counters() {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, value] : obs::metrics().snapshot().counters) {
+    if (name.starts_with("certs.matched.") || name.starts_with("classify.")) {
+      out[name] = value;
+    }
+  }
+  return out;
+}
+
+/// Classifying a pipeline's interned scans (once per distinct certificate)
+/// gives exactly what classifying every record's expanded certificate
+/// gives, for each methodology a snapshot is read with.
+void expect_interned_classify_matches_expanded(const fault::FaultPlan& plan) {
+  const Pipeline pipeline(Scenario::tiny(), plan, nullptr);
+  const std::vector<std::pair<Snapshot, std::vector<Methodology>>> reads = {
+      {Snapshot::k2021, {Methodology::k2021}},
+      {Snapshot::k2023, {Methodology::k2023, Methodology::k2021}}};
+  for (const auto& [snapshot, methodologies] : reads) {
+    const TlsEndpoints records = pipeline.scan_records(snapshot);
+    ASSERT_FALSE(records.empty());
+    EXPECT_EQ(records.size(), records.endpoints.size());
+    EXPECT_LT(records.certs.size(), records.size());
+    EXPECT_EQ(std::set<TlsCertificate>(records.certs.begin(),
+                                       records.certs.end())
+                  .size(),
+              records.certs.size())
+        << "duplicate template in the " << to_string(snapshot) << " table";
+
+    std::vector<std::pair<Ipv4, TlsCertificate>> expanded;
+    for (const TlsEndpoint& record : records.endpoints) {
+      expanded.emplace_back(record.ip, records.cert_of(record));
+    }
+    for (const Methodology methodology : methodologies) {
+      const std::string context = std::string(to_string(snapshot)) +
+                                  " scan, " +
+                                  std::string(to_string(methodology)) +
+                                  " rules";
+      const std::map<std::string, std::uint64_t> before = classify_counters();
+      const DiscoveryReport report =
+          OffnetClassifier(pipeline.internet(), methodology).classify(records);
+      std::map<std::string, std::uint64_t> deltas = classify_counters();
+      for (auto& [name, value] : deltas) {
+        if (const auto it = before.find(name); it != before.end()) {
+          value -= it->second;
+        }
+      }
+      const ExpandedDiscovery want =
+          classify_expanded(pipeline.internet(), expanded, methodology);
+      EXPECT_EQ(deltas, want.counters) << context;
+      for (const Hypergiant hg : all_hypergiants()) {
+        EXPECT_EQ(report.footprint(hg).by_isp,
+                  want.by_isp[static_cast<std::size_t>(hg)])
+            << to_string(hg) << ", " << context;
+      }
+      EXPECT_GT(report.total_offnet_ips(), 0u) << context;
+    }
+  }
+}
+
+TEST(InternedScan, ClassifyMatchesExpandedRecordsClean) {
+  expect_interned_classify_matches_expanded(fault::FaultPlan::none());
+}
+
+TEST(InternedScan, ClassifyMatchesExpandedRecordsUnderChaos) {
+  expect_interned_classify_matches_expanded(fault::FaultPlan::chaos());
 }
 
 TEST(ScannerConfigValidation, RejectsBadMissRate) {

@@ -98,32 +98,49 @@ TlsCertificate random_cert(Rng& rng) {
   for (int i = 0; i < sans; ++i) cert.san_dns.push_back(random_name(rng));
   cert.not_before_year = static_cast<int>(rng.uniform_int(2015, 2023));
   cert.not_after_year = cert.not_before_year + 2;
-  cert.serial = rng.next();
   return cert;
+}
+
+/// Random scan records: a table of up to `max_certs` random certificates
+/// (duplicates allowed: the codec must not care) and up to `max_records`
+/// endpoints indexing it, each with a random serial.
+TlsEndpoints random_scan(Rng& rng, int max_certs, int max_records) {
+  TlsEndpoints records;
+  const int certs = static_cast<int>(rng.uniform_int(1, max_certs));
+  for (int i = 0; i < certs; ++i) records.certs.push_back(random_cert(rng));
+  const int count = static_cast<int>(rng.uniform_int(0, max_records));
+  for (int i = 0; i < count; ++i) {
+    records.endpoints.push_back(
+        {Ipv4(static_cast<std::uint32_t>(rng.next())),
+         static_cast<std::uint32_t>(rng.uniform_int(0, certs - 1)),
+         rng.next()});
+  }
+  return records;
 }
 
 TEST_F(StoreTest, ScanRecordsRoundTripRandomized) {
   Rng rng(20230707);
   for (int round = 0; round < 20; ++round) {
-    std::vector<TlsEndpoint> records;
-    const int count = static_cast<int>(rng.uniform_int(0, 40));
-    for (int i = 0; i < count; ++i) {
-      TlsEndpoint record;
-      record.ip = Ipv4(static_cast<std::uint32_t>(rng.next()));
-      record.cert = random_cert(rng);
-      records.push_back(std::move(record));
-    }
+    const TlsEndpoints records = random_scan(rng, 8, 40);
     store::ByteWriter writer;
     store::encode(writer, records);
     store::ByteReader reader(writer.bytes());
-    const std::vector<TlsEndpoint> decoded = store::decode_scan_records(reader);
+    const TlsEndpoints decoded = store::decode_scan_records(reader);
     EXPECT_TRUE(reader.exhausted());
-    ASSERT_EQ(decoded.size(), records.size()) << "round " << round;
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      EXPECT_EQ(decoded[i].ip, records[i].ip);
-      EXPECT_EQ(decoded[i].cert, records[i].cert);
-    }
+    EXPECT_EQ(decoded.certs, records.certs) << "round " << round;
+    EXPECT_EQ(decoded.endpoints, records.endpoints) << "round " << round;
   }
+}
+
+TEST_F(StoreTest, ScanRecordWithCertIdOutsideTableRejected) {
+  Rng rng(31);
+  TlsEndpoints records = random_scan(rng, 3, 0);
+  records.endpoints.push_back(
+      {Ipv4(7), static_cast<std::uint32_t>(records.certs.size()), 1});
+  store::ByteWriter writer;
+  store::encode(writer, records);
+  store::ByteReader reader(writer.bytes());
+  EXPECT_THROW(store::decode_scan_records(reader), store::SerdeError);
 }
 
 /// A random plot that decode_plot accepts: a usable ISP's ordering is a
@@ -220,13 +237,8 @@ TEST_F(StoreTest, ClusteringsAndHealthRoundTripRandomized) {
 
 TEST_F(StoreTest, TruncatedInputThrowsSerdeErrorAtEveryLength) {
   Rng rng(777);
-  std::vector<TlsEndpoint> records;
-  for (int i = 0; i < 3; ++i) {
-    TlsEndpoint record;
-    record.ip = Ipv4(static_cast<std::uint32_t>(rng.next()));
-    record.cert = random_cert(rng);
-    records.push_back(std::move(record));
-  }
+  TlsEndpoints records;
+  while (records.size() < 3) records = random_scan(rng, 3, 5);
   store::ByteWriter writer;
   store::encode(writer, records);
   const std::vector<std::uint8_t>& bytes = writer.bytes();
@@ -589,7 +601,7 @@ void expect_identical(const IspClustering& a, const IspClustering& b,
 }
 
 struct PipelineOutputs {
-  std::vector<TlsEndpoint> scan;
+  TlsEndpoints scan;
   fault::StageHealth scan_health;  // of that one scan, cold or loaded
   std::vector<IspClustering> xi01;
   std::vector<IspClustering> xi09;
@@ -612,11 +624,8 @@ PipelineOutputs run_pipeline(const fault::FaultPlan& plan,
 void expect_identical_outputs(const PipelineOutputs& cold,
                               const PipelineOutputs& warm,
                               const std::string& context) {
-  ASSERT_EQ(warm.scan.size(), cold.scan.size()) << context;
-  for (std::size_t i = 0; i < cold.scan.size(); ++i) {
-    ASSERT_EQ(warm.scan[i].ip, cold.scan[i].ip) << context << " record " << i;
-    ASSERT_EQ(warm.scan[i].cert, cold.scan[i].cert) << context << " record " << i;
-  }
+  ASSERT_EQ(warm.scan.certs, cold.scan.certs) << context;
+  ASSERT_EQ(warm.scan.endpoints, cold.scan.endpoints) << context;
   ASSERT_EQ(warm.xi01.size(), cold.xi01.size()) << context;
   ASSERT_EQ(warm.xi09.size(), cold.xi09.size()) << context;
   for (std::size_t i = 0; i < cold.xi01.size(); ++i) {
@@ -686,6 +695,47 @@ TEST_F(StoreTest, WarmStartBitIdenticalUnderChaos) {
   EXPECT_EQ(warm.scan_health.dropped, cold.scan_health.dropped);
   EXPECT_GT(cold.scan_health.dropped, 0u);
   EXPECT_EQ(warm.scan_health.reasons, cold.scan_health.reasons);
+}
+
+TEST_F(StoreTest, SchemaTwoScanIsStaleNotCorruptAndRecomputed) {
+  // A store filled before scan schema 3 holds this world's 2023 scan under
+  // its schema-2 key. The v3 key differs, so the pipeline takes a clean
+  // miss (no corruption, no degraded health), recomputes and publishes v3
+  // beside the untouched v2 file.
+  auto artifacts = std::make_shared<store::ArtifactStore>(config());
+  const Pipeline pipeline(Scenario::tiny(), fault::FaultPlan::none(),
+                          artifacts);
+  const store::ArtifactKey v2_key{
+      "scan", 2,
+      store::Fnv1a()
+          .mix(pipeline.world_digest())
+          .mix(std::string_view("scan"))
+          .mix(std::uint32_t{2})
+          .mix(static_cast<std::uint64_t>(Snapshot::k2023))
+          .digest()};
+  ASSERT_TRUE(artifacts->save(v2_key, test_payload(256, 0x32)));
+  const store::StoreStats before = artifacts->stats();
+
+  const TlsEndpoints records = pipeline.scan_records(Snapshot::k2023);
+  const store::StoreStats after = artifacts->stats();
+  EXPECT_EQ(after.corrupt, before.corrupt);
+  EXPECT_EQ(after.misses, before.misses + 1);
+  EXPECT_EQ(after.recomputed, before.recomputed + 1);
+  EXPECT_EQ(after.saved, before.saved + 1);
+  const fault::StageHealth& health = pipeline.stage_health().at("scan");
+  EXPECT_EQ(health.status, fault::StageStatus::kOk);
+  EXPECT_TRUE(health.reasons.empty());
+  EXPECT_EQ(records, Pipeline(Scenario::tiny(), fault::FaultPlan::none(),
+                              nullptr)
+                         .scan_records(Snapshot::k2023));
+
+  std::set<std::uint32_t> scan_schemas;
+  for (const store::ArtifactInfo& info : artifacts->list()) {
+    if (info.key.type == "scan") scan_schemas.insert(info.key.schema);
+  }
+  EXPECT_EQ(scan_schemas,
+            (std::set<std::uint32_t>{2, store::kScanRecordsSchema}));
+  EXPECT_EQ(store::kScanRecordsSchema, 3u);
 }
 
 TEST_F(StoreTest, DifferentFaultPlansNeverShareArtifacts) {

@@ -19,7 +19,6 @@ TlsCertificate sample_cert() {
   cert.subject.organization = "Example Org";
   cert.issuer_organization = "Example CA";
   cert.san_dns = {"*.example.com", "example.com"};
-  cert.serial = 42;
   return cert;
 }
 
@@ -53,17 +52,19 @@ class TlsPopulation : public ::testing::Test {
     delete net_;
   }
 
-  static std::vector<TlsEndpoint> build(const OffnetRegistry& registry) {
+  static TlsEndpoints build(const OffnetRegistry& registry) {
     return build_tls_population(*net_, registry, Snapshot::k2023,
                                 PopulationConfig{});
   }
 
   /// The endpoint at `ip`, or nullptr.
-  static const TlsEndpoint* find(const std::vector<TlsEndpoint>& population,
-                                 Ipv4 ip) {
-    const auto it = std::ranges::lower_bound(population, ip, {},
+  /// The certificate served at `ip`, or nullptr.
+  static const TlsCertificate* find(const TlsEndpoints& population, Ipv4 ip) {
+    const auto it = std::ranges::lower_bound(population.endpoints, ip, {},
                                              &TlsEndpoint::ip);
-    return it != population.end() && it->ip == ip ? &*it : nullptr;
+    return it != population.endpoints.end() && it->ip == ip
+               ? &population.cert_of(*it)
+               : nullptr;
   }
 
   static Internet* net_;
@@ -74,20 +75,20 @@ Internet* TlsPopulation::net_ = nullptr;
 OffnetRegistry* TlsPopulation::registry_ = nullptr;
 
 TEST_F(TlsPopulation, IpsAscendingAndUnique) {
-  const std::vector<TlsEndpoint> population = build(*registry_);
+  const TlsEndpoints population = build(*registry_);
   ASSERT_GT(population.size(), registry_->server_count());
-  EXPECT_EQ(std::ranges::adjacent_find(population, std::greater_equal{},
-                                       &TlsEndpoint::ip),
-            population.end());
+  EXPECT_EQ(std::ranges::adjacent_find(population.endpoints,
+                                       std::greater_equal{}, &TlsEndpoint::ip),
+            population.endpoints.end());
 }
 
 TEST_F(TlsPopulation, EveryRegistryServerPresent) {
-  const std::vector<TlsEndpoint> population = build(*registry_);
+  const TlsEndpoints population = build(*registry_);
   ASSERT_GT(registry_->server_count(), 0u);
   for (const OffnetServer& server : registry_->servers()) {
-    const TlsEndpoint* endpoint = find(population, server.ip);
-    ASSERT_NE(endpoint, nullptr) << server.ip.to_string();
-    EXPECT_FALSE(endpoint->cert.subject.common_name.empty());
+    const TlsCertificate* cert = find(population, server.ip);
+    ASSERT_NE(cert, nullptr) << server.ip.to_string();
+    EXPECT_FALSE(cert->subject.common_name.empty());
   }
 }
 
@@ -108,20 +109,20 @@ TEST_F(TlsPopulation, LastInstallWinsOnDuplicateIp) {
   server.ip = onnet_ip;
   const OffnetRegistry colliding = registry_with(server);
 
-  const std::vector<TlsEndpoint> reference = build(OffnetRegistry{});
-  const std::vector<TlsEndpoint> separate = build(apart);
-  const std::vector<TlsEndpoint> replaced = build(colliding);
+  const TlsEndpoints reference = build(OffnetRegistry{});
+  const TlsEndpoints separate = build(apart);
+  const TlsEndpoints replaced = build(colliding);
   EXPECT_EQ(separate.size(), reference.size() + 1);
   EXPECT_EQ(replaced.size(), reference.size());
 
-  const TlsEndpoint* onnet = find(reference, onnet_ip);
-  const TlsEndpoint* offnet = find(separate, registry_->servers().front().ip);
-  const TlsEndpoint* winner = find(replaced, onnet_ip);
+  const TlsCertificate* onnet = find(reference, onnet_ip);
+  const TlsCertificate* offnet = find(separate, registry_->servers().front().ip);
+  const TlsCertificate* winner = find(replaced, onnet_ip);
   ASSERT_NE(onnet, nullptr);
   ASSERT_NE(offnet, nullptr);
   ASSERT_NE(winner, nullptr);
-  ASSERT_NE(offnet->cert.subject, onnet->cert.subject);
-  EXPECT_EQ(winner->cert.subject, onnet->cert.subject);
+  ASSERT_NE(offnet->subject, onnet->subject);
+  EXPECT_EQ(winner->subject, onnet->subject);
 }
 
 }  // namespace
