@@ -130,14 +130,30 @@ void BM_OpticsXiExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_OpticsXiExtraction);
 
-void BM_RoutesToDestination(benchmark::State& state) {
+// routes_to only climbs the destination's provider chain; every other
+// route resolves on first read.
+void BM_RoutesToClimbOnly(benchmark::State& state) {
   const RoutingEngine engine(world());
   const AsIndex google = world().as_by_asn(kGoogleAsn);
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.routes_to(google));
   }
 }
-BENCHMARK(BM_RoutesToDestination);
+BENCHMARK(BM_RoutesToClimbOnly);
+
+// The full-table cost: routes_to plus every AS's entry, what a caller that
+// reads every route (network load, the tests) pays.
+void BM_ResolveEveryEntry(benchmark::State& state) {
+  const RoutingEngine engine(world());
+  const AsIndex google = world().as_by_asn(kGoogleAsn);
+  for (auto _ : state) {
+    const RoutingTable table = engine.routes_to(google);
+    for (const As& as : world().ases) {
+      benchmark::DoNotOptimize(table.entry(as.index).next_hop);
+    }
+  }
+}
+BENCHMARK(BM_ResolveEveryEntry);
 
 void BM_Traceroute(benchmark::State& state) {
   const RoutingEngine engine(world());

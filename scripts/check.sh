@@ -7,14 +7,17 @@
 # persistent store.
 #
 #   ./scripts/check.sh             tier-1 build + full ctest, then an
-#                                  ASan build of the `fault`, `store` and
-#                                  `serve` labels, a TSan build of the
+#                                  ASan build of the `fault`, `store`,
+#                                  `serve` and `route` labels (the lazily
+#                                  resolved routing tables hand out
+#                                  references while their memo grows), a
+#                                  TSan build of the
 #                                  `parallel` (test_parallel and
 #                                  test_peering), `obs`, `fault`, `store`
 #                                  and `serve` labels, a UBSan build of the
-#                                  `perf` and `obs` labels (the SIMD
-#                                  kernels, the ping mesh and the obs
-#                                  layer), a TSan
+#                                  `perf`, `obs` and `route` labels (the
+#                                  SIMD kernels, the ping mesh, the obs
+#                                  layer and BGP/traceroute), a TSan
 #                                  store-chaos smoke (live corruption under
 #                                  concurrent warm readers), the warm-start
 #                                  smoke, the trace-export smoke, a report-
@@ -50,10 +53,10 @@ echo "== tier-1: ctest =="
 (cd build && ctest --output-on-failure -j"$(nproc)")
 
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
-  echo "== asan: fault + store + serve tests =="
+  echo "== asan: fault + store + serve + route tests =="
   cmake -B build-asan -S . -DREPRO_SANITIZE=address >/dev/null
-  cmake --build build-asan -j"$(nproc)" --target test_fault test_store test_serve
-  (cd build-asan && ctest -L 'fault|store|serve' --output-on-failure -j"$(nproc)")
+  cmake --build build-asan -j"$(nproc)" --target test_fault test_store test_serve test_bgp test_traceroute
+  (cd build-asan && ctest -L 'fault|store|serve|route' --output-on-failure -j"$(nproc)")
 fi
 
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
@@ -91,10 +94,10 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
 fi
 
 if [[ "${SKIP_UBSAN:-0}" != "1" ]]; then
-  echo "== ubsan: perf + obs tests (SIMD kernels, ping mesh, obs layer) =="
+  echo "== ubsan: perf + obs + route tests (SIMD kernels, ping mesh, obs layer, BGP) =="
   cmake -B build-ubsan -S . -DREPRO_SANITIZE=undefined >/dev/null
-  cmake --build build-ubsan -j"$(nproc)" --target test_perf_kernel test_mlab test_obs
-  (cd build-ubsan && ctest -L 'perf|obs' --output-on-failure -j"$(nproc)")
+  cmake --build build-ubsan -j"$(nproc)" --target test_perf_kernel test_mlab test_obs test_bgp test_traceroute
+  (cd build-ubsan && ctest -L 'perf|obs|route' --output-on-failure -j"$(nproc)")
 fi
 
 if [[ "${SKIP_WARM:-0}" != "1" ]]; then

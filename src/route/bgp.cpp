@@ -1,12 +1,27 @@
 #include "route/bgp.h"
 
-#include <algorithm>
-#include <queue>
-
 #include "obs/metrics.h"
 #include "util/error.h"
 
 namespace repro {
+
+namespace {
+
+/// Preference between two routes: kind (enum order is the preference), then
+/// shorter path, then lower next-hop ASN. Strict, so the first of two equal
+/// offers stays installed.
+bool better(const Internet& internet, const RouteEntry& candidate,
+            const RouteEntry& current) {
+  if (!current.reachable) return true;
+  if (candidate.kind != current.kind) return candidate.kind < current.kind;
+  if (candidate.path_length != current.path_length) {
+    return candidate.path_length < current.path_length;
+  }
+  return internet.ases[candidate.next_hop].asn <
+         internet.ases[current.next_hop].asn;
+}
+
+}  // namespace
 
 std::string_view to_string(RouteKind kind) noexcept {
   switch (kind) {
@@ -18,22 +33,120 @@ std::string_view to_string(RouteKind kind) noexcept {
   return "?";
 }
 
-RoutingTable::RoutingTable(AsIndex destination, std::vector<RouteEntry> entries,
-                           std::vector<RouteEntry> alternates)
-    : destination_(destination),
-      entries_(std::move(entries)),
-      alternates_(std::move(alternates)) {}
+RoutingTable::RoutingTable(const Internet& internet, AsIndex destination)
+    : internet_(&internet), destination_(destination) {
+  require(destination < internet.ases.size(), "routes_to: bad destination");
+  memo_[destination].best =
+      RouteEntry{true, RouteKind::kSelf, destination, kInvalidIndex, 0};
+
+  // Customer routes. The destination's announcement climbs provider chains;
+  // an AS that hears it from a customer installs a customer route. BFS by
+  // path length, re-queueing an AS whenever its route improves, so each
+  // climbed AS ends at its unique best route.
+  std::vector<AsIndex> frontier{destination};
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const AsIndex current = frontier[head];
+    const int length = memo_.at(current).best.path_length + 1;
+    for (const LinkIndex li : internet.ases[current].provider_links) {
+      const AsIndex provider = internet.links[li].b;
+      const RouteEntry candidate{true, RouteKind::kCustomer, current, li, length};
+      const auto [it, first_time] = memo_.try_emplace(provider);
+      RouteEntry& installed = it->second.best;
+      if (!first_time && !better(internet, candidate, installed)) continue;
+      installed = candidate;
+      frontier.push_back(provider);
+    }
+  }
+  climbed_.reserve(memo_.size());
+  for (const auto& [as, resolved] : memo_) {
+    climbed_.emplace_back(as, resolved.best.path_length);
+  }
+}
+
+RoutingTable::Resolved& RoutingTable::resolve(AsIndex source,
+                                              std::size_t depth) const {
+  if (const auto it = memo_.find(source); it != memo_.end()) return it->second;
+  require(depth <= internet_->ases.size(), "RoutingTable: provider cycle");
+  const Internet& net = *internet_;
+
+  // Peer route: only a climbed AS (customer or self route) exports to peers.
+  RouteEntry route;
+  for (const auto& [climbed, length] : climbed_) {
+    const auto parallel = net.peering_links_between(climbed, source);
+    if (parallel.empty()) continue;
+    const RouteEntry candidate{true, RouteKind::kPeer, climbed,
+                               parallel.front(), length + 1};
+    if (better(net, candidate, route)) route = candidate;
+  }
+  // Provider route: every routed provider exports to its customers.
+  if (!route.reachable) {
+    for (const LinkIndex li : net.ases[source].provider_links) {
+      const AsIndex provider = net.links[li].b;
+      const RouteEntry& upstream = resolve(provider, depth + 1).best;
+      if (!upstream.reachable) continue;
+      const RouteEntry candidate{true, RouteKind::kProvider, provider, li,
+                                 upstream.path_length + 1};
+      if (better(net, candidate, route)) route = candidate;
+    }
+  }
+  Resolved& resolved = memo_[source];
+  resolved.best = route;
+  return resolved;
+}
+
+RouteEntry RoutingTable::second_best(AsIndex source,
+                                     const RouteEntry& best) const {
+  // Every neighbour re-offers its installed route where the Gao-Rexford
+  // export rules allow; the source keeps the best offer arriving through a
+  // different next hop than its installed route.
+  RouteEntry alternate;
+  if (source == destination_ || !best.reachable) return alternate;
+  const Internet& net = *internet_;
+  const auto offer = [&](const RouteEntry& candidate) {
+    if (candidate.next_hop == best.next_hop) return;  // same next hop
+    // Refuse an alternate whose first hop immediately routes back through
+    // us; longer transient loops are possible (as on the real Internet) and
+    // are the traceroute walker's TTL cap to absorb.
+    if (resolve(candidate.next_hop).best.next_hop == source) return;
+    if (better(net, candidate, alternate)) alternate = candidate;
+  };
+  // Customer and self routes are exported to providers and peers.
+  for (const auto& [climbed, length] : climbed_) {
+    for (const LinkIndex li : net.ases[climbed].provider_links) {
+      if (net.links[li].b != source) continue;
+      offer(RouteEntry{true, RouteKind::kCustomer, climbed, li, length + 1});
+    }
+    const auto parallel = net.peering_links_between(climbed, source);
+    if (!parallel.empty()) {
+      offer(RouteEntry{true, RouteKind::kPeer, climbed, parallel.front(),
+                       length + 1});
+    }
+  }
+  // Any route is exported to customers.
+  for (const LinkIndex li : net.ases[source].provider_links) {
+    const AsIndex provider = net.links[li].b;
+    const RouteEntry& upstream = resolve(provider).best;
+    if (!upstream.reachable) continue;
+    offer(RouteEntry{true, RouteKind::kProvider, provider, li,
+                     upstream.path_length + 1});
+  }
+  return alternate;
+}
 
 const RouteEntry& RoutingTable::entry(AsIndex source) const {
-  require(source < entries_.size(), "RoutingTable::entry: bad AS index");
-  return entries_[source];
+  require(source < internet_->ases.size(), "RoutingTable::entry: bad AS index");
+  return resolve(source).best;
 }
 
 const RouteEntry& RoutingTable::alternate(AsIndex source) const {
-  static const RouteEntry kNoRoute{};
-  require(source < entries_.size(), "RoutingTable::alternate: bad AS index");
-  if (source >= alternates_.size()) return kNoRoute;
-  return alternates_[source];
+  require(source < internet_->ases.size(),
+          "RoutingTable::alternate: bad AS index");
+  Resolved& resolved = resolve(source);
+  if (!resolved.alternate_resolved) {
+    resolved.alternate = second_best(source, resolved.best);
+    resolved.alternate_resolved = true;
+  }
+  return resolved.alternate;
 }
 
 std::vector<AsIndex> RoutingTable::as_path(AsIndex source) const {
@@ -44,7 +157,7 @@ std::vector<AsIndex> RoutingTable::as_path(AsIndex source) const {
     if (!e.reachable) return {};
     path.push_back(current);
     if (current == destination_) return path;
-    require(path.size() <= entries_.size(), "RoutingTable: path loop");
+    require(path.size() <= internet_->ases.size(), "RoutingTable: path loop");
     current = e.next_hop;
   }
 }
@@ -56,7 +169,7 @@ std::vector<LinkIndex> RoutingTable::link_path(AsIndex source) const {
     const RouteEntry& e = entry(current);
     if (!e.reachable) return {};
     links.push_back(e.via_link);
-    require(links.size() <= entries_.size(), "RoutingTable: link loop");
+    require(links.size() <= internet_->ases.size(), "RoutingTable: link loop");
     current = e.next_hop;
   }
   return links;
@@ -65,168 +178,13 @@ std::vector<LinkIndex> RoutingTable::link_path(AsIndex source) const {
 RoutingEngine::RoutingEngine(const Internet& internet) : internet_(internet) {}
 
 RoutingTable RoutingEngine::routes_to(AsIndex destination) const {
+  // Times the climb only: every other route resolves on first read.
   obs::ScopedTimer timer("route.routes_to_ms");
   // routes_to is called once per destination across whole-mesh studies, so
   // skip the registry map lookup on every call.
   static obs::CachedCounter tables_computed("route.tables_computed");
   tables_computed.add(1);
-  const auto& ases = internet_.ases;
-  const auto& links = internet_.links;
-  require(destination < ases.size(), "routes_to: bad destination");
-
-  const std::size_t n = ases.size();
-  std::vector<RouteEntry> best(n);
-  best[destination] =
-      RouteEntry{true, RouteKind::kSelf, destination, kInvalidIndex, 0};
-
-  // Deterministic preference: shorter path first, then lower next-hop ASN.
-  const auto better = [&](const RouteEntry& candidate, const RouteEntry& current) {
-    if (!current.reachable) return true;
-    if (candidate.path_length != current.path_length) {
-      return candidate.path_length < current.path_length;
-    }
-    return ases[candidate.next_hop].asn < ases[current.next_hop].asn;
-  };
-
-  // Phase 1: customer routes. The destination's announcement climbs
-  // provider chains; an AS that hears it from a customer installs a
-  // customer route. BFS by path length for shortest-first.
-  {
-    std::queue<AsIndex> frontier;
-    frontier.push(destination);
-    while (!frontier.empty()) {
-      const AsIndex current = frontier.front();
-      frontier.pop();
-      for (const LinkIndex li : ases[current].provider_links) {
-        const auto& link = links[li];
-        const AsIndex provider = link.b;
-        const RouteEntry candidate{true, RouteKind::kCustomer, current, li,
-                                   best[current].path_length + 1};
-        if (best[provider].reachable &&
-            best[provider].kind == RouteKind::kCustomer &&
-            !better(candidate, best[provider])) {
-          continue;
-        }
-        if (best[provider].kind == RouteKind::kSelf && best[provider].reachable) {
-          continue;  // never displace the destination itself
-        }
-        const bool first_time = !best[provider].reachable;
-        best[provider] = candidate;
-        if (first_time) frontier.push(provider);
-        // Re-push on improvement to propagate shorter lengths. Path lengths
-        // only shrink, and the graph is a DAG upward, so this terminates.
-        else frontier.push(provider);
-      }
-    }
-  }
-
-  // Phase 2: peer routes. An AS with a customer route (or the destination)
-  // exports it to peers; a peer without a customer route may use it.
-  {
-    std::vector<RouteEntry> peer_routes(n);
-    for (AsIndex current = 0; current < n; ++current) {
-      if (!best[current].reachable) continue;
-      if (best[current].kind != RouteKind::kSelf &&
-          best[current].kind != RouteKind::kCustomer) {
-        continue;
-      }
-      for (const LinkIndex li : ases[current].peer_links) {
-        const auto& link = links[li];
-        const AsIndex neighbor = link.a == current ? link.b : link.a;
-        if (best[neighbor].reachable) continue;  // has customer route or self
-        const RouteEntry candidate{true, RouteKind::kPeer, current, li,
-                                   best[current].path_length + 1};
-        if (better(candidate, peer_routes[neighbor])) {
-          peer_routes[neighbor] = candidate;
-        }
-      }
-    }
-    for (AsIndex i = 0; i < n; ++i) {
-      if (peer_routes[i].reachable) best[i] = peer_routes[i];
-    }
-  }
-
-  // Phase 3: provider routes. Any AS with a route exports it to customers;
-  // customers without one install provider routes, cascading downward.
-  {
-    // BFS over customer links from all routed ASes, shortest-first by level.
-    std::queue<AsIndex> frontier;
-    for (AsIndex i = 0; i < n; ++i) {
-      if (best[i].reachable) frontier.push(i);
-    }
-    while (!frontier.empty()) {
-      const AsIndex current = frontier.front();
-      frontier.pop();
-      for (const LinkIndex li : ases[current].customer_links) {
-        const auto& link = links[li];
-        const AsIndex customer = link.a;
-        const RouteEntry candidate{true, RouteKind::kProvider, current, li,
-                                   best[current].path_length + 1};
-        if (best[customer].reachable) {
-          // Provider routes never displace customer/peer/self routes, and a
-          // provider route is only replaced by a strictly better one.
-          if (best[customer].kind != RouteKind::kProvider) continue;
-          if (!better(candidate, best[customer])) continue;
-        }
-        best[customer] = candidate;
-        frontier.push(customer);
-      }
-    }
-  }
-
-  // Post-pass: second-best routes. Every AS re-offers its installed route to
-  // every neighbor the Gao-Rexford export rules allow; a neighbor keeps the
-  // best offer arriving through a different next hop than its installed
-  // route. O(E), and purely additive -- the best routes above are untouched.
-  std::vector<RouteEntry> alternates(n);
-  const auto exportable_upward = [](const RouteEntry& route) {
-    // Customer and self routes are exported to peers and providers; peer and
-    // provider routes are exported to customers only.
-    return route.kind == RouteKind::kSelf || route.kind == RouteKind::kCustomer;
-  };
-  const auto full_better = [&](const RouteEntry& candidate,
-                               const RouteEntry& current) {
-    if (!current.reachable) return true;
-    if (candidate.kind != current.kind) {
-      return candidate.kind < current.kind;  // enum order is the preference
-    }
-    if (candidate.path_length != current.path_length) {
-      return candidate.path_length < current.path_length;
-    }
-    return ases[candidate.next_hop].asn < ases[current.next_hop].asn;
-  };
-  const auto offer = [&](AsIndex to, const RouteEntry& candidate) {
-    if (to == destination) return;
-    if (!best[to].reachable) return;  // nothing to flap away from
-    if (candidate.next_hop == best[to].next_hop) return;  // same next hop
-    // Refuse an alternate whose first hop immediately routes back through
-    // us; longer transient loops are possible (as on the real Internet) and
-    // are the traceroute walker's TTL cap to absorb.
-    if (best[candidate.next_hop].next_hop == to) return;
-    if (full_better(candidate, alternates[to])) alternates[to] = candidate;
-  };
-  for (AsIndex current = 0; current < n; ++current) {
-    const RouteEntry& route = best[current];
-    if (!route.reachable) continue;
-    const int length = route.path_length + 1;
-    if (exportable_upward(route)) {
-      for (const LinkIndex li : ases[current].provider_links) {
-        offer(links[li].b,
-              RouteEntry{true, RouteKind::kCustomer, current, li, length});
-      }
-      for (const LinkIndex li : ases[current].peer_links) {
-        const auto& link = links[li];
-        const AsIndex neighbor = link.a == current ? link.b : link.a;
-        offer(neighbor, RouteEntry{true, RouteKind::kPeer, current, li, length});
-      }
-    }
-    for (const LinkIndex li : ases[current].customer_links) {
-      offer(links[li].a,
-            RouteEntry{true, RouteKind::kProvider, current, li, length});
-    }
-  }
-
-  return RoutingTable(destination, std::move(best), std::move(alternates));
+  return RoutingTable(internet_, destination);
 }
 
 }  // namespace repro

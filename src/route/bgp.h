@@ -1,11 +1,18 @@
 // Valley-free interdomain routing (Gao-Rexford policies): for a destination
-// AS, compute every AS's best route under the standard preference
-// customer > peer > provider, then shortest AS path, then lowest next-hop
-// ASN. Used by the traceroute simulator and the traffic/spillover model.
+// AS, every AS's best route under the standard preference customer > peer >
+// provider, then shortest AS path, then lowest next-hop ASN. Used by the
+// traceroute simulator and the traffic/spillover model.
+//
+// A RoutingTable resolves routes for one destination on demand: building it
+// climbs the destination's provider chain (the customer routes), and each
+// other AS's route is resolved on its first read and memoized. A study that
+// walks a few paths pays for those paths, not for a whole-graph table; the
+// routes are the ones a full three-phase computation would install.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "topology/internet.h"
@@ -31,12 +38,24 @@ struct RouteEntry {
   int path_length = 0;  // AS hops to the destination
 };
 
-/// Routing table for one destination AS.
+/// Routing table for one destination AS, resolved lazily.
+///
+/// entry(x) is, in order of preference:
+///   - a self or customer route, fixed by the constructor's climb up the
+///     destination's provider chain (BFS, shortest first);
+///   - else a peer route from the best climbed AS that peers with x, over
+///     the pair's lowest-index peering link;
+///   - else a provider route from the best of x's providers' own entries,
+///     resolved recursively up the provider DAG.
+/// "Best" is shortest path, then lowest next-hop ASN; parallel links to one
+/// neighbour tie and the lowest-index link wins.
+///
+/// Not thread-safe: reads grow an unsynchronized memo, so a table has one
+/// owner (each peering target, each network-load ISP builds its own).
+/// References returned by entry() and alternate() stay valid for the
+/// table's lifetime.
 class RoutingTable {
  public:
-  RoutingTable(AsIndex destination, std::vector<RouteEntry> entries,
-               std::vector<RouteEntry> alternates = {});
-
   AsIndex destination() const noexcept { return destination_; }
 
   const RouteEntry& entry(AsIndex source) const;
@@ -54,17 +73,34 @@ class RoutingTable {
   std::vector<LinkIndex> link_path(AsIndex source) const;
 
  private:
+  friend class RoutingEngine;
+
+  struct Resolved {
+    RouteEntry best;
+    RouteEntry alternate;
+    bool alternate_resolved = false;
+  };
+
+  RoutingTable(const Internet& internet, AsIndex destination);
+
+  Resolved& resolve(AsIndex source, std::size_t depth = 0) const;
+  RouteEntry second_best(AsIndex source, const RouteEntry& best) const;
+
+  const Internet* internet_;
   AsIndex destination_;
-  std::vector<RouteEntry> entries_;
-  std::vector<RouteEntry> alternates_;
+  /// The destination and every AS holding a customer route: exactly the
+  /// ASes that export their route to peers and providers.
+  std::vector<std::pair<AsIndex, int>> climbed_;  // (AS, path length)
+  mutable std::unordered_map<AsIndex, Resolved> memo_;
 };
 
-/// Computes routing tables over an Internet's AS graph.
+/// Builds routing tables over an Internet's AS graph.
 class RoutingEngine {
  public:
   explicit RoutingEngine(const Internet& internet);
 
-  /// Best valley-free routes of every AS towards `destination`.
+  /// Valley-free routes of every AS towards `destination`, resolved on
+  /// demand (see RoutingTable).
   RoutingTable routes_to(AsIndex destination) const;
 
   const Internet& internet() const noexcept { return internet_; }

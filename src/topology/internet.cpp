@@ -6,6 +6,15 @@
 
 namespace repro {
 
+namespace {
+
+std::uint64_t pair_key(AsIndex a, AsIndex b) noexcept {
+  const auto [low, high] = std::minmax(a, b);
+  return std::uint64_t{low} << 32 | high;
+}
+
+}  // namespace
+
 MetroIndex Internet::add_metro(Metro metro) {
   metro.index = static_cast<MetroIndex>(metros.size());
   metros.push_back(std::move(metro));
@@ -45,6 +54,17 @@ LinkIndex Internet::add_link(InterdomainLink link) {
   } else {
     ases[link.a].peer_links.push_back(link.index);
     ases[link.b].peer_links.push_back(link.index);
+    PairBlock& block = peer_pairs_[pair_key(link.a, link.b)];
+    const auto tail = static_cast<std::uint32_t>(peer_pair_links_.size());
+    if (block.offset + block.count != tail) {
+      for (std::uint32_t i = 0; i < block.count; ++i) {
+        const LinkIndex moved = peer_pair_links_[block.offset + i];
+        peer_pair_links_.push_back(moved);
+      }
+      block.offset = tail;
+    }
+    peer_pair_links_.push_back(link.index);
+    ++block.count;
   }
   links.push_back(link);
   return link.index;
@@ -138,27 +158,18 @@ std::vector<AsIndex> Internet::peers_of(AsIndex as_index) const {
   return out;
 }
 
-std::vector<LinkIndex> Internet::peering_links_between(AsIndex a, AsIndex b) const {
+std::span<const LinkIndex> Internet::peering_links_between(AsIndex a,
+                                                          AsIndex b) const {
   require(a < ases.size() && b < ases.size(),
           "peering_links_between: bad AS index");
-  std::vector<LinkIndex> out;
-  for (const LinkIndex li : ases[a].peer_links) {
-    const auto& link = links[li];
-    const AsIndex other = link.a == a ? link.b : link.a;
-    if (other == b) out.push_back(li);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  const auto it = peer_pairs_.find(pair_key(a, b));
+  if (it == peer_pairs_.end()) return {};
+  return {peer_pair_links_.data() + it->second.offset, it->second.count};
 }
 
 bool Internet::has_peering(AsIndex a, AsIndex b) const {
   require(a < ases.size() && b < ases.size(), "has_peering: bad AS index");
-  for (const LinkIndex li : ases[a].peer_links) {
-    const auto& link = links[li];
-    const AsIndex other = link.a == a ? link.b : link.a;
-    if (other == b) return true;
-  }
-  return false;
+  return peer_pairs_.contains(pair_key(a, b));
 }
 
 }  // namespace repro

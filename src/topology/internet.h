@@ -3,7 +3,9 @@
 // IXP peering-LAN address attribution).
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -36,7 +38,9 @@ class Internet {
   FacilityIndex add_facility(Facility facility);
   IxpIndex add_ixp(Ixp ixp);
   AsIndex add_as(As as);
-  /// Adds a link and wires it into both endpoint adjacency lists.
+  /// Adds a link and wires it into both endpoint adjacency lists (and, for a
+  /// peering link, the pair index). Links arrive in index order, so every
+  /// adjacency list is ascending.
   LinkIndex add_link(InterdomainLink link);
 
   /// Registers `prefix` as announced by AS `index` (updates the IP->AS trie).
@@ -77,12 +81,27 @@ class Internet {
   /// True if a peering (PNI or IXP) link exists between the two ASes.
   bool has_peering(AsIndex a, AsIndex b) const;
 
-  /// All peering links (PNI and IXP) between two ASes, in index order.
-  /// Parallel links are common between hypergiants and large ISPs.
-  std::vector<LinkIndex> peering_links_between(AsIndex a, AsIndex b) const;
+  /// All peering links (PNI and IXP) between two ASes, in index order; O(1).
+  /// Parallel links are common between hypergiants and large ISPs. The span
+  /// is valid until the next add_link.
+  std::span<const LinkIndex> peering_links_between(AsIndex a, AsIndex b) const;
 
  private:
+  /// One AS pair's block in peer_pair_links_.
+  struct PairBlock {
+    std::uint32_t offset = 0;
+    std::uint32_t count = 0;
+  };
+
   std::unordered_map<AsNumber, AsIndex> asn_index_;
+  /// Peering-pair index: unordered AS pair (lower index in the high word) ->
+  /// its block of peering links, ascending, in one flat vector. A pair whose
+  /// block is not at the tail when another of its links arrives moves it
+  /// there; the generator adds a pair's parallel links in a few runs, so
+  /// the abandoned blocks stay small (paper world: 22,129 slots for 18,152
+  /// peering links over 15,017 pairs).
+  std::unordered_map<std::uint64_t, PairBlock> peer_pairs_;
+  std::vector<LinkIndex> peer_pair_links_;
   PrefixTrie<AsIndex> ip_to_as_;
   std::unordered_map<Ipv4, IxpPortInfo> ixp_ports_;
 };

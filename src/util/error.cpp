@@ -6,4 +6,6 @@ void require(bool condition, const std::string& what) {
   if (!condition) throw Error(what);
 }
 
+void fail_requirement(const char* what) { throw Error(what); }
+
 }  // namespace repro

@@ -30,4 +30,13 @@ class NotFoundError : public Error {
 /// Used to check preconditions on public API entry points.
 void require(bool condition, const std::string& what);
 
+/// Throws repro::Error with `what`; the cold path of the literal require.
+[[noreturn]] void fail_requirement(const char* what);
+
+/// require for a literal message: inline, and builds no string unless the
+/// check fails (hot loops call it millions of times).
+inline void require(bool condition, const char* what) {
+  if (!condition) [[unlikely]] fail_requirement(what);
+}
+
 }  // namespace repro

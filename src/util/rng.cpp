@@ -6,51 +6,8 @@
 
 namespace repro {
 
-namespace {
-
-std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
-std::uint64_t splitmix64(std::uint64_t& state) noexcept {
-  state += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t mix64(std::uint64_t value) noexcept {
-  std::uint64_t state = value;
-  return splitmix64(state);
-}
-
-Rng::Rng(std::uint64_t seed) noexcept {
-  std::uint64_t s = seed;
-  for (auto& word : state_) word = splitmix64(s);
-}
-
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
 Rng Rng::fork(std::uint64_t stream) noexcept {
   return Rng(next() ^ mix64(stream));
-}
-
-double Rng::uniform() noexcept {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) {
@@ -67,10 +24,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   std::uint64_t draw = next();
   while (draw >= limit) draw = next();
   return lo + static_cast<std::int64_t>(draw % span);
-}
-
-bool Rng::chance(double p) noexcept {
-  return uniform() < std::clamp(p, 0.0, 1.0);
 }
 
 double Rng::normal() noexcept {

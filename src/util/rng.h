@@ -6,7 +6,9 @@
 // reference implementations by Blackman & Vigna.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -16,10 +18,19 @@
 namespace repro {
 
 /// splitmix64 step; used for seeding and for cheap stateless hashing.
-std::uint64_t splitmix64(std::uint64_t& state) noexcept;
+inline std::uint64_t splitmix64(std::uint64_t& state) noexcept {
+  state += 0x9e3779b97f4a7c15ULL;
+  std::uint64_t z = state;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 /// Stateless 64-bit mix of a value (one splitmix64 round).
-std::uint64_t mix64(std::uint64_t value) noexcept;
+inline std::uint64_t mix64(std::uint64_t value) noexcept {
+  std::uint64_t state = value;
+  return splitmix64(state);
+}
 
 /// Deterministic uniform double in [0, 1) from a key: the top 53 bits of
 /// mix64(key). The stateless draw behind every keyed pathology and fault.
@@ -32,20 +43,38 @@ inline double hash_uniform(std::uint64_t key) noexcept {
 /// Not a std-style URBG on purpose: the distribution implementations in
 /// libstdc++ are not stable across versions, and we need bit-for-bit
 /// reproducible experiments. All distributions here are hand-rolled.
+///
+/// The integer hot path (seeding, next, uniform, chance) is inline: the
+/// synthetic ping seeds one generator per (VP, IP) cell.
 class Rng {
  public:
   /// Seeds the four 64-bit words of state from `seed` via splitmix64.
-  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) noexcept;
+  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) noexcept {
+    std::uint64_t s = seed;
+    for (auto& word : state_) word = splitmix64(s);
+  }
 
   /// Next raw 64-bit output.
-  std::uint64_t next() noexcept;
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
   /// Derives an independent child generator; `stream` distinguishes children
   /// created from the same parent state (e.g. one child per ISP id).
   Rng fork(std::uint64_t stream) noexcept;
 
-  /// Uniform double in [0, 1).
-  double uniform() noexcept;
+  /// Uniform double in [0, 1): 53 random mantissa bits.
+  double uniform() noexcept {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi). Requires lo <= hi.
   double uniform(double lo, double hi);
@@ -54,7 +83,7 @@ class Rng {
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
   /// Bernoulli trial with success probability p (clamped to [0,1]).
-  bool chance(double p) noexcept;
+  bool chance(double p) noexcept { return uniform() < std::clamp(p, 0.0, 1.0); }
 
   /// Standard normal via Box-Muller (cached second variate).
   double normal() noexcept;

@@ -2,10 +2,182 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <queue>
+
 #include "topology/generator.h"
 
 namespace repro {
 namespace {
+
+/// Whole-graph routes towards one destination: every AS's best route and
+/// alternate, indexed by AS.
+struct FullTable {
+  std::vector<RouteEntry> best;
+  std::vector<RouteEntry> alternates;
+};
+
+/// The oracle: the eager three-phase computation (customer BFS, peer pass,
+/// provider BFS) plus the whole-graph alternates pass, the definition that
+/// RoutingTable's lazy resolver must reproduce pair by pair.
+FullTable full_routes_to(const Internet& internet, AsIndex destination) {
+  const auto& ases = internet.ases;
+  const auto& links = internet.links;
+  const std::size_t n = ases.size();
+  std::vector<RouteEntry> best(n);
+  best[destination] =
+      RouteEntry{true, RouteKind::kSelf, destination, kInvalidIndex, 0};
+  const auto better = [&](const RouteEntry& candidate, const RouteEntry& current) {
+    if (!current.reachable) return true;
+    if (candidate.path_length != current.path_length) {
+      return candidate.path_length < current.path_length;
+    }
+    return ases[candidate.next_hop].asn < ases[current.next_hop].asn;
+  };
+
+  // Phase 1: customer routes, BFS up provider chains.
+  {
+    std::queue<AsIndex> frontier;
+    frontier.push(destination);
+    while (!frontier.empty()) {
+      const AsIndex current = frontier.front();
+      frontier.pop();
+      for (const LinkIndex li : ases[current].provider_links) {
+        const AsIndex provider = links[li].b;
+        const RouteEntry candidate{true, RouteKind::kCustomer, current, li,
+                                   best[current].path_length + 1};
+        if (best[provider].reachable &&
+            best[provider].kind == RouteKind::kCustomer &&
+            !better(candidate, best[provider])) {
+          continue;
+        }
+        if (best[provider].kind == RouteKind::kSelf && best[provider].reachable) {
+          continue;
+        }
+        best[provider] = candidate;
+        frontier.push(provider);
+      }
+    }
+  }
+
+  // Phase 2: peer routes from every AS holding a customer or self route.
+  {
+    std::vector<RouteEntry> peer_routes(n);
+    for (AsIndex current = 0; current < n; ++current) {
+      if (!best[current].reachable) continue;
+      if (best[current].kind != RouteKind::kSelf &&
+          best[current].kind != RouteKind::kCustomer) {
+        continue;
+      }
+      for (const LinkIndex li : ases[current].peer_links) {
+        const auto& link = links[li];
+        const AsIndex neighbor = link.a == current ? link.b : link.a;
+        if (best[neighbor].reachable) continue;
+        const RouteEntry candidate{true, RouteKind::kPeer, current, li,
+                                   best[current].path_length + 1};
+        if (better(candidate, peer_routes[neighbor])) {
+          peer_routes[neighbor] = candidate;
+        }
+      }
+    }
+    for (AsIndex i = 0; i < n; ++i) {
+      if (peer_routes[i].reachable) best[i] = peer_routes[i];
+    }
+  }
+
+  // Phase 3: provider routes, BFS down customer links from every routed AS.
+  {
+    std::queue<AsIndex> frontier;
+    for (AsIndex i = 0; i < n; ++i) {
+      if (best[i].reachable) frontier.push(i);
+    }
+    while (!frontier.empty()) {
+      const AsIndex current = frontier.front();
+      frontier.pop();
+      for (const LinkIndex li : ases[current].customer_links) {
+        const AsIndex customer = links[li].a;
+        const RouteEntry candidate{true, RouteKind::kProvider, current, li,
+                                   best[current].path_length + 1};
+        if (best[customer].reachable) {
+          if (best[customer].kind != RouteKind::kProvider) continue;
+          if (!better(candidate, best[customer])) continue;
+        }
+        best[customer] = candidate;
+        frontier.push(customer);
+      }
+    }
+  }
+
+  // Alternates: every AS re-offers its route to every neighbor the export
+  // rules allow; a neighbor keeps the best offer through a different next
+  // hop whose first hop does not route straight back.
+  std::vector<RouteEntry> alternates(n);
+  const auto full_better = [&](const RouteEntry& candidate,
+                               const RouteEntry& current) {
+    if (!current.reachable) return true;
+    if (candidate.kind != current.kind) return candidate.kind < current.kind;
+    return better(candidate, current);
+  };
+  const auto offer = [&](AsIndex to, const RouteEntry& candidate) {
+    if (to == destination) return;
+    if (!best[to].reachable) return;
+    if (candidate.next_hop == best[to].next_hop) return;
+    if (best[candidate.next_hop].next_hop == to) return;
+    if (full_better(candidate, alternates[to])) alternates[to] = candidate;
+  };
+  for (AsIndex current = 0; current < n; ++current) {
+    const RouteEntry& route = best[current];
+    if (!route.reachable) continue;
+    const int length = route.path_length + 1;
+    if (route.kind == RouteKind::kSelf || route.kind == RouteKind::kCustomer) {
+      for (const LinkIndex li : ases[current].provider_links) {
+        offer(links[li].b,
+              RouteEntry{true, RouteKind::kCustomer, current, li, length});
+      }
+      for (const LinkIndex li : ases[current].peer_links) {
+        const auto& link = links[li];
+        const AsIndex neighbor = link.a == current ? link.b : link.a;
+        offer(neighbor, RouteEntry{true, RouteKind::kPeer, current, li, length});
+      }
+    }
+    for (const LinkIndex li : ases[current].customer_links) {
+      offer(links[li].a,
+            RouteEntry{true, RouteKind::kProvider, current, li, length});
+    }
+  }
+  return FullTable{std::move(best), std::move(alternates)};
+}
+
+bool same_route(const RouteEntry& a, const RouteEntry& b) {
+  return a.reachable == b.reachable && a.kind == b.kind &&
+         a.next_hop == b.next_hop && a.via_link == b.via_link &&
+         a.path_length == b.path_length;
+}
+
+/// Checks entry() and alternate() of the lazy table against the oracle for
+/// every (source, destination) pair; `stride` thins the destinations.
+void expect_matches_oracle(const Internet& net, std::size_t stride) {
+  const RoutingEngine engine(net);
+  std::size_t checked = 0;
+  for (AsIndex dst = 0; dst < net.ases.size(); dst += stride) {
+    const FullTable oracle = full_routes_to(net, dst);
+    const RoutingTable table = engine.routes_to(dst);
+    // Alternates first on half the destinations, so both resolution orders
+    // (alternate before entry, entry before alternate) are exercised.
+    for (AsIndex src = 0; src < net.ases.size(); ++src) {
+      if (dst % 2 == 0) {
+        ASSERT_TRUE(same_route(table.alternate(src), oracle.alternates[src]))
+            << "alternate " << src << " -> " << dst;
+      }
+      ASSERT_TRUE(same_route(table.entry(src), oracle.best[src]))
+          << "entry " << src << " -> " << dst;
+      ASSERT_TRUE(same_route(table.alternate(src), oracle.alternates[src]))
+          << "alternate " << src << " -> " << dst;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
 
 /// Hand-built 6-AS topology:
 ///
@@ -170,6 +342,44 @@ TEST_F(MiniTopology, PeerRouteNotExportedToProviders) {
   const auto path = table.as_path(tr2_);
   ASSERT_FALSE(path.empty());
   EXPECT_NE(path[1], e2_) << "peer-learned route leaked upward";
+}
+
+TEST_F(MiniTopology, LazyTableMatchesFullComputation) {
+  expect_matches_oracle(net_, 1);
+}
+
+TEST(GeneratedTopologyRouting, LazyTableMatchesFullComputationTiny) {
+  const Internet net = InternetGenerator(GeneratorConfig::tiny()).generate();
+  ASSERT_EQ(net.ases.size(), 399u);
+  expect_matches_oracle(net, 1);
+}
+
+TEST(GeneratedTopologyRouting, LazyTableMatchesFullComputationSmall) {
+  const Internet net = InternetGenerator(GeneratorConfig::small()).generate();
+  ASSERT_EQ(net.ases.size(), 1250u);
+  expect_matches_oracle(net, 1);
+}
+
+TEST(GeneratedTopologyRouting, LazyTableHasAlternatesToCheck) {
+  // The oracle comparison is only as strong as the alternates it sees:
+  // the tiny world must offer every kind of second route, and a blackhole.
+  const Internet net = InternetGenerator(GeneratorConfig::tiny()).generate();
+  const RoutingEngine engine(net);
+  std::array<std::size_t, 4> kinds{};
+  std::size_t none = 0;
+  for (const AsIndex dst : net.access_isps()) {
+    const RoutingTable table = engine.routes_to(dst);
+    for (const As& as : net.ases) {
+      if (as.index == dst) continue;
+      const RouteEntry& alternate = table.alternate(as.index);
+      if (alternate.reachable) ++kinds[static_cast<std::size_t>(alternate.kind)];
+      else ++none;
+    }
+  }
+  EXPECT_GT(kinds[static_cast<std::size_t>(RouteKind::kCustomer)], 0u);
+  EXPECT_GT(kinds[static_cast<std::size_t>(RouteKind::kPeer)], 0u);
+  EXPECT_GT(kinds[static_cast<std::size_t>(RouteKind::kProvider)], 0u);
+  EXPECT_GT(none, 0u);
 }
 
 TEST(GeneratedTopologyRouting, EverybodyReachesHypergiants) {

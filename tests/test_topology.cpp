@@ -217,6 +217,29 @@ TEST_F(TopologyTest, PeeringLookupSymmetric) {
   }
 }
 
+TEST_F(TopologyTest, PeeringPairIndexMatchesAdjacencyScan) {
+  // For every ordered AS pair, the O(1) pair index must equal a scan of the
+  // first AS's peer links: ascending, parallel links included, and empty
+  // (has_peering false) for a pair that does not peer.
+  const std::size_t n = net_->ases.size();
+  std::size_t parallel_pairs = 0;
+  for (AsIndex a = 0; a < n; ++a) {
+    std::vector<std::vector<LinkIndex>> scan(n);
+    for (const LinkIndex li : net_->ases[a].peer_links) {
+      const InterdomainLink& link = net_->links[li];
+      scan[link.a == a ? link.b : link.a].push_back(li);
+    }
+    for (AsIndex b = 0; b < n; ++b) {
+      const auto indexed = net_->peering_links_between(a, b);
+      ASSERT_EQ(std::vector<LinkIndex>(indexed.begin(), indexed.end()), scan[b])
+          << a << " <-> " << b;
+      ASSERT_EQ(net_->has_peering(a, b), !scan[b].empty());
+      if (a < b && scan[b].size() > 1) ++parallel_pairs;
+    }
+  }
+  EXPECT_GT(parallel_pairs, 0u);
+}
+
 TEST(TopologyDeterminism, SameSeedSameWorld) {
   const Internet a = InternetGenerator(GeneratorConfig::tiny()).generate();
   const Internet b = InternetGenerator(GeneratorConfig::tiny()).generate();
